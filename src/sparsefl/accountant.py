@@ -34,10 +34,10 @@ from scipy.special import gammaln, logsumexp
 
 DEFAULT_ALPHA_GRID: tuple[float, ...] = (1.5,) + tuple(float(a) for a in range(2, 65))
 
-# Fractional-order quadrature nodes per unit of sigma_hat, with a floor on the
-# total count.
+# Fractional-order quadrature nodes per unit of sigma_hat. The range spans
+# alpha / sigma_hat + 40 units, so the default order 1.5 gets at least 32,000
+# nodes at any sigma_hat and more as sigma_hat shrinks.
 _NODES_PER_SIGMA = 800
-_MIN_NODES = 200_001
 _MAX_T_HAT = 10**15
 
 
@@ -47,6 +47,10 @@ class AccountantOverflowError(ArithmeticError):
 
 class DegenerateBudgetError(ValueError):
     """Every client's participation forecast is zero."""
+
+
+class BudgetOverrunError(RuntimeError):
+    """A client's spent epsilon exceeded its budget during a run."""
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,7 @@ def _quadrature_moment(q: float, sigma_hat: float, alpha: float) -> float:
     """Log moment at any order, via composite Simpson in log space."""
     lo = -20.0 * sigma_hat
     hi = alpha + 20.0 * sigma_hat
-    n = max(_MIN_NODES, int((hi - lo) / sigma_hat * _NODES_PER_SIGMA))
+    n = int((hi - lo) / sigma_hat * _NODES_PER_SIGMA)
     if n % 2 == 0:
         n += 1
     z = np.linspace(lo, hi, n)

@@ -5,6 +5,19 @@ steps with it: per-sample gradients are masked first, then clipped, then the
 batch average is perturbed with Gaussian noise on the retained coordinates
 only. Masking before clipping shrinks the clipping threshold to
 sqrt(s) * clip_c, and the noise scale shrinks with it.
+
+The [batch, dim] per-sample gradient matrix is never built. Every parameter
+block's per-sample gradient is an outer product A_i B_i^T (a bias block is
+A_i alone; see model_data.loss_grad_factors), so with the block's mask M:
+
+    masked squared norm  ||(A_i B_i^T) o M||^2 = sum_ab A_ia^2 M_ab B_ib^2
+    clipped masked mean  ((f / n o A)^T B) o M, one matrix product per block
+
+where f holds the per-sample clip factors. This is per-example norms
+(Goodfellow, arXiv:1510.01799) and ghost clipping (Li et al.,
+arXiv:2110.05679), with a coordinate mask folded into the norm. The dense
+path (per_sample_loss_grads, mask, clip_per_sample, mean) is the reference it
+is tested against.
 """
 
 from __future__ import annotations
@@ -14,7 +27,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model_data import Dataset, ModelWeights, per_sample_loss_grads
+from .model_data import Dataset, GradFactors, ModelWeights, loss_grad_factors, split_blocks
+
+# Not called here. perfbench/spans.py times the dense gradient path by
+# rebinding the name dpsgd.per_sample_loss_grads, and a traced run fails if
+# the name is missing; with the factored path it reads zero calls.
+from .model_data import per_sample_loss_grads  # noqa: F401
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -103,35 +121,59 @@ def generate_mask(dim: int, s: float, rng: np.random.Generator) -> SparsityMask:
     return SparsityMask(bits=rng.random(dim) < s, rate=float(s))
 
 
+def _clip_factors(norms: np.ndarray, threshold: float) -> np.ndarray:
+    """Per-row scale that caps a norm at threshold; a zero norm keeps factor 1."""
+    return np.where(norms > 0.0, np.minimum(1.0, threshold / np.maximum(norms, 1e-300)), 1.0)
+
+
 def clip_per_sample(grads: np.ndarray, threshold: float) -> np.ndarray:
     """Scale each row to norm at most threshold. Zero rows pass through."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    norms = np.linalg.norm(grads, axis=1)
-    factors = np.where(norms > 0.0, np.minimum(1.0, threshold / np.maximum(norms, 1e-300)), 1.0)
-    return grads * factors[:, None]
+    return grads * _clip_factors(np.linalg.norm(grads, axis=1), threshold)[:, None]
 
 
 def _draw_masked_noise(
     dim: int, cfg: DpConfig, s: float, mask: SparsityMask, rng: np.random.Generator
 ) -> np.ndarray:
+    """Gaussian noise at std sigma_hat * threshold / batch, zero off the mask."""
     std = cfg.sigma_hat * cfg.clip_threshold(s) / cfg.batch_size
     return rng.normal(0.0, std, size=dim) * mask.bits
 
 
-def perturb_average(
-    clipped_mean: np.ndarray,
-    cfg: DpConfig,
-    s: float,
-    mask: SparsityMask,
-    rng: np.random.Generator,
+def clipped_masked_mean(
+    factors: GradFactors,
+    keep_blocks: list[np.ndarray],
+    threshold: float,
+    out_blocks: list[np.ndarray],
 ) -> np.ndarray:
-    """Add Gaussian noise at std sigma_hat * threshold / batch to retained coordinates.
+    """Mean of the masked, clipped per-sample gradients, from their factors.
 
-    Coordinates outside the mask are returned untouched (zero noise there), so
-    the perturbed average keeps the mask's support.
+    keep_blocks is the float mask and out_blocks the output vector, both cut
+    into parameter blocks by split_blocks; the mean is written to out_blocks.
+    Clip factors are those of clip_per_sample applied to the masked rows.
+    Returns the per-sample squared norms of the unmasked gradients.
     """
-    return clipped_mean + _draw_masked_noise(clipped_mean.shape[0], cfg, s, mask, rng)
+    n = factors[0][0].shape[0]
+    sq_norms = np.zeros(n)
+    masked_sq_norms = np.zeros(n)
+    for (a, b), keep in zip(factors, keep_blocks):
+        a2 = a * a
+        if b is None:
+            sq_norms += a2.sum(axis=1)
+            masked_sq_norms += a2 @ keep
+        else:
+            b2 = b * b
+            sq_norms += a2.sum(axis=1) * b2.sum(axis=1)
+            masked_sq_norms += ((a2 @ keep) * b2).sum(axis=1)
+    coef = _clip_factors(np.sqrt(masked_sq_norms), threshold) / n
+    for (a, b), keep, out in zip(factors, keep_blocks, out_blocks):
+        if b is None:
+            np.matmul(coef, a, out=out)
+        else:
+            np.matmul((coef[:, None] * a).T, b, out=out)
+        out *= keep
+    return sq_norms
 
 
 def local_train(
@@ -150,36 +192,44 @@ def local_train(
     The mask is drawn once and reused for every step of the round, so the
     delta's support is a subset of the mask. Batches are sampled without
     replacement per step; a dataset smaller than the configured batch is used
-    whole.
+    whole. A non-finite loss, per-sample gradient norm or clipped mean in any
+    step, or a non-finite delta (from non-finite starting weights or an
+    overflowing step), raises TrainingDivergenceError naming the client and
+    the round.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {s}")
-    dim = w_init.spec.dim
+    spec = w_init.spec
+    dim = spec.dim
     mask = generate_mask(dim, s, streams.mask)
+    where = f"client {client_id} in round {round_num}"
     threshold = cfg.clip_threshold(s)
     batch = min(cfg.batch_size, data.n)
     if batch != cfg.batch_size:
         cfg = replace(cfg, batch_size=batch)
+    keep_blocks = split_blocks(mask.bits.astype(np.float64), spec)
+    clipped_mean = np.empty(dim)
+    mean_blocks = split_blocks(clipped_mean, spec)
     w = w_init.values.copy()
-    model = ModelWeights(w, w_init.spec)
+    model = ModelWeights(w, spec)
     for _ in range(cfg.tau):
         take = streams.batch.choice(data.n, size=batch, replace=False)
-        loss, grads = per_sample_loss_grads(model, data.features[take], data.labels[take])
-        if not math.isfinite(loss) or not np.all(np.isfinite(grads)):
-            raise TrainingDivergenceError(
-                f"non-finite loss or gradient for client {client_id} in round {round_num}"
-            )
-        if stats is not None:
-            stats.max_grad_norm = max(
-                stats.max_grad_norm, float(np.linalg.norm(grads, axis=1).max())
-            )
-        masked = grads * mask.bits
-        clipped_mean = clip_per_sample(masked, threshold).mean(axis=0)
+        loss, factors = loss_grad_factors(model, data.features[take], data.labels[take])
+        sq_norms = clipped_masked_mean(factors, keep_blocks, threshold, mean_blocks)
+        if not (
+            math.isfinite(loss)
+            and np.all(np.isfinite(sq_norms))
+            and np.all(np.isfinite(clipped_mean))
+        ):
+            raise TrainingDivergenceError(f"non-finite loss or gradient for {where}")
         noise = _draw_masked_noise(dim, cfg, s, mask, streams.noise)
         if stats is not None:
+            stats.max_grad_norm = max(stats.max_grad_norm, math.sqrt(float(sq_norms.max())))
             stats.noise_sq_sum += float(noise @ noise)
             stats.noise_draws += 1
         w -= cfg.eta * (clipped_mean + noise)
     delta = w - w_init.values
+    if not np.all(np.isfinite(delta)):
+        raise TrainingDivergenceError(f"non-finite weight update for {where}")
     payload = 32 * mask.retained + dim
     return SparseUpdate(values=delta, mask=mask, payload_bits=payload)

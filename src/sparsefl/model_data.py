@@ -2,7 +2,11 @@
 
 Two model families are supported, both with closed-form per-sample gradients
 so no autodiff dependency is needed: multinomial logistic regression and a
-one-hidden-layer tanh network. Parameters live in a flat float64 vector.
+one-hidden-layer tanh network. Parameters live in a flat float64 vector made
+of weight-matrix and bias blocks (ModelSpec.block_shapes, split_blocks). A
+weight block's per-sample gradient is an outer product of two factors and a
+bias block's is one factor (loss_grad_factors); per_sample_loss_grads expands
+them into the dense [n, dim] matrix.
 """
 
 from __future__ import annotations
@@ -62,12 +66,16 @@ class ModelSpec:
             raise ValueError("hidden_units must be positive when set")
 
     @property
+    def block_shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Parameter blocks in flat order: (rows, cols) per weight matrix, (rows,) per bias."""
+        d, k, h = self.feature_dim, self.num_classes, self.hidden_units
+        if h is None:
+            return ((k, d), (k,))
+        return ((h, d), (h,), (k, h), (k,))
+
+    @property
     def dim(self) -> int:
-        d, k = self.feature_dim, self.num_classes
-        if self.hidden_units is None:
-            return k * d + k
-        h = self.hidden_units
-        return h * d + h + k * h + k
+        return sum(math.prod(shape) for shape in self.block_shapes)
 
 
 @dataclass
@@ -95,39 +103,30 @@ def init_weights(spec: ModelSpec, rng: np.random.Generator | None = None) -> Mod
         return ModelWeights(np.zeros(spec.dim), spec)
     if rng is None:
         rng = np.random.default_rng(0)
-    d, k, h = spec.feature_dim, spec.num_classes, spec.hidden_units
     values = np.zeros(spec.dim)
-    values[: h * d] = rng.standard_normal(h * d) / math.sqrt(d)
-    start = h * d + h
-    values[start : start + k * h] = rng.standard_normal(k * h) / math.sqrt(h)
+    w1, _, w2, _ = split_blocks(values, spec)
+    w1[...] = rng.standard_normal(w1.shape) / math.sqrt(spec.feature_dim)
+    w2[...] = rng.standard_normal(w2.shape) / math.sqrt(spec.hidden_units)
     return ModelWeights(values, spec)
 
 
-def _unpack_softmax(w: ModelWeights) -> tuple[np.ndarray, np.ndarray]:
-    d, k = w.spec.feature_dim, w.spec.num_classes
-    return w.values[: k * d].reshape(k, d), w.values[k * d :]
-
-
-def _unpack_mlp(w: ModelWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    d, k, h = w.spec.feature_dim, w.spec.num_classes, w.spec.hidden_units
-    v = w.values
-    o = 0
-    w1 = v[o : o + h * d].reshape(h, d)
-    o += h * d
-    b1 = v[o : o + h]
-    o += h
-    w2 = v[o : o + k * h].reshape(k, h)
-    o += k * h
-    b2 = v[o : o + k]
-    return w1, b1, w2, b2
+def split_blocks(flat: np.ndarray, spec: ModelSpec) -> list[np.ndarray]:
+    """Views of a flat parameter-length vector, one per block of spec.block_shapes."""
+    views = []
+    start = 0
+    for shape in spec.block_shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
 
 
 def _forward(w: ModelWeights, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Logits plus the hidden activation (None for softmax regression)."""
     if w.spec.hidden_units is None:
-        wt, b = _unpack_softmax(w)
+        wt, b = split_blocks(w.values, w.spec)
         return x @ wt.T + b, None
-    w1, b1, w2, b2 = _unpack_mlp(w)
+    w1, b1, w2, b2 = split_blocks(w.values, w.spec)
     hidden = np.tanh(x @ w1.T + b1)
     return hidden @ w2.T + b2, hidden
 
@@ -137,12 +136,21 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def per_sample_loss_grads(
-    w: ModelWeights, features: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy loss and the per-sample gradient matrix [n, dim].
+# One (A, B) pair per parameter block, in flat-parameter order. For a weight
+# block A is [n, rows] and B is [n, cols]: sample i's gradient slice is
+# outer(A[i], B[i]).ravel(). For a bias block B is None and the slice is A[i].
+GradFactors = list[tuple[np.ndarray, np.ndarray | None]]
 
-    The mean of the returned rows equals the gradient of the mean loss.
+
+def loss_grad_factors(
+    w: ModelWeights, features: np.ndarray, labels: np.ndarray
+) -> tuple[float, GradFactors]:
+    """Mean cross-entropy loss and the per-sample gradients as per-block factors.
+
+    Both models are stacks of outer products, so the [n, dim] gradient matrix
+    never needs to be built: softmax regression has the blocks
+    (dlogits, features) and (dlogits, None); the tanh network has
+    (dpre, features), (dpre, None), (dlogits, hidden) and (dlogits, None).
     """
     if features.ndim != 2 or features.shape[1] != w.spec.feature_dim:
         raise ValueError("features do not match the model's feature_dim")
@@ -156,17 +164,25 @@ def per_sample_loss_grads(
     loss = float(-logp[np.arange(n), labels].mean())
     dlogits = np.exp(logp)
     dlogits[np.arange(n), labels] -= 1.0
-    if w.spec.hidden_units is None:
-        gw = np.einsum("nk,nd->nkd", dlogits, features).reshape(n, -1)
-        grads = np.concatenate([gw, dlogits], axis=1)
-    else:
-        w1, b1, w2, b2 = _unpack_mlp(w)
-        dhidden = dlogits @ w2
-        dpre = dhidden * (1.0 - hidden * hidden)
-        gw1 = np.einsum("nh,nd->nhd", dpre, features).reshape(n, -1)
-        gw2 = np.einsum("nk,nh->nkh", dlogits, hidden).reshape(n, -1)
-        grads = np.concatenate([gw1, dpre, gw2, dlogits], axis=1)
-    return loss, grads
+    if hidden is None:
+        return loss, [(dlogits, features), (dlogits, None)]
+    w2 = split_blocks(w.values, w.spec)[2]
+    dpre = (dlogits @ w2) * (1.0 - hidden * hidden)
+    return loss, [(dpre, features), (dpre, None), (dlogits, hidden), (dlogits, None)]
+
+
+def per_sample_loss_grads(
+    w: ModelWeights, features: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy loss and the per-sample gradient matrix [n, dim].
+
+    The rows are the outer products of loss_grad_factors, concatenated in
+    flat-parameter order; their mean equals the gradient of the mean loss.
+    """
+    loss, factors = loss_grad_factors(w, features, labels)
+    n = features.shape[0]
+    blocks = [a if b is None else np.einsum("na,nb->nab", a, b).reshape(n, -1) for a, b in factors]
+    return loss, np.concatenate(blocks, axis=1)
 
 
 def evaluate(w: ModelWeights, data: Dataset) -> tuple[float, float]:

@@ -5,7 +5,9 @@ per-client privacy ledgers), then repeats: realize channels, schedule clients
 under the chosen policy, run noisy sparse local training for the scheduled
 set, aggregate, advance privacy ledgers and virtual queues, and record one
 metrics row. Clients whose next participation would overrun their privacy
-budget retire; the run truncates early if everyone retires.
+budget retire; the run truncates early if everyone retires. After every
+participation the client's spent epsilon is checked against its budget, and
+an overrun raises BudgetOverrunError.
 
 Every random draw comes from a stream addressed by the root seed and a fixed
 integer path, so a repeated run is bit-identical.
@@ -19,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .accountant import make_ledger, participation_fraction, PrivacyLedger, RdpParams
+from .accountant import (
+    BudgetOverrunError,
+    PrivacyLedger,
+    RdpParams,
+    make_ledger,
+    participation_fraction,
+)
 from .config import ConfigError, ExperimentConfig, validate_config
 from .dpsgd import DpConfig, TrainStats, TrainStreams, local_train
 from .model_data import (
@@ -448,6 +456,12 @@ def run_round(state: SimState) -> MetricsRow | None:
                 ledger = state.ledgers[int(i)]
                 ledger.exposures += 1
                 ledger.exhausted = ledger.exposures >= ledger.t_hat
+                spent = ledger.spent()
+                if spent > ledger.eps_budget:
+                    raise BudgetOverrunError(
+                        f"client {int(i)} spent epsilon {spent:.6g} in round {t}, "
+                        f"over its budget {ledger.eps_budget:.6g}"
+                    )
 
     state.queues = update_queues(state.queues, decision, state.betas, state.sched_cfg.d_avg)
     state.cum_delay += decision.round_delay

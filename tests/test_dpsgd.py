@@ -5,15 +5,22 @@ from hypothesis import strategies as st
 
 from sparsefl.dpsgd import (
     DpConfig,
-    SparsityMask,
+    TrainingDivergenceError,
     TrainStreams,
     TrainStats,
     clip_per_sample,
+    clipped_masked_mean,
     generate_mask,
     local_train,
-    perturb_average,
 )
-from sparsefl.model_data import Dataset, ModelSpec, ModelWeights, per_sample_loss_grads
+from sparsefl.model_data import (
+    Dataset,
+    ModelSpec,
+    ModelWeights,
+    loss_grad_factors,
+    per_sample_loss_grads,
+    split_blocks,
+)
 
 
 def make_streams(seed: int) -> TrainStreams:
@@ -100,35 +107,190 @@ def test_clipped_masked_norm_within_adapted_threshold(s, scale):
     assert np.all(np.linalg.norm(clipped, axis=1) <= threshold + 1e-12)
 
 
-def test_perturb_average_noiseless_passthrough():
-    cfg = DpConfig(clip_c=1.0, sigma_hat=0.0, batch_size=4, tau=1, eta=0.1)
-    mask = SparsityMask(bits=np.array([True, False, True]), rate=0.66)
-    mean = np.array([0.5, 0.0, -0.25])
-    out = perturb_average(mean, cfg, 0.66, mask, np.random.default_rng(0))
-    assert np.array_equal(out, mean)
-
-
-def test_perturb_average_noise_respects_mask_and_scale():
-    cfg = DpConfig(clip_c=2.0, sigma_hat=1.5, batch_size=10, tau=1, eta=0.1)
-    dim = 4000
-    rng = np.random.default_rng(8)
-    bits = rng.random(dim) < 0.5
-    mask = SparsityMask(bits=bits, rate=0.5)
-    out = perturb_average(np.zeros(dim), cfg, 0.5, mask, np.random.default_rng(99))
-    assert np.all(out[~bits] == 0.0)
-    drawn = out[bits]
-    want_std = 1.5 * np.sqrt(0.5) * 2.0 / 10.0
-    assert drawn.std() == pytest.approx(want_std, rel=0.1)
-
-
-def small_problem(n=12, d=6, k=3, seed=0):
+def small_problem(n=12, d=6, k=3, seed=0, hidden=None, scale=0.1):
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n, d))
     labels = rng.integers(0, k, size=n)
     data = Dataset(features, labels)
-    spec = ModelSpec(feature_dim=d, num_classes=k)
-    w = ModelWeights(rng.standard_normal(spec.dim) * 0.1, spec)
+    spec = ModelSpec(feature_dim=d, num_classes=k, hidden_units=hidden)
+    w = ModelWeights(rng.standard_normal(spec.dim) * scale, spec)
     return data, w
+
+
+def dense_local_train(w_init, data, s, cfg, streams, stats=None):
+    """Reference local training on the dense [batch, dim] gradient matrix.
+
+    Same draws on the same streams as local_train: mask, then per step a
+    batch and a noise vector. Returns the weight delta and the mask bits.
+    """
+    dim = w_init.spec.dim
+    mask = generate_mask(dim, s, streams.mask)
+    threshold = cfg.clip_threshold(s)
+    batch = min(cfg.batch_size, data.n)
+    std = cfg.sigma_hat * threshold / batch
+    w = w_init.values.copy()
+    for _ in range(cfg.tau):
+        take = streams.batch.choice(data.n, size=batch, replace=False)
+        loss, grads = per_sample_loss_grads(
+            ModelWeights(w, w_init.spec), data.features[take], data.labels[take]
+        )
+        if not np.isfinite(loss) or not np.all(np.isfinite(grads)):
+            raise TrainingDivergenceError("non-finite loss or gradient")
+        clipped_mean = clip_per_sample(grads * mask.bits, threshold).mean(axis=0)
+        noise = streams.noise.normal(0.0, std, size=dim) * mask.bits
+        if stats is not None:
+            stats.max_grad_norm = max(
+                stats.max_grad_norm, float(np.linalg.norm(grads, axis=1).max())
+            )
+            stats.noise_sq_sum += float(noise @ noise)
+            stats.noise_draws += 1
+        w -= cfg.eta * (clipped_mean + noise)
+    return w - w_init.values, mask.bits
+
+
+def max_rel_diff(got, want):
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
+
+
+def ghost_and_dense_step(w, features, labels, bits, threshold):
+    """(factored, dense) pairs of the clipped masked mean and the max gradient norm."""
+    spec = w.spec
+    _, factors = loss_grad_factors(w, features, labels)
+    mean = np.empty(spec.dim)
+    sq_norms = clipped_masked_mean(
+        factors,
+        split_blocks(bits.astype(np.float64), spec),
+        threshold,
+        split_blocks(mean, spec),
+    )
+    _, grads = per_sample_loss_grads(w, features, labels)
+    dense_mean = clip_per_sample(grads * bits, threshold).mean(axis=0)
+    dense_max = float(np.linalg.norm(grads, axis=1).max())
+    return (mean, float(np.sqrt(sq_norms.max()))), (dense_mean, dense_max)
+
+
+@pytest.mark.parametrize("hidden", [None, 5])
+@pytest.mark.parametrize("s", [0.05, 0.3, 1.0])
+@pytest.mark.parametrize("adaptive", [True, False])
+def test_clipped_masked_mean_matches_dense_oracle(hidden, s, adaptive):
+    cfg = DpConfig(
+        clip_c=0.5, sigma_hat=1.0, batch_size=8, tau=1, eta=0.1, adaptive_clip=adaptive
+    )
+    data, w = small_problem(n=8, d=9, k=4, seed=31, hidden=hidden, scale=0.8)
+    rng = np.random.default_rng(32)
+    for _ in range(10):
+        bits = rng.random(w.spec.dim) < s
+        (mean, norm), (dense_mean, dense_norm) = ghost_and_dense_step(
+            w, data.features, data.labels, bits, cfg.clip_threshold(s)
+        )
+        assert max_rel_diff(mean, dense_mean) <= 1e-12
+        assert norm == pytest.approx(dense_norm, rel=1e-12)
+        assert np.all(mean[~bits] == 0.0)
+
+
+@pytest.mark.parametrize("hidden", [None, 5])
+def test_clipped_masked_mean_passes_zero_masked_rows(hidden):
+    """A sample whose masked gradient is zero keeps factor 1 and adds nothing."""
+    data, w = small_problem(n=6, d=5, k=3, seed=33, hidden=hidden, scale=0.8)
+    features = data.features.copy()
+    features[0, 0] = 0.0
+    # keep only the first-layer weights that read feature 0: zero for sample 0
+    bits = np.zeros(w.spec.dim, dtype=bool)
+    split_blocks(bits, w.spec)[0][:, 0] = True
+    (mean, norm), (dense_mean, dense_norm) = ghost_and_dense_step(
+        w, features, data.labels, bits, 0.3
+    )
+    _, grads = per_sample_loss_grads(w, features, data.labels)
+    assert np.all((grads * bits)[0] == 0.0)
+    others = np.linalg.norm((grads * bits)[1:], axis=1)
+    assert others.min() > 0.0 and others.max() > 0.3
+    assert max_rel_diff(mean, dense_mean) <= 1e-12
+    assert norm == pytest.approx(dense_norm, rel=1e-12)
+    # an all-zero mask leaves every row at norm 0 and the mean at exactly 0
+    (mean, _), (dense_mean, _) = ghost_and_dense_step(
+        w, features, data.labels, np.zeros(w.spec.dim, dtype=bool), 0.05
+    )
+    assert np.all(mean == 0.0) and np.all(dense_mean == 0.0)
+
+
+@pytest.mark.parametrize("hidden", [None, 4])
+@pytest.mark.parametrize(
+    "s, n, adaptive",
+    [(0.05, 20, True), (0.3, 20, True), (1.0, 20, True), (0.3, 20, False), (0.3, 3, True)],
+)
+def test_local_train_matches_dense_reference_loop(hidden, s, n, adaptive):
+    """Whole local_train against the dense loop on the same streams, n < batch included."""
+    data, w = small_problem(n=n, d=7, k=3, seed=34, hidden=hidden, scale=0.5)
+    cfg = DpConfig(
+        clip_c=0.4, sigma_hat=0.7, batch_size=6, tau=5, eta=0.3, adaptive_clip=adaptive
+    )
+    stats, dense_stats = TrainStats(), TrainStats()
+    update = local_train(w, data, s, cfg, make_streams(35), stats=stats)
+    delta, bits = dense_local_train(w, data, s, cfg, make_streams(35), stats=dense_stats)
+    assert np.array_equal(update.mask.bits, bits)
+    assert max_rel_diff(update.values, delta) <= 1e-12
+    assert stats.max_grad_norm == pytest.approx(dense_stats.max_grad_norm, rel=1e-12)
+    assert stats.noise_sq_sum == dense_stats.noise_sq_sum
+    assert stats.noise_draws == dense_stats.noise_draws == cfg.tau
+
+
+@pytest.mark.parametrize("hidden", [None, 3])
+@pytest.mark.parametrize("target", ["weights", "features"])
+def test_non_finite_inputs_raise_divergence_naming_client_and_round(hidden, target):
+    """Every NaN or inf weight or feature raises, as does each case the dense loop raises on."""
+    data, w = small_problem(n=4, d=3, k=3, seed=36, hidden=hidden, scale=0.5)
+    cfg = DpConfig(clip_c=1.0, sigma_hat=0.5, batch_size=4, tau=2, eta=0.1)
+    size = w.spec.dim if target == "weights" else data.features.size
+    dense_raised = 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for pos in range(size):
+            for bad in (np.nan, np.inf, -np.inf):
+                values, features = w.values.copy(), data.features.copy()
+                (values if target == "weights" else features.reshape(-1))[pos] = bad
+                w_bad = ModelWeights(values, w.spec)
+                data_bad = Dataset(features, data.labels)
+                with pytest.raises(TrainingDivergenceError, match="client 7 in round 3"):
+                    local_train(
+                        w_bad, data_bad, 0.5, cfg, make_streams(37), client_id=7, round_num=3
+                    )
+                try:
+                    dense_local_train(w_bad, data_bad, 0.5, cfg, make_streams(37))
+                except TrainingDivergenceError:
+                    dense_raised += 1
+    # The dense loop raises on a subset: an inf first-layer weight saturates
+    # tanh and leaves every gradient finite, and only the non-finite delta
+    # shows it.
+    assert dense_raised > 0
+
+
+def test_local_train_noiseless_passthrough():
+    """With sigma_hat = 0 the added noise is exactly zero, whatever the noise stream."""
+    data, w = small_problem(n=10, d=5, k=3, seed=38)
+    cfg = DpConfig(clip_c=1.0, sigma_hat=0.0, batch_size=4, tau=3, eta=0.1)
+    base = make_streams(39)
+    other = TrainStreams(
+        mask=make_streams(39).mask, batch=make_streams(39).batch, noise=np.random.default_rng(40)
+    )
+    a = local_train(w, data, 0.66, cfg, base)
+    b = local_train(w, data, 0.66, cfg, other)
+    assert np.array_equal(a.values, b.values)
+
+
+def test_local_train_noise_respects_mask_and_scale():
+    """The noise local_train adds sits on the mask, at std sigma_hat * sqrt(s) * C / batch."""
+    cfg = DpConfig(clip_c=2.0, sigma_hat=1.5, batch_size=10, tau=1, eta=1.0)
+    data, w = small_problem(n=10, d=999, k=4, seed=8)
+    assert w.spec.dim == 4000
+    streams = make_streams(99)
+    update = local_train(w, data, 0.5, cfg, streams)
+    take = make_streams(99).batch.choice(10, size=10, replace=False)
+    _, grads = per_sample_loss_grads(w, data.features[take], data.labels[take])
+    bits = update.mask.bits
+    clipped = clip_per_sample(grads * bits, cfg.clip_threshold(0.5)).mean(axis=0)
+    noise = -update.values / cfg.eta - clipped
+    assert np.all(noise[~bits] == 0.0)
+    want_std = 1.5 * np.sqrt(0.5) * 2.0 / 10.0
+    assert noise[bits].std() == pytest.approx(want_std, rel=0.1)
 
 
 def test_plain_sgd_reduction():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparsefl import streams
+from sparsefl.accountant import BudgetOverrunError
 from sparsefl.config import ConfigError
 from sparsefl.dpsgd import clip_per_sample
 from sparsefl.model_data import ModelSpec, ModelWeights, per_sample_loss_grads
@@ -289,3 +290,15 @@ def test_substream_independence_and_reproducibility():
     assert np.array_equal(xa, xb)
     assert not np.array_equal(xa, xc)
     assert not np.array_equal(xa, xd)
+
+
+def test_budget_overrun_raises_after_the_exposure():
+    """A t_hat above the true forecast lets a client overspend; the round must raise."""
+    state = build_state(fast_config(rounds=3), "round_robin")
+    for ledger in state.ledgers:
+        ledger.exposures = ledger.t_hat
+        ledger.t_hat += 1
+        ledger.exhausted = False
+        assert ledger.spent() <= ledger.eps_budget < ledger.spent(ledger.t_hat)
+    with pytest.raises(BudgetOverrunError, match=r"client \d+ spent epsilon .* in round 0"):
+        run_round(state)
