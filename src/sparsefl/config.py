@@ -10,7 +10,8 @@ linear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 
 from .scheduler import POLICIES
 
@@ -85,7 +86,6 @@ class ExperimentConfig:
 
     # Bound diagnostics
     smoothness_l: float = 1.0
-    divergence_eps: float = 0.0
 
 
 def _parse_bool(raw: str) -> bool:
@@ -118,60 +118,7 @@ _PARSERS = {
     tuple[int, ...]: _parse_int_tuple,
 }
 
-_FIELD_TYPES = {
-    "seed": int,
-    "rounds": int,
-    "policies": tuple[str, ...],
-    "num_clients": int,
-    "num_channels": int,
-    "dataset": str,
-    "num_train": int,
-    "num_test": int,
-    "feature_dim": int,
-    "num_classes": int,
-    "hidden_units": int,
-    "separation": float,
-    "partition": str,
-    "dirichlet_concentration": float,
-    "partition_sizes": tuple[int, ...],
-    "mnist_train_images": str,
-    "mnist_train_labels": str,
-    "mnist_test_images": str,
-    "mnist_test_labels": str,
-    "bandwidth_hz": float,
-    "noise_dbm": float,
-    "downlink_power_dbm": float,
-    "max_power_dbm": float,
-    "interference_dbm": float,
-    "area_side_m": float,
-    "cpu_freq_max_hz": float,
-    "cpu_freq_min_frac": float,
-    "cpu_freq_max_frac": float,
-    "cycles_per_sample": float,
-    "capacitance": float,
-    "tau": int,
-    "eta": float,
-    "batch_size": int,
-    "clip_c": float,
-    "sigma_hat": float,
-    "adaptive_clip": bool,
-    "s_fixed": float,
-    "eps_min": float,
-    "eps_max": float,
-    "delta": float,
-    "lam": float,
-    "d_avg_s": float,
-    "d_avg_calibration_rounds": int,
-    "d_avg_margin": float,
-    "e_max_j": float,
-    "s_th": float,
-    "loop_tol": float,
-    "loop_max_iters": int,
-    "smoothness_l": float,
-    "divergence_eps": float,
-}
-
-assert set(_FIELD_TYPES) == {f.name for f in fields(ExperimentConfig)}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -289,4 +236,3 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(cfg.loop_max_iters >= 1, "loop_max_iters", "must be at least 1")
 
     _require(cfg.smoothness_l >= 0, "smoothness_l", "must be nonnegative")
-    _require(cfg.divergence_eps >= 0, "divergence_eps", "must be nonnegative")

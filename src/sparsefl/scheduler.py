@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy.optimize import linear_sum_assignment
 
 from . import wireless
@@ -87,11 +88,13 @@ class SchedulerConfig:
 
 @dataclass(frozen=True)
 class RoundContext:
-    """Everything about one round the solvers need, precomputed.
+    """The round's cost model: every delay and energy the solvers score.
 
     weights are the aggregation weights over the eligible set (zero for
     ineligible clients). d_down, d_local, and e_comp are fixed per client for
-    the round; only the uplink leg depends on the decision variables.
+    the round; only the uplink leg depends on the decision variables, and the
+    uplink methods take client and channel index arrays (or scalars) that
+    broadcast against the rates and powers.
     """
 
     model_dim: int
@@ -107,24 +110,23 @@ class RoundContext:
     e_comp: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        n = self.channels.uplink_gains.shape[0]
-        d_down = np.empty(n)
-        d_local = np.empty(n)
-        e_comp = np.empty(n)
-        for i in range(n):
-            down_rate = wireless.link_rate(
-                self.radio.downlink_power_w,
-                float(self.channels.downlink_gains[i]),
-                self.radio.interference_w,
-                self.radio,
-            )
-            d_down[i] = wireless.downlink_payload_bits(self.model_dim) / down_rate
-            work = self.tau * int(self.dataset_sizes[i]) * self.compute[i].cycles_per_sample
-            d_local[i] = work / self.compute[i].cpu_freq_hz
-            e_comp[i] = self.compute[i].capacitance * work * self.compute[i].cpu_freq_hz**2 / 2.0
-        object.__setattr__(self, "d_down", d_down)
-        object.__setattr__(self, "d_local", d_local)
-        object.__setattr__(self, "e_comp", e_comp)
+        down_rate = wireless.link_rate(
+            self.radio.downlink_power_w,
+            self.channels.downlink_gains,
+            self.radio.interference_w,
+            self.radio,
+        )
+        if not np.all(down_rate > 0):
+            raise ValueError("downlink rates must be positive for every client")
+        cycles = np.array([c.cycles_per_sample for c in self.compute])
+        freq = np.array([c.cpu_freq_hz for c in self.compute])
+        capacitance = np.array([c.capacitance for c in self.compute])
+        work = self.tau * np.asarray(self.dataset_sizes, dtype=np.int64) * cycles
+        object.__setattr__(
+            self, "d_down", wireless.downlink_payload_bits(self.model_dim) / down_rate
+        )
+        object.__setattr__(self, "d_local", work / freq)
+        object.__setattr__(self, "e_comp", capacitance * work * freq**2 / 2.0)
 
     @property
     def n_clients(self) -> int:
@@ -134,19 +136,31 @@ class RoundContext:
     def n_channels(self) -> int:
         return self.channels.uplink_gains.shape[1]
 
-    def uplink_rate(self, client: int, channel: int, power_w: float) -> float:
+    def uplink_rate(
+        self, clients: ArrayLike, channels: ArrayLike, power_w: ArrayLike
+    ) -> np.ndarray:
         return wireless.link_rate(
             power_w,
-            float(self.channels.uplink_gains[client, channel]),
+            self.channels.uplink_gains[clients, channels],
             self.radio.interference_w,
             self.radio,
         )
 
-    def smooth_delay(self, client: int, channel: int, s: float, power_w: float) -> float:
-        """Round delay of one client under the un-rounded payload model."""
-        rate = self.uplink_rate(client, channel, power_w)
+    def smooth_delay(
+        self, clients: ArrayLike, channels: ArrayLike, s: ArrayLike, power_w: ArrayLike
+    ) -> np.ndarray:
+        """Round delay under the un-rounded payload model; a dead link's is inf."""
+        rate = self.uplink_rate(clients, channels, power_w)
         payload = 32.0 * s * self.model_dim + self.model_dim
-        return payload / rate + self.d_down[client] + self.d_local[client]
+        with np.errstate(divide="ignore"):
+            return payload / rate + self.d_down[clients] + self.d_local[clients]
+
+    def uplink_energy(
+        self, clients: ArrayLike, channels: ArrayLike, s: ArrayLike, power_w: ArrayLike
+    ) -> np.ndarray:
+        """Transmit energy of the rounded payload."""
+        rate = self.uplink_rate(clients, channels, power_w)
+        return power_w * wireless.payload_bits(self.model_dim, s) / rate
 
 
 @dataclass
@@ -173,15 +187,6 @@ class ScheduleDecision:
     def participants(self) -> np.ndarray:
         return np.flatnonzero(self.assigned_channel >= 0)
 
-    @property
-    def assignment_matrix(self) -> np.ndarray:
-        n = self.assigned_channel.shape[0]
-        n_ch = 0 if self.assigned_channel.max(initial=-1) < 0 else self.assigned_channel.max() + 1
-        mat = np.zeros((n, max(int(n_ch), 1)), dtype=np.int8)
-        for i in self.participants:
-            mat[i, self.assigned_channel[i]] = 1
-        return mat
-
 
 def update_queues(
     queues: VirtualQueues, decision: ScheduleDecision, beta: np.ndarray, d_avg: float
@@ -197,6 +202,11 @@ def update_queues(
     return VirtualQueues(q_fa=q_fa, q_de=q_de)
 
 
+def _sum_in_order(values: np.ndarray) -> float:
+    """Left-to-right sum; np.sum's pairwise order would move the last bits."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
 def _check_structure(
     ctx: RoundContext, assigned_channel: np.ndarray, s: np.ndarray, powers: np.ndarray
 ) -> np.ndarray:
@@ -206,14 +216,16 @@ def _check_structure(
         raise ValueError("assignment reuses a channel")
     if np.any(assigned_channel >= ctx.n_channels):
         raise ValueError("assignment names an unknown channel")
-    eligible = set(int(i) for i in ctx.eligible)
-    if any(int(i) not in eligible for i in assigned):
+    if not set(ctx.eligible.tolist()).issuperset(assigned.tolist()):
         raise ValueError("assignment schedules an ineligible client")
-    for i in assigned:
-        if not 0.0 < s[i] <= 1.0 + 1e-12:
-            raise ValueError(f"rate out of range for client {i}")
-        if not 0.0 < powers[i] <= ctx.radio.max_power_w * (1.0 + 1e-12):
-            raise ValueError(f"power out of range for client {i}")
+    rate_ok = (0.0 < s[assigned]) & (s[assigned] <= 1.0 + 1e-12)
+    power_ok = (0.0 < powers[assigned]) & (
+        powers[assigned] <= ctx.radio.max_power_w * (1.0 + 1e-12)
+    )
+    bad = np.flatnonzero(~(rate_ok & power_ok))
+    if bad.size:
+        what = "power" if rate_ok[bad[0]] else "rate"
+        raise ValueError(f"{what} out of range for client {assigned[bad[0]]}")
     return assigned
 
 
@@ -231,21 +243,10 @@ def drift_penalty_value(
     responsibility. An empty assignment scores q_de * (0 - d_avg).
     """
     assigned = _check_structure(ctx, assigned_channel, s, powers)
-    value = 0.0
-    worst = 0.0
-    for i in assigned:
-        value += queues.q_fa[i] - cfg.lam * ctx.weights[i] * s[i]
-        worst = max(
-            worst, ctx.smooth_delay(int(i), int(assigned_channel[i]), float(s[i]), float(powers[i]))
-        )
+    value = _sum_in_order(queues.q_fa[assigned] - cfg.lam * ctx.weights[assigned] * s[assigned])
+    delays = ctx.smooth_delay(assigned, assigned_channel[assigned], s[assigned], powers[assigned])
+    worst = float(np.max(delays, initial=0.0))
     return value + queues.q_de * (worst - cfg.d_avg)
-
-
-def _uplink_energy(
-    ctx: RoundContext, client: int, channel: int, s: float, power_w: float
-) -> float:
-    rate = ctx.uplink_rate(client, channel, power_w)
-    return power_w * wireless.payload_bits(ctx.model_dim, s) / rate
 
 
 def feasible_edges(ctx: RoundContext, cfg: SchedulerConfig) -> np.ndarray:
@@ -255,23 +256,21 @@ def feasible_edges(ctx: RoundContext, cfg: SchedulerConfig) -> np.ndarray:
     limit stays below the cap's headroom, so any rate in (0, 1] admits a
     feasible power on a kept edge.
     """
-    mask = np.zeros((ctx.n_clients, ctx.n_channels), dtype=bool)
+    gains = ctx.channels.uplink_gains
+    headroom = cfg.e_max_j - ctx.e_comp
     noise_total = ctx.radio.interference_w + ctx.radio.noise_w
     dense_payload = wireless.payload_bits(ctx.model_dim, 1.0)
-    for i in ctx.eligible:
-        headroom = cfg.e_max_j - ctx.e_comp[i]
-        if headroom <= 0:
-            continue
-        for j in range(ctx.n_channels):
-            gain = ctx.channels.uplink_gains[i, j]
-            if gain <= 0:
-                continue
-            limit_energy = dense_payload * math.log(2.0) * noise_total / (
-                ctx.radio.bandwidth_hz * gain
-            )
-            if limit_energy * (1.0 + _ENERGY_MARGIN) < headroom:
-                mask[i, j] = True
-    return mask
+    with np.errstate(divide="ignore"):
+        limit_energy = dense_payload * math.log(2.0) * noise_total / (
+            ctx.radio.bandwidth_hz * gains
+        )
+    eligible = np.zeros(ctx.n_clients, dtype=bool)
+    eligible[ctx.eligible] = True
+    return (
+        eligible[:, None]
+        & (gains > 0)
+        & (limit_energy * (1.0 + _ENERGY_MARGIN) < headroom[:, None])
+    )
 
 
 def optimal_power(
@@ -281,46 +280,57 @@ def optimal_power(
 
     The transmit energy is strictly increasing in power, so the cap binds at
     the root of e_comm(P) = e_max - e_comp, found by bisection that keeps the
-    feasible side of the bracket.
+    feasible side of the bracket. All clients bisect at once; each stops on
+    its own bracket width.
     """
-    powers = np.full(ctx.n_clients, ctx.radio.max_power_w)
-    for i in np.flatnonzero(assigned_channel >= 0):
-        j = int(assigned_channel[i])
-        headroom = cfg.e_max_j - ctx.e_comp[i]
-        if headroom <= 0:
-            raise EnergyInfeasibleError(f"client {i}: compute energy alone exceeds the cap")
-        if _uplink_energy(ctx, int(i), j, float(s[i]), ctx.radio.max_power_w) <= headroom:
-            powers[i] = ctx.radio.max_power_w
-            continue
-        lo = ctx.radio.max_power_w * _POWER_FLOOR_FRACTION
-        if _uplink_energy(ctx, int(i), j, float(s[i]), lo) > headroom:
-            raise EnergyInfeasibleError(f"client {i}: energy cap unreachable at any power")
-        hi = ctx.radio.max_power_w
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if _uplink_energy(ctx, int(i), j, float(s[i]), mid) <= headroom:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * ctx.radio.max_power_w:
-                break
-        powers[i] = lo
+    p_max = ctx.radio.max_power_w
+    powers = np.full(ctx.n_clients, p_max)
+    clients = np.flatnonzero(assigned_channel >= 0)
+    headroom = cfg.e_max_j - ctx.e_comp[clients]
+    if np.any(headroom <= 0):
+        i = clients[np.argmax(headroom <= 0)]
+        raise EnergyInfeasibleError(f"client {i}: compute energy alone exceeds the cap")
+    capped = ctx.uplink_energy(clients, assigned_channel[clients], s[clients], p_max) > headroom
+    if not capped.any():
+        return powers
+    clients, headroom = clients[capped], headroom[capped]
+    chans, rates = assigned_channel[clients], s[clients]
+    lo = np.full(clients.size, p_max * _POWER_FLOOR_FRACTION)
+    unreachable = ctx.uplink_energy(clients, chans, rates, lo) > headroom
+    if np.any(unreachable):
+        i = clients[np.argmax(unreachable)]
+        raise EnergyInfeasibleError(f"client {i}: energy cap unreachable at any power")
+    hi = np.full(clients.size, p_max)
+    live = np.ones(clients.size, dtype=bool)
+    for _ in range(200):
+        if not live.any():
+            break
+        mid = 0.5 * (lo + hi)
+        ok = ctx.uplink_energy(clients, chans, rates, mid) <= headroom
+        lo = np.where(live & ok, mid, lo)
+        hi = np.where(live & ~ok, mid, hi)
+        live &= hi - lo > 1e-15 * p_max
+    powers[clients] = lo
     return powers
 
 
 def _energy_rate_cap(
-    ctx: RoundContext, cfg: SchedulerConfig, client: int, channel: int, power_w: float
-) -> float:
-    """Largest rate the client can send at this power within the energy cap.
+    ctx: RoundContext,
+    cfg: SchedulerConfig,
+    clients: np.ndarray,
+    channels: np.ndarray,
+    power_w: np.ndarray,
+) -> np.ndarray:
+    """Largest rate each client can send at its power within the energy cap.
 
     Solved from the payload's linearity in the rate, minus one bit of slack so
     the rounded payload stays feasible too. Never below s_th: any power the
     power step emits is feasible at the rate floor.
     """
-    headroom = cfg.e_max_j - ctx.e_comp[client]
-    rate = ctx.uplink_rate(client, channel, power_w)
+    headroom = cfg.e_max_j - ctx.e_comp[clients]
+    rate = ctx.uplink_rate(clients, channels, power_w)
     smooth = (headroom * rate / power_w - ctx.model_dim) / (32.0 * ctx.model_dim)
-    return float(np.clip(smooth - 1.0 / (32.0 * ctx.model_dim), cfg.s_th, 1.0))
+    return np.clip(smooth - 1.0 / (32.0 * ctx.model_dim), cfg.s_th, 1.0)
 
 
 def optimal_sparsification(
@@ -345,21 +355,14 @@ def optimal_sparsification(
     assigned = np.flatnonzero(assigned_channel >= 0)
     if assigned.size == 0:
         return s
-    caps = np.array(
-        [
-            _energy_rate_cap(ctx, cfg, int(i), int(assigned_channel[i]), float(powers[i]))
-            for i in assigned
-        ]
-    )
+    chans = assigned_channel[assigned]
+    caps = _energy_rate_cap(ctx, cfg, assigned, chans, powers[assigned])
     if queues.q_de <= 0.0:
         s[assigned] = caps
         return s
-    slopes = np.empty(assigned.size)
-    offsets = np.empty(assigned.size)
-    for pos, i in enumerate(assigned):
-        rate = ctx.uplink_rate(int(i), int(assigned_channel[i]), float(powers[i]))
-        slopes[pos] = 32.0 * ctx.model_dim / rate
-        offsets[pos] = ctx.model_dim / rate + ctx.d_down[i] + ctx.d_local[i]
+    rate = ctx.uplink_rate(assigned, chans, powers[assigned])
+    slopes = 32.0 * ctx.model_dim / rate
+    offsets = ctx.model_dim / rate + ctx.d_down[assigned] + ctx.d_local[assigned]
     level_lo = float(np.max(slopes * cfg.s_th + offsets))
     saturation = slopes * caps + offsets
     level_hi = float(np.max(saturation))
@@ -397,34 +400,31 @@ def optimal_assignment(
     As many clients are scheduled as the feasible edges allow, up to the
     channel count.
     """
-    rows = [int(i) for i in ctx.eligible if edges[i].any()]
-    if not rows:
+    rows = ctx.eligible[edges[ctx.eligible].any(axis=1)]
+    if rows.size == 0:
         raise EmptyRoundError("no client has an energy-feasible channel")
-    linear = {i: queues.q_fa[i] - cfg.lam * ctx.weights[i] * s[i] for i in rows}
+    linear = (queues.q_fa[rows] - cfg.lam * ctx.weights[rows] * s[rows])[:, None]
+    row_edges = edges[rows]
 
     if queues.q_de <= 0.0:
-        choice = _matching(ctx, rows, edges, linear, math.inf, None)
+        choice = _matching(ctx, rows, np.where(row_edges, linear, _BIG_COST))
         if choice is None:
             raise EmptyRoundError("no feasible assignment")
         return choice[1]
 
-    delays = {}
-    for i in rows:
-        for j in range(ctx.n_channels):
-            if edges[i, j]:
-                delays[(i, j)] = ctx.smooth_delay(i, j, float(s[i]), float(powers[i]))
+    delays = ctx.smooth_delay(
+        rows[:, None], np.arange(ctx.n_channels), s[rows, None], powers[rows, None]
+    )
     best_total = math.inf
     best = None
-    for level in sorted(set(delays.values())):
-        choice = _matching(ctx, rows, edges, linear, level, delays)
+    for level in np.unique(delays[row_edges]):
+        choice = _matching(ctx, rows, np.where(row_edges & (delays <= level), linear, _BIG_COST))
         if choice is None:
             continue
         linear_sum, assigned_channel = choice
-        worst = max(
-            delays[(int(i), int(assigned_channel[i]))]
-            for i in np.flatnonzero(assigned_channel >= 0)
-        )
-        total = linear_sum + queues.q_de * worst
+        chosen = assigned_channel[rows]
+        picked = np.flatnonzero(chosen >= 0)
+        total = linear_sum + queues.q_de * float(delays[picked, chosen[picked]].max())
         if total < best_total - 1e-15:
             best_total = total
             best = assigned_channel
@@ -434,40 +434,20 @@ def optimal_assignment(
 
 
 def _matching(
-    ctx: RoundContext,
-    rows: list[int],
-    edges: np.ndarray,
-    linear: dict[int, float],
-    level: float,
-    delays: dict | None,
+    ctx: RoundContext, rows: np.ndarray, cost: np.ndarray
 ) -> tuple[float, np.ndarray] | None:
-    """Minimum-cost matching over edges within the delay level, or None.
+    """Minimum-cost matching of rows to channels, or None.
 
-    Returns the matching only when it schedules min(channels, len(rows))
-    clients without touching an excluded edge.
+    Entries at _BIG_COST are excluded edges. Returns the matching only when it
+    schedules min(channels, len(rows)) clients without touching one.
     """
-    required = min(ctx.n_channels, len(rows))
-    cost = np.full((len(rows), ctx.n_channels), _BIG_COST)
-    for r, i in enumerate(rows):
-        for j in range(ctx.n_channels):
-            if not edges[i, j]:
-                continue
-            if delays is not None and delays[(i, j)] > level:
-                continue
-            cost[r, j] = linear[i]
     row_ind, col_ind = linear_sum_assignment(cost)
-    assigned_channel = np.full(ctx.n_clients, -1, dtype=int)
-    linear_sum = 0.0
-    used = 0
-    for r, j in zip(row_ind, col_ind):
-        if cost[r, j] >= _BIG_COST / 2:
-            continue
-        assigned_channel[rows[r]] = j
-        linear_sum += cost[r, j]
-        used += 1
-    if used < required:
+    kept = cost[row_ind, col_ind] < _BIG_COST / 2
+    if kept.sum() < min(ctx.n_channels, rows.size):
         return None
-    return linear_sum, assigned_channel
+    assigned_channel = np.full(ctx.n_clients, -1, dtype=int)
+    assigned_channel[rows[row_ind[kept]]] = col_ind[kept]
+    return _sum_in_order(cost[row_ind[kept], col_ind[kept]]), assigned_channel
 
 
 def _optimize_given_assignment(
@@ -526,7 +506,7 @@ def _exhaustive_schedule(
     powers = optimal_power(ctx, cfg, assigned, s)
     final = drift_penalty_value(ctx, cfg, queues, assigned, s, powers)
     inner.append(min(final, inner[-1]))
-    return _build_decision(ctx, assigned, s, powers, tuple(inner))
+    return build_decision(ctx, assigned, s, powers, tuple(inner))
 
 
 def schedule_round(
@@ -548,7 +528,7 @@ def schedule_round(
     if ctx.eligible.size == 0:
         raise EmptyRoundError("no eligible clients")
     edges = feasible_edges(ctx, cfg)
-    rows = [int(i) for i in ctx.eligible if edges[i].any()]
+    rows = ctx.eligible[edges[ctx.eligible].any(axis=1)].tolist()
     if not rows:
         raise EmptyRoundError("no client has an energy-feasible channel")
     required = min(ctx.n_channels, len(rows))
@@ -575,54 +555,43 @@ def schedule_round(
     powers = optimal_power(ctx, cfg, assigned, s)
     final = drift_penalty_value(ctx, cfg, queues, assigned, s, powers)
     trace.append(min(final, value))
-    return _build_decision(ctx, assigned, s, powers, tuple(trace))
+    return build_decision(ctx, assigned, s, powers, tuple(trace))
 
 
-def _build_decision(
+def build_decision(
     ctx: RoundContext,
     assigned_channel: np.ndarray,
     s: np.ndarray,
     powers: np.ndarray,
     v_trace: tuple[float, ...] = (),
 ) -> ScheduleDecision:
-    n = ctx.n_clients
+    """Realized costs of an assignment, with the rounded uplink payload.
+
+    Unassigned clients get zero rate, power and costs; an all -1 assignment is
+    the empty decision.
+    """
+    clients = np.flatnonzero(assigned_channel >= 0)
+    up_rate = ctx.uplink_rate(clients, assigned_channel[clients], powers[clients])
+    if not np.all(up_rate > 0):
+        raise ValueError("link rates must be positive for a scheduled client")
     out = {
-        name: np.zeros(n)
+        name: np.zeros(ctx.n_clients)
         for name in ("d_down", "d_local", "d_up", "e_comm", "e_comp", "rates", "powers")
     }
-    round_delay = 0.0
-    for i in np.flatnonzero(assigned_channel >= 0):
-        j = int(assigned_channel[i])
-        costs = wireless.round_costs(
-            ctx.model_dim,
-            float(s[i]),
-            float(powers[i]),
-            float(ctx.channels.uplink_gains[i, j]),
-            float(ctx.channels.downlink_gains[i]),
-            int(ctx.dataset_sizes[i]),
-            ctx.tau,
-            ctx.radio,
-            ctx.compute[i],
-        )
-        out["d_down"][i] = costs.d_down
-        out["d_local"][i] = costs.d_local
-        out["d_up"][i] = costs.d_up
-        out["e_comm"][i] = costs.e_comm
-        out["e_comp"][i] = costs.e_comp
-        out["rates"][i] = s[i]
-        out["powers"][i] = powers[i]
-        round_delay = max(round_delay, costs.total_delay)
+    d_up = wireless.payload_bits(ctx.model_dim, s[clients]) / up_rate
+    out["d_down"][clients] = ctx.d_down[clients]
+    out["d_local"][clients] = ctx.d_local[clients]
+    out["d_up"][clients] = d_up
+    out["e_comm"][clients] = powers[clients] * d_up
+    out["e_comp"][clients] = ctx.e_comp[clients]
+    out["rates"][clients] = s[clients]
+    out["powers"][clients] = powers[clients]
+    total_delay = ctx.d_down[clients] + ctx.d_local[clients] + d_up
     return ScheduleDecision(
         assigned_channel=assigned_channel.copy(),
-        rates=out["rates"],
-        powers=out["powers"],
-        d_down=out["d_down"],
-        d_local=out["d_local"],
-        d_up=out["d_up"],
-        e_comm=out["e_comm"],
-        e_comp=out["e_comp"],
-        round_delay=round_delay,
+        round_delay=float(np.max(total_delay, initial=0.0)),
         v_trace=v_trace,
+        **out,
     )
 
 
@@ -662,9 +631,7 @@ def baseline_schedule(
     if policy == "random":
         count = min(ctx.n_channels, ctx.eligible.size)
         chosen = rng.choice(ctx.eligible, size=count, replace=False)
-        channels = rng.permutation(ctx.n_channels)[:count]
-        for i, j in zip(chosen, channels):
-            assigned_channel[i] = j
+        assigned_channel[chosen] = rng.permutation(ctx.n_channels)[:count]
     elif policy == "round_robin":
         n_groups = math.ceil(ctx.n_clients / ctx.n_channels)
         group = round_num % n_groups
@@ -676,15 +643,14 @@ def baseline_schedule(
                 assigned_channel[i] = j
                 j += 1
     else:
-        pairs = []
-        for i in ctx.eligible:
-            for j in range(ctx.n_channels):
-                delay = ctx.smooth_delay(int(i), j, s_value, p_max)
-                pairs.append((delay, int(i), j))
-        pairs.sort()
+        # A stable sort of the client-major delay matrix breaks ties by
+        # (client, channel); dead links have infinite delay and rank last.
+        clients = np.sort(ctx.eligible)
+        delays = ctx.smooth_delay(clients[:, None], np.arange(ctx.n_channels), s_value, p_max)
+        rows, cols = np.unravel_index(np.argsort(delays, axis=None, kind="stable"), delays.shape)
         used_clients: set[int] = set()
         used_channels: set[int] = set()
-        for _, i, j in pairs:
+        for i, j in zip(clients[rows].tolist(), cols.tolist()):
             if i in used_clients or j in used_channels:
                 continue
             assigned_channel[i] = j
@@ -694,4 +660,4 @@ def baseline_schedule(
                 break
     s = np.full(ctx.n_clients, s_value)
     powers = np.full(ctx.n_clients, p_max)
-    return _build_decision(ctx, assigned_channel, s, powers)
+    return build_decision(ctx, assigned_channel, s, powers)

@@ -16,7 +16,7 @@ integer path, so a repeated run is bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,10 +46,10 @@ from .scheduler import (
     POLICIES,
     EmptyRoundError,
     RoundContext,
-    ScheduleDecision,
     SchedulerConfig,
     VirtualQueues,
     baseline_schedule,
+    build_decision,
     schedule_round,
     update_queues,
     validate_decision,
@@ -66,8 +66,6 @@ class ClientProfile:
     """Static per-client state fixed at experiment setup."""
 
     data: Dataset
-    position: np.ndarray
-    distance_m: float
     eps_budget: float
 
 
@@ -139,7 +137,6 @@ class MetricsTrace:
 class BoundTerms:
     """Per-round diagnostic decomposition of the convergence penalty."""
 
-    term_divergence: float
     term_sparsification: float
     term_dp: float
 
@@ -221,21 +218,6 @@ def _draw_compute(config: ExperimentConfig, round_key: int) -> list[ComputeParam
     ]
 
 
-def _empty_decision(n_clients: int) -> ScheduleDecision:
-    zeros = np.zeros(n_clients)
-    return ScheduleDecision(
-        assigned_channel=np.full(n_clients, -1, dtype=int),
-        rates=zeros.copy(),
-        powers=zeros.copy(),
-        d_down=zeros.copy(),
-        d_local=zeros.copy(),
-        d_up=zeros.copy(),
-        e_comm=zeros.copy(),
-        e_comp=zeros.copy(),
-        round_delay=0.0,
-    )
-
-
 def _round_context(
     state: SimState, eligible: np.ndarray, round_key: int
 ) -> RoundContext:
@@ -314,13 +296,7 @@ def build_state(config: ExperimentConfig, policy: str) -> SimState:
 
     sizes = np.array([p.n for p in parts], dtype=int)
     clients = [
-        ClientProfile(
-            data=parts[i],
-            position=positions[i],
-            distance_m=float(distances[i]),
-            eps_budget=float(eps[i]),
-        )
-        for i in range(config.num_clients)
+        ClientProfile(data=parts[i], eps_budget=float(eps[i])) for i in range(config.num_clients)
     ]
 
     if config.sigma_hat > 0:
@@ -372,14 +348,7 @@ def build_state(config: ExperimentConfig, policy: str) -> SimState:
         participation=np.zeros(config.num_clients, dtype=int),
     )
     d_avg = config.d_avg_s if config.d_avg_s > 0 else _calibrate_d_avg(state)
-    state.sched_cfg = SchedulerConfig(
-        lam=config.lam,
-        d_avg=d_avg,
-        e_max_j=config.e_max_j,
-        s_th=config.s_th,
-        loop_tol=config.loop_tol,
-        loop_max_iters=config.loop_max_iters,
-    )
+    state.sched_cfg = replace(state.sched_cfg, d_avg=d_avg)
     return state
 
 
@@ -405,7 +374,10 @@ def run_round(state: SimState) -> MetricsRow | None:
         try:
             decision = schedule_round(ctx, state.sched_cfg, state.queues)
         except EmptyRoundError:
-            decision = _empty_decision(config.num_clients)
+            unused = np.ones(config.num_clients)
+            decision = build_decision(
+                ctx, np.full(config.num_clients, -1, dtype=int), unused, unused
+            )
     else:
         decision = baseline_schedule(
             ctx,
@@ -493,7 +465,6 @@ def bound_diagnostics(
     grad_norm_bound: float,
     smoothness: float,
     noise_sq_mean: float,
-    divergence: float,
     eta: float,
     tau: int,
 ) -> list[BoundTerms]:
@@ -501,13 +472,12 @@ def bound_diagnostics(
 
     grad_norm_bound is the largest pre-clip gradient norm observed,
     noise_sq_mean the sample mean of the squared per-step noise norm, and
-    smoothness and divergence are caller-supplied diagnostic knobs. The terms
+    smoothness is a caller-supplied diagnostic knob. The terms
     are diagnostics, not certified bounds.
     """
     dp_term = eta * tau**2 * noise_sq_mean * (1.0 + 3.0 * eta * smoothness * tau)
     return [
         BoundTerms(
-            term_divergence=3.0 * divergence,
             term_sparsification=3.0 * grad_norm_bound**2 * row.spars_deficit,
             term_dp=dp_term,
         )
@@ -535,7 +505,6 @@ def run_experiment(config: ExperimentConfig, policy: str) -> MetricsTrace:
         grad_norm_bound=state.stats.max_grad_norm,
         smoothness=config.smoothness_l,
         noise_sq_mean=noise_sq_mean,
-        divergence=config.divergence_eps,
         eta=config.eta,
         tau=config.tau,
     )

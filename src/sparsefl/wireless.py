@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 logger = logging.getLogger(__name__)
 
@@ -114,21 +115,29 @@ def realize_channels(
     )
 
 
-def link_rate(power_w: float, gain: float, interference_w: float, radio: RadioParams) -> float:
-    """Shannon rate in bits/s for the given transmit power and channel gain."""
-    if power_w < 0 or gain < 0:
+def link_rate(
+    power_w: ArrayLike, gain: ArrayLike, interference_w: float, radio: RadioParams
+) -> np.ndarray:
+    """Shannon rate in bits/s for the given transmit power and channel gain.
+
+    power_w and gain may be scalars or broadcastable arrays.
+    """
+    if np.any(power_w < 0) or np.any(gain < 0):
         raise ValueError("power and gain must be nonnegative")
     snr = power_w * gain / (interference_w + radio.noise_w)
-    return radio.bandwidth_hz * math.log2(1.0 + snr)
+    return radio.bandwidth_hz * np.log2(1.0 + snr)
 
 
-def payload_bits(model_dim: int, s: float) -> int:
-    """Uplink bits for one sparse update: 32 bits per retained coordinate plus mask."""
+def payload_bits(model_dim: int, s: ArrayLike) -> np.ndarray:
+    """Uplink bits for one sparse update: 32 bits per retained coordinate plus mask.
+
+    s may be a scalar rate or an array of rates.
+    """
     if model_dim < 1:
         raise ValueError("model_dim must be positive")
-    if not 0.0 <= s <= 1.0:
+    if not np.all((0.0 <= s) & (s <= 1.0)):
         raise ValueError(f"rate must be in [0, 1], got {s}")
-    return math.ceil(32.0 * s * model_dim) + model_dim
+    return np.ceil(32.0 * s * model_dim) + model_dim
 
 
 def downlink_payload_bits(model_dim: int) -> int:

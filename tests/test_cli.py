@@ -54,6 +54,8 @@ def test_comments_and_blank_lines_ignored():
 def test_unknown_key_error_names_it():
     with pytest.raises(ConfigError, match="foo"):
         parse_config_text("foo = 3")
+    with pytest.raises(ConfigError, match="unknown key 'divergence_eps'"):
+        parse_config_text("divergence_eps = 0.1")
 
 
 def test_range_error_names_the_key():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,13 @@ from sparsefl.oracles import (
     random_round_context,
 )
 from sparsefl.scheduler import (
+    POLICIES,
     EmptyRoundError,
     SchedulerConfig,
     ScheduleDecision,
     VirtualQueues,
     baseline_schedule,
+    build_decision,
     drift_penalty_value,
     feasible_edges,
     optimal_assignment,
@@ -22,6 +26,7 @@ from sparsefl.scheduler import (
     update_queues,
     validate_decision,
 )
+from sparsefl.wireless import round_costs
 
 from conftest import loose_scheduler_config, make_context
 
@@ -258,6 +263,68 @@ def test_delay_min_prefers_strong_links():
     assert sorted(decision.participants.tolist()) == [1, 2]
 
 
+def test_delay_min_ranks_dead_links_last():
+    ctx = make_context(np.array([[1e-9, 0.0], [1e-9, 1e-9], [1e-9, 1e-9]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decision = baseline_schedule(ctx, "delay_min", 0, np.random.default_rng(0))
+    assert decision.participants.size == 2
+    assert decision.assigned_channel[0] != 1
+    assert np.all(decision.d_up[decision.participants] > 0)
+
+
+def test_delay_min_forced_onto_a_dead_link_raises():
+    ctx = make_context(np.array([[0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="link rates must be positive"):
+            baseline_schedule(ctx, "delay_min", 0, np.random.default_rng(0))
+
+
+def test_round_context_rejects_dead_downlink():
+    with pytest.raises(ValueError, match="downlink"):
+        make_context(np.full((2, 2), 1e-9), downlink_gains=np.array([1e-7, 0.0]))
+
+
+def _decision(ctx, cfg, queues, policy):
+    if policy == "lyapunov":
+        return schedule_round(ctx, cfg, queues)
+    return baseline_schedule(ctx, policy, 0, np.random.default_rng(3), s_value=0.4)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (10, 3), (50, 10)])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_build_decision_matches_scalar_round_costs(shape, policy):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    ctx, cfg, queues = random_round_context(rng, *shape, model_dim=300, e_max_j=0.05)
+    decision = _decision(ctx, cfg, queues, policy)
+    assert decision.participants.size == min(shape)
+    rebuilt = build_decision(ctx, decision.assigned_channel, decision.rates, decision.powers)
+    worst = 0.0
+    for i in range(ctx.n_clients):
+        j = int(decision.assigned_channel[i])
+        if j < 0:
+            for name in ("d_down", "d_local", "d_up", "e_comm", "e_comp"):
+                assert getattr(decision, name)[i] == 0.0
+            continue
+        ref = round_costs(
+            ctx.model_dim,
+            float(decision.rates[i]),
+            float(decision.powers[i]),
+            float(ctx.channels.uplink_gains[i, j]),
+            float(ctx.channels.downlink_gains[i]),
+            int(ctx.dataset_sizes[i]),
+            ctx.tau,
+            ctx.radio,
+            ctx.compute[i],
+        )
+        for name in ("d_down", "d_local", "d_up", "e_comm", "e_comp"):
+            assert getattr(decision, name)[i] == pytest.approx(getattr(ref, name), rel=1e-12)
+            assert getattr(rebuilt, name)[i] == getattr(decision, name)[i]
+        worst = max(worst, ref.total_delay)
+    assert decision.round_delay == pytest.approx(worst, rel=1e-12)
+
+
 def test_random_baseline_structure():
     ctx = make_context(np.full((5, 3), 1e-9), eligible=np.array([0, 1, 4]))
     rng = np.random.default_rng(11)
@@ -284,15 +351,6 @@ def test_baseline_rejects_unknown_policy():
             0,
             np.random.default_rng(0),
         )
-
-
-def test_assignment_matrix_is_one_hot():
-    ctx, cfg, queues = random_round_context(np.random.default_rng(12), 5, 2)
-    decision = schedule_round(ctx, cfg, queues)
-    mat = decision.assignment_matrix
-    assert mat.sum() == decision.participants.size
-    assert np.all(mat.sum(axis=0) <= 1)
-    assert np.all(mat.sum(axis=1) <= 1)
 
 
 def test_validate_decision_catches_duplicate_channels():

@@ -205,7 +205,7 @@ def test_bound_terms_follow_the_reported_formulas():
             assert row.term_sparsification == pytest.approx(want, rel=1e-12)
 
 
-def test_bound_diagnostics_divergence_term():
+def test_bound_diagnostics_terms():
     from sparsefl.simulator import MetricsRow
 
     row = MetricsRow(
@@ -225,10 +225,8 @@ def test_bound_diagnostics_divergence_term():
         spars_deficit=0.25,
     )
     terms = bound_diagnostics(
-        [row], grad_norm_bound=2.0, smoothness=1.0, noise_sq_mean=0.5, divergence=0.3,
-        eta=0.1, tau=4,
+        [row], grad_norm_bound=2.0, smoothness=1.0, noise_sq_mean=0.5, eta=0.1, tau=4
     )
-    assert terms[0].term_divergence == pytest.approx(0.9)
     assert terms[0].term_sparsification == pytest.approx(3.0 * 4.0 * 0.25)
     assert terms[0].term_dp == pytest.approx(0.1 * 16 * 0.5 * (1.0 + 3.0 * 0.1 * 1.0 * 4))
 
