@@ -69,10 +69,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trace = run_experiment(cfg, policy)
         traces.append(trace)
         last = trace.rows[-1] if trace.rows else None
+        born_exhausted = int((trace.t_hats == 0).sum())
         summary = (
             f"{policy}: {len(trace.rows)} rounds"
             + (f", final accuracy {last.accuracy:.4f}, cumulative delay {last.cum_delay_s:.3f} s"
                if last else ", no rounds completed")
+            + f", {born_exhausted} of {trace.t_hats.size} clients born exhausted (t_hat = 0)"
             + (f" (retired everyone at round {trace.truncated_at})"
                if trace.truncated_at is not None else "")
         )

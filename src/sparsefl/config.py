@@ -81,8 +81,6 @@ class ExperimentConfig:
     d_avg_margin: float = 1.5
     e_max_j: float = 10.0
     s_th: float = 0.05
-    loop_tol: float = 1e-6
-    loop_max_iters: int = 50
 
     # Bound diagnostics
     smoothness_l: float = 1.0
@@ -232,7 +230,5 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(cfg.d_avg_margin > 0, "d_avg_margin", "must be positive")
     _require(cfg.e_max_j > 0, "e_max_j", "must be positive")
     _require(0 < cfg.s_th <= 1, "s_th", "must be in (0, 1]")
-    _require(cfg.loop_tol > 0, "loop_tol", "must be positive")
-    _require(cfg.loop_max_iters >= 1, "loop_max_iters", "must be at least 1")
 
     _require(cfg.smoothness_l >= 0, "smoothness_l", "must be nonnegative")

@@ -3,7 +3,7 @@
 Everything here re-derives a quantity the library computes elsewhere, by a
 deliberately different method: trapezoid instead of Simpson quadrature,
 exhaustive enumeration instead of Hungarian matching, grid search instead of
-parametric sweeps. The oracles back the `verify` CLI subcommand and the
+parametric sweeps, bisection instead of Newton's method. The oracles back the `verify` CLI subcommand and the
 acceptance tests; they are slow by design and not part of the training path.
 """
 
@@ -25,6 +25,7 @@ from .scheduler import (
     optimal_assignment,
     optimal_sparsification,
     schedule_round,
+    validate_decision,
 )
 from .wireless import ChannelRealization, ComputeParams, RadioParams, channel_gain
 
@@ -340,6 +341,118 @@ def brute_force_joint(
     return best
 
 
+def _edge_best_rate(
+    ctx: RoundContext, cfg: SchedulerConfig, i: int, j: int, x: np.ndarray
+) -> np.ndarray:
+    """Largest rate edge (i, j) can send in x seconds of upload; nan below s_th.
+
+    A power P serves rate s when the smooth payload fits the time,
+    32 s dim + dim <= x R(P), and the payload plus one rounding bit fits the
+    energy headroom H, P (32 s dim + dim + 1) <= H R(P). The time budget rises
+    with P and the energy budget falls, so the best power is full power or
+    the crossing of the two budgets, found by bisection on log P.
+    """
+    gain = float(ctx.channels.uplink_gains[i, j])
+    noise_total = ctx.radio.interference_w + ctx.radio.noise_w
+    headroom = cfg.e_max_j - float(ctx.e_comp[i])
+    dim = ctx.model_dim
+
+    def budgets(power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rate = ctx.radio.bandwidth_hz * np.log1p(power * gain / noise_total) / math.log(2.0)
+        return x * rate, headroom * rate / power - 1.0
+
+    log_hi = np.full(x.shape, math.log(ctx.radio.max_power_w))
+    by_time, by_energy = budgets(np.exp(log_hi))
+    bits = np.minimum(by_time, by_energy)
+    crossing = by_time > by_energy
+    if crossing.any():
+        log_lo = log_hi - 80.0
+        for _ in range(64):
+            log_mid = 0.5 * (log_lo + log_hi)
+            fits = np.greater_equal(*budgets(np.exp(log_mid))[::-1])
+            log_lo = np.where(fits, log_mid, log_lo)
+            log_hi = np.where(fits, log_hi, log_mid)
+        bits = np.where(crossing, budgets(np.exp(log_lo))[0], bits)
+    s = np.minimum((bits - dim) / (32.0 * dim), 1.0)
+    return np.where(s >= cfg.s_th, s, np.nan)
+
+
+def _edge_breakpoints(
+    ctx: RoundContext, cfg: SchedulerConfig, i: int, j: int
+) -> np.ndarray:
+    """Upload times at which edge (i, j) first reaches s_th and s = 1, by bisection."""
+    targets = np.array([cfg.s_th, 1.0])
+    lo = np.zeros(2)
+    hi = np.ones(2)
+    while np.any(~(_edge_best_rate(ctx, cfg, i, j, hi) >= targets)):
+        hi *= 2.0
+        if hi[0] > 1e30:
+            raise ValueError(f"edge ({i}, {j}) never reaches s = 1")
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        reached = _edge_best_rate(ctx, cfg, i, j, mid) >= targets
+        hi = np.where(reached, mid, hi)
+        lo = np.where(reached, lo, mid)
+    return hi
+
+
+def brute_force_joint_energy(
+    ctx: RoundContext,
+    cfg: SchedulerConfig,
+    queues: VirtualQueues,
+    points: int = 400,
+    zooms: int = 3,
+) -> float:
+    """Joint assignment, power and rate minimum under the energy cap, by level scans.
+
+    Enumerates every assignment of min(channels, feasible clients) clients.
+    For each it scans the straggler level l: every member takes its best rate
+    at l (_edge_best_rate), and the level scores
+    sum(q_fa - lam * p * s) + q_de * (l - d_avg). The scan covers every
+    member's own breakpoints and a uniform grid between the lowest and the
+    highest, then zooms `zooms` times onto the neighbours of its best point.
+    Each scanned level is a feasible decision, so the result bounds the
+    optimum from above; it is exact where the optimum sits on a breakpoint.
+    Practical for a few clients.
+    """
+    edges = feasible_edges(ctx, cfg)
+    rows = [int(i) for i in ctx.eligible if edges[i].any()]
+    if not rows:
+        raise ValueError("no feasible client; loosen the instance")
+    required = min(ctx.n_channels, len(rows))
+    fixed = {i: float(ctx.d_down[i] + ctx.d_local[i]) for i in rows}
+    breaks = {
+        (i, j): fixed[i] + _edge_breakpoints(ctx, cfg, i, j)
+        for i in rows
+        for j in range(ctx.n_channels)
+        if edges[i, j]
+    }
+    best = math.inf
+    for subset in itertools.combinations(rows, required):
+        for perm in itertools.permutations(range(ctx.n_channels), required):
+            if not all(edges[i, j] for i, j in zip(subset, perm)):
+                continue
+            members = list(zip(subset, perm))
+            own = np.concatenate([breaks[edge] for edge in members])
+            base = sum(queues.q_fa[i] for i in subset)
+
+            def scan(levels: np.ndarray) -> np.ndarray:
+                value = base + queues.q_de * (levels - cfg.d_avg)
+                for i, j in members:
+                    s = _edge_best_rate(ctx, cfg, i, j, levels - fixed[i])
+                    value = value - cfg.lam * ctx.weights[i] * s
+                return np.where(np.isnan(value), np.inf, value)
+
+            levels = np.unique(np.concatenate([own, np.linspace(own.min(), own.max(), points)]))
+            for _ in range(zooms + 1):
+                values = scan(levels)
+                k = int(np.argmin(values))
+                best = min(best, float(values[k]))
+                around = levels[max(k - 1, 0)], levels[min(k + 1, levels.size - 1)]
+                levels = np.linspace(*around, points)
+    return best
+
+
 def run_verify() -> tuple[int, list[str]]:
     """Condensed oracle suite for the CLI; returns (failures, report lines)."""
     lines: list[str] = []
@@ -421,5 +534,24 @@ def run_verify() -> tuple[int, list[str]]:
         if decision.v_trace[-1] > oracle_v + 1e-6:
             bad += 1
     record("joint-round", bad == 0, f"{bad} of 5 instances above the oracle")
+
+    bad = capped = 0
+    for k in range(6):
+        e_max_j = float(np.exp(rng.uniform(math.log(0.02), math.log(2.0))))
+        ctx, cfg, queues = random_round_context(rng, 2 + k % 2, 2, model_dim=500, e_max_j=e_max_j)
+        decision = schedule_round(ctx, cfg, queues)
+        capped += bool(np.any(decision.powers[decision.participants] < ctx.radio.max_power_w))
+        try:
+            validate_decision(ctx, cfg, decision, enforce_energy=True)
+        except AssertionError:
+            bad += 1
+            continue
+        if decision.v_trace[-1] > brute_force_joint_energy(ctx, cfg, queues) + 1e-6:
+            bad += 1
+    record(
+        "joint-round-energy",
+        bad == 0,
+        f"{bad} of 6 instances above the oracle or over the cap ({capped} below full power)",
+    )
 
     return failures, lines

@@ -9,39 +9,36 @@ per-client sparsification rates, where d_round is the slowest assigned
 client's delay and the virtual queues q_fa (participation credit) and q_de
 (delay debt) feed back long-run fairness and delay targets.
 
-Block structure: for fixed rates and powers the assignment problem is a
-bottleneck-augmented matching solved exactly by sweeping the possible
-round-delay levels with one Hungarian matching per level; for a fixed
-assignment the optimal power is the largest energy-feasible value; for fixed
-assignment and powers the rate problem is an exact parametric sweep over the
-straggler's delay. The three blocks alternate until the objective stops
-improving, so the objective trace is non-increasing.
+Fixing the straggler level l (the round delay) decouples the clients: each
+edge (i, j) then has a best power and rate in closed form (_LevelModel), and
+one Hungarian matching over the costs q_fa[i] - lam * p[i] * s_ij(l) gives
+M(l); V is the minimum over l of M(l) + q_de * (l - d_avg). M never increases
+with l and, while no energy cap binds, is concave between consecutive edge
+breakpoints, so branch and bound over the sorted breakpoints is exact. Where
+a cap binds the winning matching's own objective is convex in l and is then
+minimized by bounded Brent search.
 
-Inside the objective the uplink payload is the smooth function
-32 * s * dim + dim bits (no integer rounding), which keeps the block solvers
-exact; realized decisions use the rounded payload, which differs by less than
-one bit.
+The objective's uplink payload is the smooth 32 * s * dim + dim bits; the
+energy constraint keeps one bit of slack for the realized, rounded payload.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, minimize_scalar
 
 from . import wireless
 from .wireless import ChannelRealization, ComputeParams, RadioParams
 
 _BIG_COST = 1e18
-_POWER_FLOOR_FRACTION = 1e-12
 _ENERGY_MARGIN = 1e-6
-# Instances with at most this many candidate assignments are solved by
-# enumerating every assignment instead of alternating against one incumbent.
-_EXHAUSTIVE_LIMIT = 24
+# Cap on Newton steps for a binding-branch power; it converges in far fewer.
+_NEWTON_STEPS = 50
 
 BASELINE_POLICIES = ("random", "round_robin", "delay_min")
 OPTIMIZED_POLICY = "lyapunov"
@@ -74,16 +71,12 @@ class SchedulerConfig:
     d_avg: float = 1.0
     e_max_j: float = 10.0
     s_th: float = 0.05
-    loop_tol: float = 1e-6
-    loop_max_iters: int = 50
 
     def __post_init__(self) -> None:
         if self.lam < 0 or self.d_avg <= 0 or self.e_max_j <= 0:
             raise ValueError("lam must be nonnegative; d_avg and e_max_j positive")
         if not 0.0 < self.s_th <= 1.0:
             raise ValueError("s_th must be in (0, 1]")
-        if self.loop_tol <= 0 or self.loop_max_iters < 1:
-            raise ValueError("loop_tol must be positive and loop_max_iters at least 1")
 
 
 @dataclass(frozen=True)
@@ -155,21 +148,15 @@ class RoundContext:
         with np.errstate(divide="ignore"):
             return payload / rate + self.d_down[clients] + self.d_local[clients]
 
-    def uplink_energy(
-        self, clients: ArrayLike, channels: ArrayLike, s: ArrayLike, power_w: ArrayLike
-    ) -> np.ndarray:
-        """Transmit energy of the rounded payload."""
-        rate = self.uplink_rate(clients, channels, power_w)
-        return power_w * wireless.payload_bits(self.model_dim, s) / rate
-
 
 @dataclass
 class ScheduleDecision:
     """One round's scheduling outcome with realized costs.
 
     assigned_channel holds -1 for clients left out. Cost vectors are zero for
-    unscheduled clients. v_trace records the objective after each block pass
-    for the optimizing policy (empty for baselines).
+    unscheduled clients. v_trace holds the optimizing policy's branch-and-bound
+    incumbents, non-increasing, ending with the emitted decision's objective
+    (empty for baselines).
     """
 
     assigned_channel: np.ndarray
@@ -252,14 +239,14 @@ def drift_penalty_value(
 def feasible_edges(ctx: RoundContext, cfg: SchedulerConfig) -> np.ndarray:
     """Boolean [clients, channels] map of edges that can meet the energy cap.
 
-    An edge is kept when the dense-payload transmit energy in the zero-power
-    limit stays below the cap's headroom, so any rate in (0, 1] admits a
-    feasible power on a kept edge.
+    An edge is kept when the transmit energy of the dense payload plus one bit
+    of rounding slack, in the zero-power limit, stays below the cap's
+    headroom, so any rate in (0, 1] admits a feasible power on a kept edge.
     """
     gains = ctx.channels.uplink_gains
     headroom = cfg.e_max_j - ctx.e_comp
     noise_total = ctx.radio.interference_w + ctx.radio.noise_w
-    dense_payload = wireless.payload_bits(ctx.model_dim, 1.0)
+    dense_payload = wireless.payload_bits(ctx.model_dim, 1.0) + 1.0
     with np.errstate(divide="ignore"):
         limit_energy = dense_payload * math.log(2.0) * noise_total / (
             ctx.radio.bandwidth_hz * gains
@@ -278,59 +265,49 @@ def optimal_power(
 ) -> np.ndarray:
     """Largest energy-feasible power per assigned client, capped at max power.
 
-    The transmit energy is strictly increasing in power, so the cap binds at
-    the root of e_comm(P) = e_max - e_comp, found by bisection that keeps the
-    feasible side of the bracket. All clients bisect at once; each stops on
-    its own bracket width.
+    The transmit energy P * payload / R(P) rises with P, so a capped client
+    sends at the power where the rounded payload uses up its headroom.
     """
-    p_max = ctx.radio.max_power_w
-    powers = np.full(ctx.n_clients, p_max)
+    powers = np.full(ctx.n_clients, ctx.radio.max_power_w)
     clients = np.flatnonzero(assigned_channel >= 0)
     headroom = cfg.e_max_j - ctx.e_comp[clients]
-    if np.any(headroom <= 0):
-        i = clients[np.argmax(headroom <= 0)]
-        raise EnergyInfeasibleError(f"client {i}: compute energy alone exceeds the cap")
-    capped = ctx.uplink_energy(clients, assigned_channel[clients], s[clients], p_max) > headroom
-    if not capped.any():
-        return powers
-    clients, headroom = clients[capped], headroom[capped]
-    chans, rates = assigned_channel[clients], s[clients]
-    lo = np.full(clients.size, p_max * _POWER_FLOOR_FRACTION)
-    unreachable = ctx.uplink_energy(clients, chans, rates, lo) > headroom
+    chans, rates, radio = assigned_channel[clients], s[clients], ctx.radio
+    snr_per_w = ctx.channels.uplink_gains[clients, chans] / (radio.interference_w + radio.noise_w)
+    bits = wireless.payload_bits(ctx.model_dim, rates)
+    # The zero-power limit of the transmit energy; also catches no headroom.
+    unreachable = bits * math.log(2.0) >= headroom * radio.bandwidth_hz * snr_per_w
     if np.any(unreachable):
         i = clients[np.argmax(unreachable)]
         raise EnergyInfeasibleError(f"client {i}: energy cap unreachable at any power")
-    hi = np.full(clients.size, p_max)
-    live = np.ones(clients.size, dtype=bool)
-    for _ in range(200):
-        if not live.any():
-            break
-        mid = 0.5 * (lo + hi)
-        ok = ctx.uplink_energy(clients, chans, rates, mid) <= headroom
-        lo = np.where(live & ok, mid, lo)
-        hi = np.where(live & ~ok, mid, hi)
-        live &= hi - lo > 1e-15 * p_max
-    powers[clients] = lo
+    full_rate = ctx.uplink_rate(clients, chans, radio.max_power_w)
+    capped = radio.max_power_w * bits > headroom * full_rate
+    powers[clients[capped]] = _binding_power(
+        radio, snr_per_w[capped], headroom[capped], 0.0, bits[capped]
+    )[0]
     return powers
 
 
-def _energy_rate_cap(
-    ctx: RoundContext,
-    cfg: SchedulerConfig,
-    clients: np.ndarray,
-    channels: np.ndarray,
-    power_w: np.ndarray,
-) -> np.ndarray:
-    """Largest rate each client can send at its power within the energy cap.
+def _binding_power(
+    radio: RadioParams, snr_per_w: np.ndarray, headroom: np.ndarray, x: ArrayLike, bits: ArrayLike
+) -> tuple[np.ndarray, np.ndarray]:
+    """Power and uplink rate solving R(P) * (H - x * P) = bits * P.
 
-    Solved from the payload's linearity in the rate, minus one bit of slack so
-    the rounded payload stays feasible too. Never below s_th: any power the
-    power step emits is feasible at the rate floor.
+    F(P) = R(P) * (H - x * P) - bits * P is concave with F(0) = 0, rises at
+    zero when the headroom H covers `bits` in the zero-power limit and is
+    negative at full power when the cap binds there, so Newton's method from
+    full power falls monotonically onto its positive root.
     """
-    headroom = cfg.e_max_j - ctx.e_comp[clients]
-    rate = ctx.uplink_rate(clients, channels, power_w)
-    smooth = (headroom * rate / power_w - ctx.model_dim) / (32.0 * ctx.model_dim)
-    return np.clip(smooth - 1.0 / (32.0 * ctx.model_dim), cfg.s_th, 1.0)
+    bandwidth = radio.bandwidth_hz
+    power = np.full(snr_per_w.shape, radio.max_power_w)
+    for _ in range(_NEWTON_STEPS):
+        rate = bandwidth * np.log2(1.0 + power * snr_per_w)
+        rate_slope = bandwidth * snr_per_w / ((1.0 + power * snr_per_w) * math.log(2.0))
+        room = headroom - x * power
+        step = (rate * room - bits * power) / (rate_slope * room - x * rate - bits)
+        power = power - step
+        if np.all(np.abs(step) <= 1e-15 * power):
+            break
+    return power, bandwidth * np.log2(1.0 + power * snr_per_w)
 
 
 def optimal_sparsification(
@@ -340,45 +317,30 @@ def optimal_sparsification(
     assigned_channel: np.ndarray,
     powers: np.ndarray,
 ) -> np.ndarray:
-    """Exact rate vector minimizing the objective for a fixed assignment.
+    """Exact rate vector minimizing the objective for a fixed assignment and powers.
 
-    With zero delay debt the objective strictly falls as any rate rises, so
-    every assigned client sends as densely as its energy cap allows. Otherwise
-    each assigned client's delay is linear in its rate, and the minimum is
-    found by sweeping the round delay over the breakpoints where some client
-    saturates at its rate ceiling: every client tracks the largest rate that
-    keeps it no slower than the sweep level, making the objective a convex
-    piecewise-linear function of the level whose minimizer sits on a
-    breakpoint.
+    Rates are capped by the energy headroom at the given power, less one bit
+    of rounding slack (never below s_th). At a round-delay level each client
+    takes the largest rate no slower than it, so the objective is convex and
+    piecewise linear in the level, minimal where a client meets its floor or
+    cap; with zero delay debt that is the top level.
     """
     s = np.ones(ctx.n_clients)
     assigned = np.flatnonzero(assigned_channel >= 0)
     if assigned.size == 0:
         return s
-    chans = assigned_channel[assigned]
-    caps = _energy_rate_cap(ctx, cfg, assigned, chans, powers[assigned])
-    if queues.q_de <= 0.0:
-        s[assigned] = caps
-        return s
-    rate = ctx.uplink_rate(assigned, chans, powers[assigned])
-    slopes = 32.0 * ctx.model_dim / rate
-    offsets = ctx.model_dim / rate + ctx.d_down[assigned] + ctx.d_local[assigned]
-    level_lo = float(np.max(slopes * cfg.s_th + offsets))
-    saturation = slopes * caps + offsets
-    level_hi = float(np.max(saturation))
-    levels = np.unique(
-        np.concatenate([[level_lo, level_hi], saturation[saturation > level_lo]])
-    )
-    p = ctx.weights[assigned]
-    best_value = math.inf
-    best_level = level_lo
-    for level in levels:
-        rates = np.clip((level - offsets) / slopes, cfg.s_th, caps)
-        value = -cfg.lam * float(p @ rates) + queues.q_de * level
-        if value < best_value - 1e-15:
-            best_value = value
-            best_level = level
-    s[assigned] = np.clip((best_level - offsets) / slopes, cfg.s_th, caps)
+    power, dim = powers[assigned], ctx.model_dim
+    rate = ctx.uplink_rate(assigned, assigned_channel[assigned], power)
+    headroom = cfg.e_max_j - ctx.e_comp[assigned]
+    caps = np.clip((headroom * rate / power - dim - 1.0) / (32.0 * dim), cfg.s_th, 1.0)
+    slopes = 32.0 * dim / rate
+    offsets = dim / rate + ctx.d_down[assigned] + ctx.d_local[assigned]
+    floor = slopes * cfg.s_th + offsets
+    levels = np.unique(np.concatenate([floor, slopes * caps + offsets]))
+    levels = levels[levels >= floor.max()] if queues.q_de > 0.0 else levels[-1:]
+    rates = np.clip((levels[:, None] - offsets) / slopes, cfg.s_th, caps)
+    values = queues.q_de * levels - cfg.lam * rates @ ctx.weights[assigned]
+    s[assigned] = rates[np.argmin(values)]
     return s
 
 
@@ -390,44 +352,26 @@ def optimal_assignment(
     powers: np.ndarray,
     edges: np.ndarray,
 ) -> np.ndarray:
-    """Best one-to-one assignment for fixed rates and powers.
+    """Best one-to-one assignment for fixed rates and powers, by the level sweep.
 
-    The per-client cost q_fa - lam * p * s does not depend on the channel, and
-    the delay term couples clients only through the slowest one. Sweeping the
-    candidate slowest-delay levels (one per distinct edge delay) and solving a
-    Hungarian matching restricted to edges no slower than the level yields the
-    exact minimizer. With zero delay debt one unrestricted matching suffices.
-    As many clients are scheduled as the feasible edges allow, up to the
-    channel count.
+    Costs q_fa - lam * p * s do not depend on the level; a level admits the
+    edges no slower than it, so the candidate levels are the edge delays. As
+    many clients are scheduled as the feasible edges allow, up to the channel
+    count.
     """
     rows = ctx.eligible[edges[ctx.eligible].any(axis=1)]
     if rows.size == 0:
         raise EmptyRoundError("no client has an energy-feasible channel")
     linear = (queues.q_fa[rows] - cfg.lam * ctx.weights[rows] * s[rows])[:, None]
     row_edges = edges[rows]
-
-    if queues.q_de <= 0.0:
-        choice = _matching(ctx, rows, np.where(row_edges, linear, _BIG_COST))
-        if choice is None:
-            raise EmptyRoundError("no feasible assignment")
-        return choice[1]
-
     delays = ctx.smooth_delay(
         rows[:, None], np.arange(ctx.n_channels), s[rows, None], powers[rows, None]
     )
-    best_total = math.inf
-    best = None
-    for level in np.unique(delays[row_edges]):
-        choice = _matching(ctx, rows, np.where(row_edges & (delays <= level), linear, _BIG_COST))
-        if choice is None:
-            continue
-        linear_sum, assigned_channel = choice
-        chosen = assigned_channel[rows]
-        picked = np.flatnonzero(chosen >= 0)
-        total = linear_sum + queues.q_de * float(delays[picked, chosen[picked]].max())
-        if total < best_total - 1e-15:
-            best_total = total
-            best = assigned_channel
+
+    def match_at(level: float) -> tuple[float, np.ndarray] | None:
+        return _matching(ctx, rows, np.where(row_edges & (delays <= level), linear, _BIG_COST))
+
+    _, _, best = _level_sweep(np.unique(delays[row_edges]), match_at, queues.q_de, cfg.d_avg)
     if best is None:
         raise EmptyRoundError("no feasible assignment")
     return best
@@ -450,111 +394,159 @@ def _matching(
     return _sum_in_order(cost[row_ind[kept], col_ind[kept]]), assigned_channel
 
 
-def _optimize_given_assignment(
-    ctx: RoundContext,
-    cfg: SchedulerConfig,
-    queues: VirtualQueues,
-    assigned: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Alternate power and rates for a fixed assignment until V settles.
+def _level_sweep(
+    levels: np.ndarray, match_at, q_de: float, d_avg: float
+) -> tuple[list[float], float, np.ndarray | None]:
+    """Branch and bound for the minimum over sorted levels of M(l) + q_de * (l - d_avg).
 
-    Power never falls across iterations (the rate step keeps every client
-    inside the energy cap at the current power), so the value trace is
-    non-increasing.
+    match_at(l) returns (M(l), assignment), or None when no full matching
+    exists at l; M never increases with l, so every level in [a, b] scores at
+    least M(b) + q_de * (a - d_avg). An interval is dropped once that bound
+    reaches the incumbent and is otherwise split at its middle level. Returns
+    the incumbents (non-increasing), the best level and its assignment; ties
+    go to the lowest level.
     """
-    s = np.ones(ctx.n_clients)
-    powers = optimal_power(ctx, cfg, assigned, s)
-    s = optimal_sparsification(ctx, cfg, queues, assigned, powers)
-    value = drift_penalty_value(ctx, cfg, queues, assigned, s, powers)
-    inner = [value]
-    for _ in range(cfg.loop_max_iters):
-        powers = optimal_power(ctx, cfg, assigned, s)
-        s = optimal_sparsification(ctx, cfg, queues, assigned, powers)
-        value = drift_penalty_value(ctx, cfg, queues, assigned, s, powers)
-        if inner[-1] - value <= cfg.loop_tol:
-            inner.append(min(value, inner[-1]))
-            break
-        inner.append(value)
-    return s, powers, inner
+    best_value, best_level, best_choice = math.inf, math.inf, None
+    trace: list[float] = []
+
+    def visit(level: float) -> float:
+        nonlocal best_value, best_level, best_choice
+        found = match_at(level)
+        if found is None:
+            return math.inf
+        total, choice = found
+        value = total + q_de * (level - d_avg)
+        if value < best_value or (value == best_value and level < best_level):
+            best_value, best_level, best_choice = value, level, choice
+            trace.append(value)
+        return total
+
+    top = levels.size - 1
+    m_top = visit(float(levels[top]))
+    if q_de <= 0.0 or top == 0 or m_top == math.inf:
+        return trace, best_level, best_choice
+    visit(float(levels[0]))
+    heap = [(m_top + q_de * (levels[0] - d_avg), 0, top, m_top)]
+    while heap:
+        bound, lo, hi, m_hi = heapq.heappop(heap)
+        if bound >= best_value or hi - lo < 2:
+            continue
+        mid = (lo + hi) // 2
+        m_mid = visit(float(levels[mid]))
+        heapq.heappush(heap, (m_mid + q_de * (levels[lo] - d_avg), lo, mid, m_mid))
+        heapq.heappush(heap, (m_hi + q_de * (levels[mid] - d_avg), mid, hi, m_hi))
+    return trace, best_level, best_choice
 
 
-def _exhaustive_schedule(
-    ctx: RoundContext,
-    cfg: SchedulerConfig,
-    queues: VirtualQueues,
-    edges: np.ndarray,
-    rows: list[int],
-    required: int,
-) -> ScheduleDecision:
-    """Optimize power and rates for every feasible assignment; keep the best."""
-    best_value = math.inf
-    best: tuple[np.ndarray, np.ndarray, np.ndarray, list[float]] | None = None
-    for subset in itertools.combinations(rows, required):
-        for perm in itertools.permutations(range(ctx.n_channels), required):
-            if not all(edges[i, j] for i, j in zip(subset, perm)):
-                continue
-            assigned = np.full(ctx.n_clients, -1, dtype=int)
-            for i, j in zip(subset, perm):
-                assigned[i] = j
-            s, powers, inner = _optimize_given_assignment(ctx, cfg, queues, assigned)
-            if inner[-1] < best_value - 1e-15:
-                best_value = inner[-1]
-                best = (assigned, s, powers, inner)
-    if best is None:
-        raise EmptyRoundError("no feasible assignment")
-    assigned, s, powers, inner = best
-    powers = optimal_power(ctx, cfg, assigned, s)
-    final = drift_penalty_value(ctx, cfg, queues, assigned, s, powers)
-    inner.append(min(final, inner[-1]))
-    return build_decision(ctx, assigned, s, powers, tuple(inner))
+class _LevelModel:
+    """Every edge's best rate and power as functions of the level, [clients, channels].
+
+    At level l an edge has x = l - d_down - d_local seconds to upload. While
+    its cap is slack it sends at full power and its rate rises linearly from
+    s_th at bp_lo to 1 at bp_hi. A cap that binds before s = 1 does so from
+    bp_sw on; the edge then sends at the power where the delay and energy
+    constraints meet, and its rate rises concavely until bp_hi. Infeasible
+    edges have bp_lo = inf.
+    """
+
+    def __init__(self, ctx: RoundContext, cfg: SchedulerConfig) -> None:
+        self.ctx, self.s_th, dim, p_max = ctx, cfg.s_th, ctx.model_dim, ctx.radio.max_power_w
+        self.edges = feasible_edges(ctx, cfg)
+        self.rows = ctx.eligible[self.edges[ctx.eligible].any(axis=1)]
+        if self.rows.size == 0:
+            raise EmptyRoundError("no client has an energy-feasible channel")
+        noise_total = ctx.radio.interference_w + ctx.radio.noise_w
+        self.snr_per_w = ctx.channels.uplink_gains / noise_total
+        self.headroom = np.broadcast_to((cfg.e_max_j - ctx.e_comp)[:, None], self.edges.shape)
+        self.fixed = np.broadcast_to((ctx.d_down + ctx.d_local)[:, None], self.edges.shape)
+        rate = ctx.uplink_rate(np.arange(ctx.n_clients)[:, None], np.arange(ctx.n_channels), p_max)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.slope = 32.0 * dim / rate
+            self.offset = dim / rate + ctx.d_down[:, None] + ctx.d_local[:, None]
+            s_sw = (self.headroom * rate / p_max - dim) / (32.0 * dim) - 1.0 / (32.0 * dim)
+        self.bp_lo = np.where(self.edges, self.slope * self.s_th + self.offset, np.inf)
+        self.bp_hi = self.slope + self.offset
+        self.bp_sw = np.full(self.edges.shape, np.inf)
+        self.p_hi = np.full(self.edges.shape, p_max)
+        binds = self.edges & (s_sw < 1.0)
+        low = binds & (s_sw < self.s_th)
+        self.bp_sw[binds] = (self.slope * s_sw + self.offset)[binds]
+        self.bp_hi[binds], self.p_hi[binds] = self._curve_point(binds, 1.0)
+        self.bp_lo[low] = self._curve_point(low, self.s_th)[0]
+        breakpoints = (self.bp_lo[self.edges], self.bp_hi[self.edges], self.bp_sw[binds & ~low])
+        self.levels = np.unique(np.concatenate(breakpoints))
+
+    def _curve_point(self, at: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """Level and power at which the binding branch of the edges at reaches rate s."""
+        payload = 32.0 * s * self.ctx.model_dim + self.ctx.model_dim
+        power, rate = _binding_power(
+            self.ctx.radio, self.snr_per_w[at], self.headroom[at], 0.0, payload + 1.0
+        )
+        return payload / rate + self.fixed[at], power
+
+    def at_level(self, level: float, at: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rates, powers and usability of the edges `at` indexes, at the level.
+
+        A binding edge's rate is the smaller of its time and energy budgets
+        at the solved power, so both constraints hold to rounding.
+        """
+        usable = level >= self.bp_lo[at]
+        s = np.clip((level - self.offset[at]) / self.slope[at], self.s_th, 1.0)
+        power = np.where(level > self.bp_sw[at], self.p_hi[at], self.ctx.radio.max_power_w)
+        bind = usable & (level > self.bp_sw[at]) & (level < self.bp_hi[at])
+        if bind.any():
+            x = level - self.fixed[at][bind]
+            headroom = self.headroom[at][bind]
+            power[bind], rate = _binding_power(
+                self.ctx.radio, self.snr_per_w[at][bind], headroom, x, 1.0
+            )
+            bits = np.minimum(x * rate, headroom * rate / power[bind] - 1.0)
+            dim = self.ctx.model_dim
+            s[bind] = np.clip((bits - dim) / (32.0 * dim), self.s_th, 1.0)
+        return s, power, usable
 
 
 def schedule_round(
     ctx: RoundContext, cfg: SchedulerConfig, queues: VirtualQueues
 ) -> ScheduleDecision:
-    """Alternate the three block solvers until the objective settles.
+    """Drift-plus-penalty decision by branch and bound over the straggler level.
 
-    Instances small enough to enumerate every assignment are solved that way,
-    which makes the result exactly optimal there. Otherwise, starts from a
-    dense, full-power matching; each pass reruns assignment, power, then
-    rates, and a pass is kept only if it improves the objective by more than
-    the loop tolerance, so the recorded trace is non-increasing and the
-    emitted decision is the best iterate seen. A reassignment can strand a
-    client on a channel where its old power breaks the energy cap, and the
-    repair can cost more delay than the reassignment saved; reverting such a
-    pass keeps every iterate feasible. A closing power pass can only raise
-    powers at the final rates, never the objective.
+    One Hungarian matching per visited breakpoint. When the winning matching
+    has an edge whose cap binds, its own level is then refined between the
+    levels at which all its edges are usable and all have reached s = 1.
     """
     if ctx.eligible.size == 0:
         raise EmptyRoundError("no eligible clients")
-    edges = feasible_edges(ctx, cfg)
-    rows = ctx.eligible[edges[ctx.eligible].any(axis=1)].tolist()
-    if not rows:
-        raise EmptyRoundError("no client has an energy-feasible channel")
-    required = min(ctx.n_channels, len(rows))
-    if math.comb(len(rows), required) * math.perm(ctx.n_channels, required) <= _EXHAUSTIVE_LIMIT:
-        return _exhaustive_schedule(ctx, cfg, queues, edges, rows, required)
+    model = _LevelModel(ctx, cfg)
+    rows = model.rows
+    lam_w = cfg.lam * ctx.weights
+
+    def match_at(level: float) -> tuple[float, np.ndarray] | None:
+        s, _, usable = model.at_level(level, (rows,))
+        cost = queues.q_fa[rows, None] - lam_w[rows, None] * s
+        return _matching(ctx, rows, np.where(usable, cost, _BIG_COST))
+
+    trace, level, assigned = _level_sweep(model.levels, match_at, queues.q_de, cfg.d_avg)
+    if assigned is None:
+        raise EmptyRoundError("no feasible assignment")
+    clients = np.flatnonzero(assigned >= 0)
+    at = (clients, assigned[clients])
+    if queues.q_de > 0.0 and np.isfinite(model.bp_sw[at]).any():
+
+        def value_at(x: float) -> float:
+            linear = _sum_in_order(queues.q_fa[clients] - lam_w[clients] * model.at_level(x, at)[0])
+            return linear + queues.q_de * (x - cfg.d_avg)
+
+        bounds = (float(model.bp_lo[at].max()), float(model.bp_hi[at].max()))
+        polished = minimize_scalar(value_at, bounds=bounds, method="bounded", options={"xatol": 0})
+        if polished.fun < trace[-1]:
+            level = float(polished.x)
+            trace.append(float(polished.fun))
     s = np.ones(ctx.n_clients)
     powers = np.full(ctx.n_clients, ctx.radio.max_power_w)
-    assigned = optimal_assignment(ctx, cfg, queues, s, powers, edges)
-    powers = optimal_power(ctx, cfg, assigned, s)
-    s = optimal_sparsification(ctx, cfg, queues, assigned, powers)
-    value = drift_penalty_value(ctx, cfg, queues, assigned, s, powers)
-    trace = [value]
-    for _ in range(cfg.loop_max_iters):
-        cand_assigned = optimal_assignment(ctx, cfg, queues, s, powers, edges)
-        cand_powers = optimal_power(ctx, cfg, cand_assigned, s)
-        cand_s = optimal_sparsification(ctx, cfg, queues, cand_assigned, cand_powers)
-        cand_value = drift_penalty_value(
-            ctx, cfg, queues, cand_assigned, cand_s, cand_powers
-        )
-        if cand_value >= value - cfg.loop_tol:
-            break
-        assigned, powers, s, value = cand_assigned, cand_powers, cand_s, cand_value
-        trace.append(value)
-    powers = optimal_power(ctx, cfg, assigned, s)
+    s[clients], powers[clients], _ = model.at_level(level, at)
     final = drift_penalty_value(ctx, cfg, queues, assigned, s, powers)
-    trace.append(min(final, value))
+    trace.append(min(final, trace[-1]))
     return build_decision(ctx, assigned, s, powers, tuple(trace))
 
 

@@ -337,8 +337,6 @@ def build_state(config: ExperimentConfig, policy: str) -> SimState:
             d_avg=1.0,
             e_max_j=config.e_max_j,
             s_th=config.s_th,
-            loop_tol=config.loop_tol,
-            loop_max_iters=config.loop_max_iters,
         ),
         ledgers=ledgers,
         betas=betas,

@@ -54,8 +54,9 @@ def test_comments_and_blank_lines_ignored():
 def test_unknown_key_error_names_it():
     with pytest.raises(ConfigError, match="foo"):
         parse_config_text("foo = 3")
-    with pytest.raises(ConfigError, match="unknown key 'divergence_eps'"):
-        parse_config_text("divergence_eps = 0.1")
+    for retired in ("divergence_eps = 0.1", "loop_max_iters = 50", "loop_tol = 1e-6"):
+        with pytest.raises(ConfigError, match=f"unknown key '{retired.split()[0]}'"):
+            parse_config_text(retired)
 
 
 def test_range_error_names_the_key():
@@ -201,11 +202,22 @@ def test_cli_truncation_note(tmp_path, capsys):
     assert "retired everyone at round 12" in capsys.readouterr().out
 
 
+def test_cli_summary_counts_clients_born_exhausted(tmp_path, capsys):
+    text = FAST_TEXT.replace("sigma_hat = 1.5", "sigma_hat = 0.5")
+    cfg_path = write_cfg(tmp_path, text=text + "eps_min = 1.0\neps_max = 20.0\n")
+    out_csv = str(tmp_path / "m.csv")
+    assert main(["run", "--config", cfg_path, "--policy", "round_robin", "--out", out_csv]) == 0
+    assert "1 of 6 clients born exhausted (t_hat = 0)" in capsys.readouterr().out
+    assert main(["run", "--config", write_cfg(tmp_path, name="b.cfg"), "--out", out_csv]) == 0
+    assert "0 of 6 clients born exhausted (t_hat = 0)" in capsys.readouterr().out
+
+
 def test_verify_subcommand_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 6
-    assert "6 of 6" in out
+    assert out.count("PASS") == 7
+    assert "7 of 7" in out
+    assert "PASS  joint-round-energy" in out
 
 
 def test_all_floats_in_csv_are_finite(tmp_path):

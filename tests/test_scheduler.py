@@ -6,6 +6,7 @@ import pytest
 from sparsefl.oracles import (
     brute_force_assignment,
     brute_force_joint,
+    brute_force_joint_energy,
     grid_search_sparsification,
     random_round_context,
 )
@@ -62,7 +63,7 @@ def test_scheduler_config_validation():
     with pytest.raises(ValueError):
         SchedulerConfig(s_th=0.0)
     with pytest.raises(ValueError):
-        SchedulerConfig(loop_tol=0.0)
+        SchedulerConfig(e_max_j=0.0)
 
 
 def test_feasible_edges_prunes_dead_gains_and_hot_compute():
@@ -214,6 +215,74 @@ def test_schedule_round_matches_joint_brute_force_two_by_two():
         assert decision.v_trace[-1] <= oracle_value + 1e-6
         hits += 1
     assert hits == 6
+
+
+def _binding_instance(rng, shape):
+    """model_dim 500 with e_max_j log-uniform on [0.02, 2]: about a quarter of
+    the feasible edges cannot send s = 1 at full power within the cap."""
+    e_max_j = float(np.exp(rng.uniform(np.log(0.02), np.log(2.0))))
+    return random_round_context(rng, *shape, model_dim=500, e_max_j=e_max_j)
+
+
+def test_schedule_round_matches_energy_oracle_when_caps_bind():
+    rng = np.random.default_rng(10)
+    capped_edges = edges_seen = below_full_power = 0
+    for k in range(24):
+        ctx, cfg, queues = _binding_instance(rng, (2, 2) if k % 2 == 0 else (3, 2))
+        edges = feasible_edges(ctx, cfg)
+        full_rate = ctx.uplink_rate(np.arange(ctx.n_clients)[:, None], np.arange(2), 1.0)
+        energy = (33 * ctx.model_dim + 1) / full_rate + ctx.e_comp[:, None]
+        capped_edges += int((edges & (energy > cfg.e_max_j)).sum())
+        edges_seen += int(edges.sum())
+        decision = schedule_round(ctx, cfg, queues)
+        validate_decision(ctx, cfg, decision, enforce_energy=True)
+        below_full_power += bool(np.any(decision.powers[decision.participants] < 1.0))
+        value = drift_penalty_value(
+            ctx, cfg, queues, decision.assigned_channel, decision.rates, decision.powers
+        )
+        assert value == pytest.approx(decision.v_trace[-1], abs=1e-9)
+        assert value <= brute_force_joint_energy(ctx, cfg, queues) + 1e-9
+    assert 0.1 < capped_edges / edges_seen < 0.5
+    assert below_full_power >= 3
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (6, 3), (5, 4)])
+def test_schedule_round_no_worse_than_energy_oracle_at_larger_sizes(shape):
+    rng = np.random.default_rng(100 * shape[0] + shape[1])
+    for _ in range(8):
+        ctx, cfg, queues = random_round_context(
+            rng,
+            *shape,
+            model_dim=int(rng.integers(2000, 5001)),
+            q_de=float(rng.uniform(5.0, 150.0)),
+        )
+        decision = schedule_round(ctx, cfg, queues)
+        assert decision.v_trace[-1] <= brute_force_joint_energy(ctx, cfg, queues) + 1e-9
+
+
+def test_energy_oracle_agrees_with_full_power_oracle_under_loose_caps():
+    rng = np.random.default_rng(13)
+    for _ in range(4):
+        ctx, cfg, queues = random_round_context(rng, 2, 2, model_dim=400)
+        full_power = brute_force_joint(ctx, cfg, queues, step=2e-3)
+        assert brute_force_joint_energy(ctx, cfg, queues) == pytest.approx(full_power, abs=1e-9)
+
+
+def test_optimal_assignment_matches_brute_force_with_delay_debt():
+    rng = np.random.default_rng(12)
+    for _ in range(25):
+        ctx, cfg, queues = random_round_context(
+            rng, 5, 3, e_max_j=0.05, q_de=float(rng.uniform(5.0, 150.0))
+        )
+        edges = feasible_edges(ctx, cfg)
+        if not edges.any():
+            continue
+        s = rng.uniform(cfg.s_th, 1.0, 5)
+        powers = rng.uniform(0.05, 1.0, 5)
+        got = optimal_assignment(ctx, cfg, queues, s, powers, edges)
+        reference = brute_force_assignment(ctx, cfg, queues, s, powers, edges)
+        got_value = drift_penalty_value(ctx, cfg, queues, got, s, powers)
+        assert got_value == pytest.approx(reference[0], abs=1e-9)
 
 
 def test_schedule_round_energy_cap_respected_when_tight():
