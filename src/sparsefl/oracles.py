@@ -29,6 +29,10 @@ from .scheduler import (
 )
 from .wireless import ChannelRealization, ComputeParams, RadioParams, channel_gain
 
+# Level grid of brute_force_joint_energy: points per scan, and zooms onto the
+# best point's neighbours after the first scan.
+_SCAN_POINTS = 400
+_SCAN_ZOOMS = 3
 
 def analytic_full_batch_log_moment(sigma_hat: float, alpha: float) -> float:
     """Closed-form log moment without subsampling: alpha(alpha-1)/(2 sigma^2)."""
@@ -400,8 +404,6 @@ def brute_force_joint_energy(
     ctx: RoundContext,
     cfg: SchedulerConfig,
     queues: VirtualQueues,
-    points: int = 400,
-    zooms: int = 3,
 ) -> float:
     """Joint assignment, power and rate minimum under the energy cap, by level scans.
 
@@ -410,7 +412,7 @@ def brute_force_joint_energy(
     at l (_edge_best_rate), and the level scores
     sum(q_fa - lam * p * s) + q_de * (l - d_avg). The scan covers every
     member's own breakpoints and a uniform grid between the lowest and the
-    highest, then zooms `zooms` times onto the neighbours of its best point.
+    highest, then zooms _SCAN_ZOOMS times onto the neighbours of its best point.
     Each scanned level is a feasible decision, so the result bounds the
     optimum from above; it is exact where the optimum sits on a breakpoint.
     Practical for a few clients.
@@ -443,13 +445,13 @@ def brute_force_joint_energy(
                     value = value - cfg.lam * ctx.weights[i] * s
                 return np.where(np.isnan(value), np.inf, value)
 
-            levels = np.unique(np.concatenate([own, np.linspace(own.min(), own.max(), points)]))
-            for _ in range(zooms + 1):
+            levels = np.unique(np.concatenate([own, np.linspace(own.min(), own.max(), _SCAN_POINTS)]))
+            for _ in range(_SCAN_ZOOMS + 1):
                 values = scan(levels)
                 k = int(np.argmin(values))
                 best = min(best, float(values[k]))
                 around = levels[max(k - 1, 0)], levels[min(k + 1, levels.size - 1)]
-                levels = np.linspace(*around, points)
+                levels = np.linspace(*around, _SCAN_POINTS)
     return best
 
 

@@ -266,14 +266,15 @@ def optimal_power(
     """Largest energy-feasible power per assigned client, capped at max power.
 
     The transmit energy P * payload / R(P) rises with P, so a capped client
-    sends at the power where the rounded payload uses up its headroom.
+    sends at the largest power at which the rounded payload's energy, as
+    build_decision realizes it, stays within the cap.
     """
     powers = np.full(ctx.n_clients, ctx.radio.max_power_w)
     clients = np.flatnonzero(assigned_channel >= 0)
-    headroom = cfg.e_max_j - ctx.e_comp[clients]
-    chans, rates, radio = assigned_channel[clients], s[clients], ctx.radio
+    e_comp, e_max = ctx.e_comp[clients], cfg.e_max_j
+    headroom, chans, radio = e_max - e_comp, assigned_channel[clients], ctx.radio
     snr_per_w = ctx.channels.uplink_gains[clients, chans] / (radio.interference_w + radio.noise_w)
-    bits = wireless.payload_bits(ctx.model_dim, rates)
+    bits = wireless.payload_bits(ctx.model_dim, s[clients])
     # The zero-power limit of the transmit energy; also catches no headroom.
     unreachable = bits * math.log(2.0) >= headroom * radio.bandwidth_hz * snr_per_w
     if np.any(unreachable):
@@ -281,9 +282,13 @@ def optimal_power(
         raise EnergyInfeasibleError(f"client {i}: energy cap unreachable at any power")
     full_rate = ctx.uplink_rate(clients, chans, radio.max_power_w)
     capped = radio.max_power_w * bits > headroom * full_rate
-    powers[clients[capped]] = _binding_power(
-        radio, snr_per_w[capped], headroom[capped], 0.0, bits[capped]
-    )[0]
+    clients, chans, bits, e_comp = clients[capped], chans[capped], bits[capped], e_comp[capped]
+    power = _binding_power(radio, snr_per_w[capped], headroom[capped], 0.0, bits)[0]
+    # Newton reaches the root from above: step down until the energy, as
+    # build_decision realizes it, fits the cap.
+    while (over := power * (bits / ctx.uplink_rate(clients, chans, power)) + e_comp > e_max).any():
+        power = np.where(over, np.nextafter(power, 0.0), power)
+    powers[clients] = power
     return powers
 
 
@@ -307,7 +312,27 @@ def _binding_power(
         power = power - step
         if np.all(np.abs(step) <= 1e-15 * power):
             break
+    else:
+        raise RuntimeError("binding-branch power did not converge")
     return power, bandwidth * np.log2(1.0 + power * snr_per_w)
+
+
+def _rate_line(
+    ctx: RoundContext, cfg: SchedulerConfig, clients: ArrayLike, chans: ArrayLike, power: ArrayLike
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each edge's delay slope * s + offset at rate s and a fixed power, and its rate cap.
+
+    The cap is the largest rate the energy headroom allows less one bit of
+    rounding slack, unclipped; dead links have infinite slope and offset.
+    """
+    dim = ctx.model_dim
+    rate = ctx.uplink_rate(clients, chans, power)
+    headroom = cfg.e_max_j - ctx.e_comp[clients]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = 32.0 * dim / rate
+        offset = dim / rate + ctx.d_down[clients] + ctx.d_local[clients]
+        cap = (headroom * rate / power - dim) / (32.0 * dim) - 1.0 / (32.0 * dim)
+    return slope, offset, cap
 
 
 def optimal_sparsification(
@@ -329,12 +354,10 @@ def optimal_sparsification(
     assigned = np.flatnonzero(assigned_channel >= 0)
     if assigned.size == 0:
         return s
-    power, dim = powers[assigned], ctx.model_dim
-    rate = ctx.uplink_rate(assigned, assigned_channel[assigned], power)
-    headroom = cfg.e_max_j - ctx.e_comp[assigned]
-    caps = np.clip((headroom * rate / power - dim - 1.0) / (32.0 * dim), cfg.s_th, 1.0)
-    slopes = 32.0 * dim / rate
-    offsets = dim / rate + ctx.d_down[assigned] + ctx.d_local[assigned]
+    slopes, offsets, caps = _rate_line(
+        ctx, cfg, assigned, assigned_channel[assigned], powers[assigned]
+    )
+    caps = np.clip(caps, cfg.s_th, 1.0)
     floor = slopes * cfg.s_th + offsets
     levels = np.unique(np.concatenate([floor, slopes * caps + offsets]))
     levels = levels[levels >= floor.max()] if queues.q_de > 0.0 else levels[-1:]
@@ -450,20 +473,17 @@ class _LevelModel:
     """
 
     def __init__(self, ctx: RoundContext, cfg: SchedulerConfig) -> None:
-        self.ctx, self.s_th, dim, p_max = ctx, cfg.s_th, ctx.model_dim, ctx.radio.max_power_w
+        self.ctx, self.s_th, p_max = ctx, cfg.s_th, ctx.radio.max_power_w
         self.edges = feasible_edges(ctx, cfg)
         self.rows = ctx.eligible[self.edges[ctx.eligible].any(axis=1)]
         if self.rows.size == 0:
             raise EmptyRoundError("no client has an energy-feasible channel")
-        noise_total = ctx.radio.interference_w + ctx.radio.noise_w
-        self.snr_per_w = ctx.channels.uplink_gains / noise_total
+        self.snr_per_w = ctx.channels.uplink_gains / (ctx.radio.interference_w + ctx.radio.noise_w)
         self.headroom = np.broadcast_to((cfg.e_max_j - ctx.e_comp)[:, None], self.edges.shape)
         self.fixed = np.broadcast_to((ctx.d_down + ctx.d_local)[:, None], self.edges.shape)
-        rate = ctx.uplink_rate(np.arange(ctx.n_clients)[:, None], np.arange(ctx.n_channels), p_max)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.slope = 32.0 * dim / rate
-            self.offset = dim / rate + ctx.d_down[:, None] + ctx.d_local[:, None]
-            s_sw = (self.headroom * rate / p_max - dim) / (32.0 * dim) - 1.0 / (32.0 * dim)
+        self.slope, self.offset, s_sw = _rate_line(
+            ctx, cfg, np.arange(ctx.n_clients)[:, None], np.arange(ctx.n_channels), p_max
+        )
         self.bp_lo = np.where(self.edges, self.slope * self.s_th + self.offset, np.inf)
         self.bp_hi = self.slope + self.offset
         self.bp_sw = np.full(self.edges.shape, np.inf)
@@ -497,9 +517,8 @@ class _LevelModel:
         if bind.any():
             x = level - self.fixed[at][bind]
             headroom = self.headroom[at][bind]
-            power[bind], rate = _binding_power(
-                self.ctx.radio, self.snr_per_w[at][bind], headroom, x, 1.0
-            )
+            snr_per_w = self.snr_per_w[at][bind]
+            power[bind], rate = _binding_power(self.ctx.radio, snr_per_w, headroom, x, 1.0)
             bits = np.minimum(x * rate, headroom * rate / power[bind] - 1.0)
             dim = self.ctx.model_dim
             s[bind] = np.clip((bits - dim) / (32.0 * dim), self.s_th, 1.0)

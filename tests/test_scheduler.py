@@ -13,6 +13,7 @@ from sparsefl.oracles import (
 from sparsefl.scheduler import (
     POLICIES,
     EmptyRoundError,
+    EnergyInfeasibleError,
     SchedulerConfig,
     ScheduleDecision,
     VirtualQueues,
@@ -101,6 +102,23 @@ def test_optimal_power_binds_the_energy_cap():
     assert energy <= cfg.e_max_j + 1e-9
     assert energy == pytest.approx(cfg.e_max_j, rel=1e-6)
     del headroom_probe
+
+
+def test_optimal_power_never_exceeds_the_energy_cap():
+    rng = np.random.default_rng(21)
+    capped = 0
+    for _ in range(40):
+        ctx, cfg, _ = random_round_context(rng, 3, 3, model_dim=500, e_max_j=0.05)
+        assigned = np.array([0, 1, 2])
+        s = rng.uniform(cfg.s_th, 1.0, 3)
+        try:
+            powers = optimal_power(ctx, cfg, assigned, s)
+        except EnergyInfeasibleError:
+            continue
+        capped += int(np.sum(powers < ctx.radio.max_power_w))
+        decision = build_decision(ctx, assigned, s, powers)
+        assert np.all(decision.e_comm + decision.e_comp <= cfg.e_max_j)
+    assert capped >= 10
 
 
 def test_optimal_sparsification_dense_when_no_delay_debt():
@@ -246,18 +264,30 @@ def test_schedule_round_matches_energy_oracle_when_caps_bind():
     assert below_full_power >= 3
 
 
-@pytest.mark.parametrize("shape", [(5, 3), (6, 3), (5, 4)])
-def test_schedule_round_no_worse_than_energy_oracle_at_larger_sizes(shape):
-    rng = np.random.default_rng(100 * shape[0] + shape[1])
+@pytest.mark.parametrize(
+    "shape, binding", [((5, 3), False), ((6, 3), False), ((5, 4), False), ((5, 3), True)]
+)
+def test_schedule_round_no_worse_than_energy_oracle_at_larger_sizes(shape, binding):
+    # Several matchings compete at these sizes, so under binding caps an
+    # optimum strictly inside a breakpoint interval of a matching other than
+    # the winner would show here.
+    rng = np.random.default_rng(100 * shape[0] + shape[1] + 50 * binding)
+    below_full_power = 0
     for _ in range(8):
-        ctx, cfg, queues = random_round_context(
-            rng,
-            *shape,
-            model_dim=int(rng.integers(2000, 5001)),
-            q_de=float(rng.uniform(5.0, 150.0)),
-        )
+        if binding:
+            ctx, cfg, queues = _binding_instance(rng, shape)
+        else:
+            ctx, cfg, queues = random_round_context(
+                rng,
+                *shape,
+                model_dim=int(rng.integers(2000, 5001)),
+                q_de=float(rng.uniform(5.0, 150.0)),
+            )
         decision = schedule_round(ctx, cfg, queues)
+        validate_decision(ctx, cfg, decision, enforce_energy=True)
+        below_full_power += bool(np.any(decision.powers[decision.participants] < 1.0))
         assert decision.v_trace[-1] <= brute_force_joint_energy(ctx, cfg, queues) + 1e-9
+    assert below_full_power >= 2 if binding else below_full_power == 0
 
 
 def test_energy_oracle_agrees_with_full_power_oracle_under_loose_caps():
