@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -83,6 +83,8 @@ class RdpParams:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.tau < 1:
             raise ValueError(f"tau must be at least 1, got {self.tau}")
+        # One hashable float tuple, so _moment_grid's cache key needs no copy.
+        object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
 
 
 def _integer_moment(q: float, sigma_hat: float, alpha: int) -> float:
@@ -151,11 +153,6 @@ def _moment_grid(q: float, sigma_hat: float, alphas: tuple[float, ...]) -> tuple
     return tuple(out)
 
 
-def _grid_moments(params: RdpParams) -> tuple[float, ...]:
-    """Per-order moments for params.alpha_grid, aligned with the grid order."""
-    return _moment_grid(params.q, params.sigma_hat, tuple(float(a) for a in params.alpha_grid))
-
-
 def per_step_rdp(q: float, sigma_hat: float, alpha: float) -> float:
     """Log moment of order alpha accumulated by one subsampled noisy step (nats)."""
     if not 0.0 <= q <= 1.0:
@@ -185,7 +182,8 @@ def accumulate_privacy(t_bar: int, params: RdpParams) -> tuple[float, float]:
         raise ValueError(f"t_bar must be nonnegative, got {t_bar}")
     best_eps = math.inf
     best_alpha = params.alpha_grid[0]
-    for alpha, rdp in zip(params.alpha_grid, _grid_moments(params)):
+    moments = _moment_grid(params.q, params.sigma_hat, params.alpha_grid)
+    for alpha, rdp in zip(params.alpha_grid, moments):
         eps = t_bar * params.tau * rdp / (alpha - 1.0) + _conversion_offset(alpha, params.delta)
         if eps < best_eps:
             best_eps = eps
@@ -204,13 +202,9 @@ def max_participation_rounds(eps_budget: float, params: RdpParams) -> int:
     if not eps_budget > 0.0:
         raise ValueError(f"eps_budget must be positive, got {eps_budget}")
     best = 0
-    for alpha, rdp in zip(params.alpha_grid, _grid_moments(params)):
-        numerator = (
-            (alpha - 1.0) * eps_budget
-            - math.log(1.0 / params.delta)
-            - (alpha - 1.0) * math.log1p(-1.0 / alpha)
-            + math.log(alpha)
-        )
+    moments = _moment_grid(params.q, params.sigma_hat, params.alpha_grid)
+    for alpha, rdp in zip(params.alpha_grid, moments):
+        numerator = (alpha - 1.0) * (eps_budget - _conversion_offset(alpha, params.delta))
         if numerator <= 0.0:
             continue
         if rdp == 0.0:
@@ -240,38 +234,23 @@ def participation_fraction(t_hats: np.ndarray | list[int], n_channels: int) -> n
     return np.minimum(n_channels * t / total, 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrivacyLedger:
-    """Per-client accounting state advanced by the simulator.
+    """One client's budget, mechanism and participation allowance t_hat.
 
-    per_step_rdp caches the per-order log moments so that retirement checks
-    during a run are pure arithmetic.
+    The simulator's participation counter is the ledger's exposure count, so
+    the ledger itself never changes after make_ledger.
     """
 
     eps_budget: float
     params: RdpParams
-    per_step_rdp: dict[float, float] = field(default_factory=dict)
-    exposures: int = 0
-    t_hat: int = 0
-    beta: float = 0.0
-    exhausted: bool = False
+    t_hat: int
 
-    def spent(self, t_bar: int | None = None) -> float:
-        """Tightest epsilon after t_bar rounds (defaults to current exposures)."""
-        count = self.exposures if t_bar is None else t_bar
-        best = math.inf
-        for alpha, rdp in self.per_step_rdp.items():
-            eps = count * self.params.tau * rdp / (alpha - 1.0) + _conversion_offset(
-                alpha, self.params.delta
-            )
-            best = min(best, eps)
-        return best
+    def spent(self, t_bar: int) -> float:
+        """Tightest epsilon after t_bar participated rounds."""
+        return accumulate_privacy(t_bar, self.params)[0]
 
 
 def make_ledger(eps_budget: float, params: RdpParams) -> PrivacyLedger:
-    """Build a ledger with cached per-order moments and the round forecast."""
-    rdp = dict(zip((float(a) for a in params.alpha_grid), _grid_moments(params)))
-    ledger = PrivacyLedger(eps_budget=eps_budget, params=params, per_step_rdp=rdp)
-    ledger.t_hat = max_participation_rounds(eps_budget, params)
-    ledger.exhausted = ledger.t_hat == 0
-    return ledger
+    """Build a ledger whose t_hat is the budget's participation allowance."""
+    return PrivacyLedger(eps_budget, params, max_participation_rounds(eps_budget, params))

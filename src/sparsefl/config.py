@@ -186,6 +186,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
             "needs one size per client",
         )
         _require(all(n >= 1 for n in cfg.partition_sizes), "partition_sizes", "sizes must be positive")
+        _require(
+            sum(cfg.partition_sizes) <= cfg.num_train,
+            "partition_sizes",
+            f"sizes total {sum(cfg.partition_sizes)}, above num_train = {cfg.num_train}",
+        )
     if cfg.dataset == "mnist":
         for key in (
             "mnist_train_images",

@@ -3,9 +3,9 @@
 run_experiment builds the world from a config (data, placement, radio,
 per-client privacy ledgers), then repeats: realize channels, schedule clients
 under the chosen policy, run noisy sparse local training for the scheduled
-set, aggregate, advance privacy ledgers and virtual queues, and record one
-metrics row. Clients whose next participation would overrun their privacy
-budget retire; the run truncates early if everyone retires. After every
+set, aggregate, advance participation counts and virtual queues, and record
+one metrics row. A client retires once its participation count reaches its
+allowance t_hat; the run truncates early if everyone retires. After every
 participation the client's spent epsilon is checked against its budget, and
 an overrun raises BudgetOverrunError.
 
@@ -59,14 +59,6 @@ from .wireless import ComputeParams, RadioParams, dbm_to_watts, realize_channels
 # Channel and CPU draws for the d_avg calibration prologue live in their own
 # round-index namespace so they never collide with the training rounds.
 _CALIBRATION_BASE = 1_000_000
-
-
-@dataclass(frozen=True)
-class ClientProfile:
-    """Static per-client state fixed at experiment setup."""
-
-    data: Dataset
-    eps_budget: float
 
 
 @dataclass
@@ -143,19 +135,24 @@ class BoundTerms:
 
 @dataclass
 class SimState:
-    """Everything run_round mutates between rounds."""
+    """Everything run_round reads or mutates between rounds.
+
+    participation counts each client's uploads so far; with privacy on it is
+    also the exposure count that the immutable ledgers are evaluated at.
+    """
 
     config: ExperimentConfig
     policy: str
     model_spec: ModelSpec
     weights: ModelWeights
-    clients: list[ClientProfile]
+    shards: list[Dataset]
     sizes: np.ndarray
     distances: np.ndarray
     test_set: Dataset
     train_pool: Dataset
     radio: RadioParams
     sched_cfg: SchedulerConfig
+    dp_cfg: DpConfig
     ledgers: list[PrivacyLedger] | None
     betas: np.ndarray
     t_hats: np.ndarray
@@ -295,9 +292,6 @@ def build_state(config: ExperimentConfig, policy: str) -> SimState:
     eps = privacy_rng.uniform(config.eps_min, config.eps_max, config.num_clients)
 
     sizes = np.array([p.n for p in parts], dtype=int)
-    clients = [
-        ClientProfile(data=parts[i], eps_budget=float(eps[i])) for i in range(config.num_clients)
-    ]
 
     if config.sigma_hat > 0:
         ledgers = []
@@ -312,8 +306,6 @@ def build_state(config: ExperimentConfig, policy: str) -> SimState:
             ledgers.append(make_ledger(float(eps[i]), params))
         t_hats = np.array([ledger.t_hat for ledger in ledgers], dtype=int)
         betas = participation_fraction(t_hats, config.num_channels)
-        for ledger, beta in zip(ledgers, betas):
-            ledger.beta = float(beta)
     else:
         ledgers = None
         t_hats = np.full(config.num_clients, -1, dtype=int)
@@ -326,7 +318,7 @@ def build_state(config: ExperimentConfig, policy: str) -> SimState:
         policy=policy,
         model_spec=spec,
         weights=init_weights(spec, streams.substream(config.seed, streams.MODEL)),
-        clients=clients,
+        shards=parts,
         sizes=sizes,
         distances=distances,
         test_set=test_set,
@@ -337,6 +329,14 @@ def build_state(config: ExperimentConfig, policy: str) -> SimState:
             d_avg=1.0,
             e_max_j=config.e_max_j,
             s_th=config.s_th,
+        ),
+        dp_cfg=DpConfig(
+            clip_c=config.clip_c,
+            sigma_hat=config.sigma_hat,
+            batch_size=config.batch_size,
+            tau=config.tau,
+            eta=config.eta,
+            adaptive_clip=config.adaptive_clip,
         ),
         ledgers=ledgers,
         betas=betas,
@@ -351,12 +351,10 @@ def build_state(config: ExperimentConfig, policy: str) -> SimState:
 
 
 def _eligible_clients(state: SimState) -> np.ndarray:
+    """Clients whose participation count is still below their allowance t_hat."""
     if state.ledgers is None:
         return np.arange(state.config.num_clients)
-    return np.array(
-        [i for i in range(state.config.num_clients) if not state.ledgers[i].exhausted],
-        dtype=int,
-    )
+    return np.flatnonzero(state.participation < state.t_hats)
 
 
 def run_round(state: SimState) -> MetricsRow | None:
@@ -394,14 +392,6 @@ def run_round(state: SimState) -> MetricsRow | None:
         selected_weights = state.sizes[participants] / state.sizes[participants].sum()
         delta = np.zeros(state.model_spec.dim)
         for pos, i in enumerate(participants):
-            dp_cfg = DpConfig(
-                clip_c=config.clip_c,
-                sigma_hat=config.sigma_hat,
-                batch_size=min(config.batch_size, int(state.sizes[i])),
-                tau=config.tau,
-                eta=config.eta,
-                adaptive_clip=config.adaptive_clip,
-            )
             train_streams = TrainStreams(
                 mask=streams.substream(config.seed, streams.TRAIN, t, int(i), streams.MASK),
                 batch=streams.substream(config.seed, streams.TRAIN, t, int(i), streams.BATCH),
@@ -409,9 +399,9 @@ def run_round(state: SimState) -> MetricsRow | None:
             )
             update = local_train(
                 state.weights,
-                state.clients[int(i)].data,
+                state.shards[int(i)],
                 float(decision.rates[i]),
-                dp_cfg,
+                state.dp_cfg,
                 train_streams,
                 client_id=int(i),
                 round_num=t,
@@ -424,9 +414,7 @@ def run_round(state: SimState) -> MetricsRow | None:
         if state.ledgers is not None:
             for i in participants:
                 ledger = state.ledgers[int(i)]
-                ledger.exposures += 1
-                ledger.exhausted = ledger.exposures >= ledger.t_hat
-                spent = ledger.spent()
+                spent = ledger.spent(int(state.participation[i]))
                 if spent > ledger.eps_budget:
                     raise BudgetOverrunError(
                         f"client {int(i)} spent epsilon {spent:.6g} in round {t}, "

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -19,24 +19,16 @@ from numpy.typing import ArrayLike
 logger = logging.getLogger(__name__)
 
 _MIN_DISTANCE_M = 1.0
+_PATHLOSS_INTERCEPT_DB = 128.1
+_PATHLOSS_SLOPE_DB = 37.6
 
 
-@dataclass(frozen=True)
-class PathLossModel:
-    intercept_db: float = 128.1
-    slope_db: float = 37.6
-
-    def attenuation_db(self, distance_m: float) -> float:
-        """Path loss in dB at the given distance, clamped below at one meter."""
-        if distance_m < _MIN_DISTANCE_M:
-            logger.warning(
-                "distance %.3g m below %.0f m floor, clamping", distance_m, _MIN_DISTANCE_M
-            )
-            distance_m = _MIN_DISTANCE_M
-        return self.intercept_db + self.slope_db * math.log10(distance_m / 1000.0)
-
-
-DEFAULT_PATHLOSS = PathLossModel()
+def pathloss_db(distance_m: float) -> float:
+    """Path loss in dB at the given distance, clamped below at one meter."""
+    if distance_m < _MIN_DISTANCE_M:
+        logger.warning("distance %.3g m below %.0f m floor, clamping", distance_m, _MIN_DISTANCE_M)
+        distance_m = _MIN_DISTANCE_M
+    return _PATHLOSS_INTERCEPT_DB + _PATHLOSS_SLOPE_DB * math.log10(distance_m / 1000.0)
 
 
 @dataclass(frozen=True)
@@ -46,7 +38,6 @@ class RadioParams:
     downlink_power_w: float
     max_power_w: float
     interference_w: float = 0.0
-    pathloss: PathLossModel = field(default_factory=PathLossModel)
 
     def __post_init__(self) -> None:
         if min(self.bandwidth_hz, self.noise_w, self.downlink_power_w, self.max_power_w) <= 0:
@@ -86,20 +77,15 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) * 1e-3
 
 
-def channel_gain(
-    distance_m: float, fading: float, pathloss: PathLossModel = DEFAULT_PATHLOSS
-) -> float:
+def channel_gain(distance_m: float, fading: float) -> float:
     """Linear power gain: path-loss attenuation times a fading draw."""
     if fading < 0:
         raise ValueError("fading must be nonnegative")
-    return 10.0 ** (-pathloss.attenuation_db(distance_m) / 10.0) * fading
+    return 10.0 ** (-pathloss_db(distance_m) / 10.0) * fading
 
 
 def realize_channels(
-    distances_m: np.ndarray,
-    n_channels: int,
-    rng: np.random.Generator,
-    pathloss: PathLossModel = DEFAULT_PATHLOSS,
+    distances_m: np.ndarray, n_channels: int, rng: np.random.Generator
 ) -> ChannelRealization:
     """Draw unit-mean exponential fading for every client-channel pair.
 
@@ -107,7 +93,7 @@ def realize_channels(
     fading as a vector, a fixed order that keeps runs reproducible.
     """
     n = len(distances_m)
-    base = np.array([10.0 ** (-pathloss.attenuation_db(d) / 10.0) for d in distances_m])
+    base = np.array([10.0 ** (-pathloss_db(d) / 10.0) for d in distances_m])
     fading_up = rng.exponential(1.0, size=(n, n_channels))
     fading_down = rng.exponential(1.0, size=n)
     return ChannelRealization(

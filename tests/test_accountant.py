@@ -210,9 +210,9 @@ def test_ledger_matches_standalone_accounting():
     ledger = make_ledger(6.0, params)
     assert ledger.t_hat == max_participation_rounds(6.0, params)
     assert ledger.t_hat > 0
-    assert not ledger.exhausted
+    assert ledger.spent(1) <= 6.0
     for t in (0, 1, ledger.t_hat):
-        assert ledger.spent(t) == pytest.approx(accumulate_privacy(t, params)[0], rel=1e-12)
+        assert ledger.spent(t) == accumulate_privacy(t, params)[0]
     assert ledger.spent(ledger.t_hat) <= 6.0
     assert ledger.spent(ledger.t_hat + 1) > 6.0
 
@@ -221,4 +221,4 @@ def test_ledger_exhausted_at_birth_when_budget_tiny():
     params = RdpParams(q=0.5, sigma_hat=0.6, alpha_grid=DEFAULT_ALPHA_GRID, delta=1e-3, tau=60)
     ledger = make_ledger(0.5, params)
     assert ledger.t_hat == 0
-    assert ledger.exhausted
+    assert ledger.spent(1) > 0.5

@@ -1,4 +1,7 @@
 import csv
+import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +47,14 @@ def test_empty_config_is_all_defaults():
     assert cfg.bandwidth_hz == 15e3
     assert cfg.lam == 50.0
     assert cfg.delta == 1e-3
+
+
+def test_readme_names_every_config_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config keys", 1)[1].split("\n### ", 1)[0]
+    named = set(re.findall(r"`([a-z0-9_]+)`", section))
+    missing = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in named]
+    assert not missing, f"README 'Config keys' does not name {missing}"
 
 
 def test_comments_and_blank_lines_ignored():
@@ -190,6 +201,19 @@ def test_cli_unwritable_output_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert "io error" in capsys.readouterr().err
+
+
+def test_cli_partition_sizes_above_num_train_is_config_error(tmp_path, capsys):
+    text = (
+        "rounds = 2\nnum_clients = 2\nnum_channels = 1\nnum_train = 400\n"
+        "partition = sizes\npartition_sizes = 300, 300\n"
+    )
+    cfg_path = write_cfg(tmp_path, text=text)
+    code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "m.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "partition_sizes" in err
+    assert "num_train = 400" in err
 
 
 def test_cli_truncation_note(tmp_path, capsys):

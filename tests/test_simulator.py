@@ -1,11 +1,18 @@
+import csv
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsefl import streams
 from sparsefl.accountant import BudgetOverrunError
+from sparsefl.cli import emit_metrics_csv
 from sparsefl.config import ConfigError
 from sparsefl.dpsgd import clip_per_sample
 from sparsefl.model_data import ModelSpec, ModelWeights, per_sample_loss_grads
+from sparsefl.scheduler import POLICIES
 from sparsefl.simulator import (
     bound_diagnostics,
     build_state,
@@ -162,7 +169,7 @@ def test_matches_hand_rolled_weighted_averaging():
         for i in range(cfg.num_clients):
             batch_rng = streams.substream(cfg.seed, streams.TRAIN, t, i, streams.BATCH)
             local = w.copy()
-            data = state.clients[i].data
+            data = state.shards[i]
             for _ in range(cfg.tau):
                 take = batch_rng.choice(data.n, size=4, replace=False)
                 _, grads = per_sample_loss_grads(
@@ -293,10 +300,69 @@ def test_substream_independence_and_reproducibility():
 def test_budget_overrun_raises_after_the_exposure():
     """A t_hat above the true forecast lets a client overspend; the round must raise."""
     state = build_state(fast_config(rounds=3), "round_robin")
-    for ledger in state.ledgers:
-        ledger.exposures = ledger.t_hat
-        ledger.t_hat += 1
-        ledger.exhausted = False
-        assert ledger.spent() <= ledger.eps_budget < ledger.spent(ledger.t_hat)
+    state.participation = state.t_hats.copy()
+    state.t_hats = state.t_hats + 1
+    for ledger, used in zip(state.ledgers, state.participation):
+        assert ledger.spent(used) <= ledger.eps_budget < ledger.spent(used + 1)
     with pytest.raises(BudgetOverrunError, match=r"client \d+ spent epsilon .* in round 0"):
         run_round(state)
+
+
+@st.composite
+def tiny_configs(draw):
+    """At most 4 clients and 3 rounds; privacy on or off, energy caps loose or binding.
+
+    A full-power upload of this 15-coordinate model costs about 1e-3 J next to
+    1e-4 J of compute, so the 2e-4 and 1e-3 caps force the optimizing policy
+    below full power, and the 1e-6 cap leaves it no feasible client at all.
+    """
+    num_clients = draw(st.integers(1, 4))
+    sigma_hat = draw(st.sampled_from((0.0, 0.8, 2.0)))
+    # Budgets low enough that some clients retire within three rounds, yet
+    # high enough that one round at q = 1 fits, so set-up never degenerates.
+    eps_min = draw(st.floats(10.0, 30.0) if sigma_hat < 1.0 else st.floats(3.0, 12.0))
+    return fast_config(
+        seed=draw(st.integers(0, 2**16)),
+        rounds=draw(st.integers(1, 3)),
+        policies=(draw(st.sampled_from(POLICIES)),),
+        num_clients=num_clients,
+        num_channels=draw(st.integers(1, 3)),
+        num_train=num_clients * draw(st.integers(2, 12)),
+        num_test=20,
+        feature_dim=4,
+        num_classes=3,
+        partition=draw(st.sampled_from(("iid", "dirichlet"))),
+        tau=draw(st.integers(1, 3)),
+        batch_size=draw(st.integers(1, 6)),
+        sigma_hat=sigma_hat,
+        eps_min=eps_min,
+        eps_max=eps_min + draw(st.floats(0.0, 20.0)),
+        e_max_j=draw(st.sampled_from((1e9, 1e-3, 2e-4, 1e-6))),
+        d_avg_calibration_rounds=2,
+    )
+
+
+@settings(max_examples=100)
+@given(cfg=tiny_configs())
+def test_fuzzed_tiny_runs_keep_their_invariants(cfg, tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz")
+    trace = run_experiment(cfg, cfg.policies[0])
+    emit_metrics_csv([trace], str(out / "a.csv"))
+    emit_metrics_csv([run_experiment(cfg, cfg.policies[0])], str(out / "b.csv"))
+    first = (out / "a.csv").read_bytes()
+    assert first == (out / "b.csv").read_bytes()
+
+    with open(out / "a.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            for col, raw in row.items():
+                if col != "policy":
+                    assert math.isfinite(float(raw)), (col, raw)
+
+    if cfg.sigma_hat > 0:
+        assert np.all(trace.participation <= trace.t_hats)
+    else:
+        assert np.all(trace.t_hats == -1)
+    q_prev = 0.0
+    for row in trace.rows:
+        assert row.q_de == max(q_prev + row.round_delay_s - trace.d_avg_s, 0.0)
+        q_prev = row.q_de

@@ -7,12 +7,12 @@ import pytest
 from sparsefl.wireless import (
     ChannelRealization,
     ComputeParams,
-    PathLossModel,
     RadioParams,
     channel_gain,
     dbm_to_watts,
     downlink_payload_bits,
     link_rate,
+    pathloss_db,
     payload_bits,
     realize_channels,
     round_costs,
@@ -39,16 +39,14 @@ def test_dbm_conversions():
 
 def test_pathloss_at_hundred_meters():
     # 128.1 + 37.6*log10(0.1) = 90.5 dB
-    model = PathLossModel()
-    assert model.attenuation_db(100.0) == pytest.approx(90.5, abs=1e-9)
+    assert pathloss_db(100.0) == pytest.approx(90.5, abs=1e-9)
     assert channel_gain(100.0, 1.0) == pytest.approx(10.0 ** (-9.05), rel=1e-12)
 
 
 def test_pathloss_clamps_below_one_meter(caplog):
-    model = PathLossModel()
-    at_floor = model.attenuation_db(1.0)
+    at_floor = pathloss_db(1.0)
     with caplog.at_level(logging.WARNING, logger="sparsefl.wireless"):
-        clamped = model.attenuation_db(0.05)
+        clamped = pathloss_db(0.05)
     assert clamped == at_floor
     assert any("clamping" in rec.message for rec in caplog.records)
 
