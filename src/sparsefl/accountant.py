@@ -164,10 +164,17 @@ def per_step_rdp(q: float, sigma_hat: float, alpha: float) -> float:
     return _moment_grid(float(q), float(sigma_hat), (float(alpha),))[0]
 
 
-def _conversion_offset(alpha: float, delta: float) -> float:
-    """Additive term converting an RDP bound at order alpha to epsilon at delta."""
-    return (math.log(1.0 / delta) + (alpha - 1.0) * math.log1p(-1.0 / alpha) - math.log(alpha)) / (
-        alpha - 1.0
+@functools.lru_cache(maxsize=64)
+def _conversion_offsets(alphas: tuple[float, ...], delta: float) -> tuple[float, ...]:
+    """Additive terms converting an RDP bound at each order to epsilon at delta.
+
+    Cached per (orders, delta): every accumulate_privacy call reads them.
+    """
+    log_inv_delta = math.log(1.0 / delta)
+    return tuple(
+        (log_inv_delta + (alpha - 1.0) * math.log1p(-1.0 / alpha) - math.log(alpha))
+        / (alpha - 1.0)
+        for alpha in alphas
     )
 
 
@@ -183,8 +190,9 @@ def accumulate_privacy(t_bar: int, params: RdpParams) -> tuple[float, float]:
     best_eps = math.inf
     best_alpha = params.alpha_grid[0]
     moments = _moment_grid(params.q, params.sigma_hat, params.alpha_grid)
-    for alpha, rdp in zip(params.alpha_grid, moments):
-        eps = t_bar * params.tau * rdp / (alpha - 1.0) + _conversion_offset(alpha, params.delta)
+    offsets = _conversion_offsets(params.alpha_grid, params.delta)
+    for alpha, rdp, offset in zip(params.alpha_grid, moments, offsets):
+        eps = t_bar * params.tau * rdp / (alpha - 1.0) + offset
         if eps < best_eps:
             best_eps = eps
             best_alpha = alpha
@@ -203,8 +211,9 @@ def max_participation_rounds(eps_budget: float, params: RdpParams) -> int:
         raise ValueError(f"eps_budget must be positive, got {eps_budget}")
     best = 0
     moments = _moment_grid(params.q, params.sigma_hat, params.alpha_grid)
-    for alpha, rdp in zip(params.alpha_grid, moments):
-        numerator = (alpha - 1.0) * (eps_budget - _conversion_offset(alpha, params.delta))
+    offsets = _conversion_offsets(params.alpha_grid, params.delta)
+    for alpha, rdp, offset in zip(params.alpha_grid, moments, offsets):
+        numerator = (alpha - 1.0) * (eps_budget - offset)
         if numerator <= 0.0:
             continue
         if rdp == 0.0:

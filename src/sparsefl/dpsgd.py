@@ -6,6 +6,12 @@ batch average is perturbed with Gaussian noise on the retained coordinates
 only. Masking before clipping shrinks the clipping threshold to
 sqrt(s) * clip_c, and the noise scale shrinks with it.
 
+Only the retained coordinates are drawn: each step takes mask.retained
+normals from the round's noise stream, in coordinate order, and updates only
+those coordinates. Off the mask the delta is exactly zero, as after zeroing
+a dense draw, so the mechanism and its accounting are unchanged by drawing
+less. With sigma_hat = 0 the noise stream is not read at all.
+
 The [batch, dim] per-sample gradient matrix is never built. Every parameter
 block's per-sample gradient is an outer product A_i B_i^T (a bias block is
 A_i alone; see model_data.loss_grad_factors), so with the block's mask M:
@@ -23,7 +29,7 @@ is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,14 +139,6 @@ def clip_per_sample(grads: np.ndarray, threshold: float) -> np.ndarray:
     return grads * _clip_factors(np.linalg.norm(grads, axis=1), threshold)[:, None]
 
 
-def _draw_masked_noise(
-    dim: int, cfg: DpConfig, s: float, mask: SparsityMask, rng: np.random.Generator
-) -> np.ndarray:
-    """Gaussian noise at std sigma_hat * threshold / batch, zero off the mask."""
-    std = cfg.sigma_hat * cfg.clip_threshold(s) / cfg.batch_size
-    return rng.normal(0.0, std, size=dim) * mask.bits
-
-
 def clipped_masked_mean(
     factors: GradFactors,
     keep_blocks: list[np.ndarray],
@@ -192,10 +190,11 @@ def local_train(
     The mask is drawn once and reused for every step of the round, so the
     delta's support is a subset of the mask. Batches are sampled without
     replacement per step; a dataset smaller than the configured batch is used
-    whole. A non-finite loss, per-sample gradient norm or clipped mean in any
-    step, or a non-finite delta (from non-finite starting weights or an
-    overflowing step), raises TrainingDivergenceError naming the client and
-    the round.
+    whole. Each step draws mask.retained normals from streams.noise (none
+    when sigma_hat = 0). A non-finite loss, per-sample gradient norm or
+    clipped mean in any step, or a non-finite delta (from non-finite starting
+    weights or an overflowing step), raises TrainingDivergenceError naming
+    the client and the round.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {s}")
@@ -205,8 +204,8 @@ def local_train(
     where = f"client {client_id} in round {round_num}"
     threshold = cfg.clip_threshold(s)
     batch = min(cfg.batch_size, data.n)
-    if batch != cfg.batch_size:
-        cfg = replace(cfg, batch_size=batch)
+    std = cfg.sigma_hat * threshold / batch
+    kept = np.flatnonzero(mask.bits)
     keep_blocks = split_blocks(mask.bits.astype(np.float64), spec)
     clipped_mean = np.empty(dim)
     mean_blocks = split_blocks(clipped_mean, spec)
@@ -222,12 +221,16 @@ def local_train(
             and np.all(np.isfinite(clipped_mean))
         ):
             raise TrainingDivergenceError(f"non-finite loss or gradient for {where}")
-        noise = _draw_masked_noise(dim, cfg, s, mask, streams.noise)
         if stats is not None:
             stats.max_grad_norm = max(stats.max_grad_norm, math.sqrt(float(sq_norms.max())))
-            stats.noise_sq_sum += float(noise @ noise)
             stats.noise_draws += 1
-        w -= cfg.eta * (clipped_mean + noise)
+        step = clipped_mean[kept]
+        if std > 0.0:
+            noise = streams.noise.normal(0.0, std, size=kept.size)
+            step += noise
+            if stats is not None:
+                stats.noise_sq_sum += float(noise @ noise)
+        w[kept] -= cfg.eta * step
     delta = w - w_init.values
     if not np.all(np.isfinite(delta)):
         raise TrainingDivergenceError(f"non-finite weight update for {where}")

@@ -182,7 +182,14 @@ def _build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
         return train, test
     train = load_mnist(config.mnist_train_images, config.mnist_train_labels, config.num_train)
     test = load_mnist(config.mnist_test_images, config.mnist_test_labels, config.num_test)
-    for name, data in (("train", train), ("test", test)):
+    for name, data, key, wanted in (
+        ("train", train, "num_train", config.num_train),
+        ("test", test, "num_test", config.num_test),
+    ):
+        if data.n < wanted:
+            raise ConfigError(
+                f"{key}: the {name} files hold {data.n} samples, but {key} = {wanted}"
+            )
         if int(data.labels.max(initial=0)) >= config.num_classes:
             raise ConfigError(
                 f"num_classes: {name} labels reach {int(data.labels.max())}, "

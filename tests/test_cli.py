@@ -16,6 +16,7 @@ from sparsefl.config import (
 from sparsefl.simulator import CSV_COLUMNS, run_experiment
 
 from conftest import fast_config
+from test_model_data import write_idx_images, write_idx_labels
 
 FAST_TEXT = """
 seed = 11
@@ -214,6 +215,27 @@ def test_cli_partition_sizes_above_num_train_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "partition_sizes" in err
     assert "num_train = 400" in err
+
+
+@pytest.mark.parametrize("short", ["num_train", "num_test"])
+def test_cli_short_mnist_file_is_config_error(tmp_path, capsys, short):
+    """An IDX file with fewer samples than num_train or num_test exits 2, naming the key."""
+    rng = np.random.default_rng(3)
+    files = {"train": 400, "test": 60}
+    files[short.removeprefix("num_")] = 50
+    text = (
+        "rounds = 2\nnum_clients = 2\nnum_channels = 1\nnum_train = 400\nnum_test = 60\n"
+        "num_classes = 4\npartition = sizes\npartition_sizes = 100, 100\ndataset = mnist\n"
+    )
+    for name, count in files.items():
+        images, labels = tmp_path / f"{name}_images.idx", tmp_path / f"{name}_labels.idx"
+        write_idx_images(images, rng.integers(0, 256, size=(count, 4, 4)))
+        write_idx_labels(labels, rng.integers(0, 4, size=count))
+        text += f"mnist_{name}_images = {images}\nmnist_{name}_labels = {labels}\n"
+    cfg_path = write_cfg(tmp_path, text=text)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "m.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{short}: the" in err and "hold 50 samples" in err
 
 
 def test_cli_truncation_note(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,7 +123,8 @@ def dense_local_train(w_init, data, s, cfg, streams, stats=None):
     """Reference local training on the dense [batch, dim] gradient matrix.
 
     Same draws on the same streams as local_train: mask, then per step a
-    batch and a noise vector. Returns the weight delta and the mask bits.
+    batch and one normal per retained coordinate, scattered onto the mask.
+    Returns the weight delta and the mask bits.
     """
     dim = w_init.spec.dim
     mask = generate_mask(dim, s, streams.mask)
@@ -137,12 +140,14 @@ def dense_local_train(w_init, data, s, cfg, streams, stats=None):
         if not np.isfinite(loss) or not np.all(np.isfinite(grads)):
             raise TrainingDivergenceError("non-finite loss or gradient")
         clipped_mean = clip_per_sample(grads * mask.bits, threshold).mean(axis=0)
-        noise = streams.noise.normal(0.0, std, size=dim) * mask.bits
+        draw = streams.noise.normal(0.0, std, size=mask.bits.sum())
+        noise = np.zeros(dim)
+        noise[mask.bits] = draw
         if stats is not None:
             stats.max_grad_norm = max(
                 stats.max_grad_norm, float(np.linalg.norm(grads, axis=1).max())
             )
-            stats.noise_sq_sum += float(noise @ noise)
+            stats.noise_sq_sum += float(draw @ draw)
             stats.noise_draws += 1
         w -= cfg.eta * (clipped_mean + noise)
     return w - w_init.values, mask.bits
@@ -274,6 +279,66 @@ def test_local_train_noiseless_passthrough():
     a = local_train(w, data, 0.66, cfg, base)
     b = local_train(w, data, 0.66, cfg, other)
     assert np.array_equal(a.values, b.values)
+
+
+def test_local_train_noiseless_reads_no_noise():
+    """With sigma_hat = 0 local_train leaves the noise stream untouched."""
+    data, w = small_problem(n=10, d=5, k=3, seed=38)
+    cfg = DpConfig(clip_c=1.0, sigma_hat=0.0, batch_size=4, tau=3, eta=0.1)
+    streams = make_streams(39)
+    before = streams.noise.bit_generator.state
+    local_train(w, data, 0.66, cfg, streams)
+    assert streams.noise.bit_generator.state == before
+
+
+@pytest.mark.parametrize("hidden", [None, 4])
+def test_step_noise_is_one_retained_draw_per_step(hidden):
+    """Step t adds the t-th normal(0, std, size=retained) draw on the mask, 0 elsewhere."""
+    data, w = small_problem(n=20, d=7, k=3, seed=41, hidden=hidden, scale=0.5)
+    cfg = DpConfig(clip_c=0.4, sigma_hat=0.7, batch_size=6, tau=4, eta=1.0)
+    s = 0.3
+    deltas = [np.zeros(w.spec.dim)] + [
+        local_train(w, data, s, replace(cfg, tau=t), make_streams(42)).values
+        for t in range(1, cfg.tau + 1)
+    ]
+    copy = make_streams(42)
+    bits = generate_mask(w.spec.dim, s, copy.mask).bits
+    assert 0 < bits.sum() < bits.size
+    threshold = cfg.clip_threshold(s)
+    std = cfg.sigma_hat * threshold / cfg.batch_size
+    for t in range(cfg.tau):
+        take = copy.batch.choice(data.n, size=cfg.batch_size, replace=False)
+        w_t = ModelWeights(w.values + deltas[t], w.spec)
+        (mean, _), _ = ghost_and_dense_step(
+            w_t, data.features[take], data.labels[take], bits, threshold
+        )
+        noise = (deltas[t] - deltas[t + 1]) / cfg.eta - mean
+        assert np.all(noise[~bits] == 0.0)
+        want = copy.noise.normal(0.0, std, size=bits.sum())
+        np.testing.assert_allclose(noise[bits], want, rtol=0.0, atol=1e-12)
+
+
+def test_full_rate_delta_is_the_dense_draw_formula_bit_for_bit():
+    """At s = 1 every coordinate is kept: w -= eta * (mean + normal(0, std, size=dim))."""
+    data, w = small_problem(n=20, d=7, k=3, seed=43, hidden=4, scale=0.5)
+    cfg = DpConfig(clip_c=0.4, sigma_hat=0.7, batch_size=6, tau=5, eta=0.3)
+    update = local_train(w, data, 1.0, cfg, make_streams(44))
+    spec, dim = w.spec, w.spec.dim
+    streams = make_streams(44)
+    assert generate_mask(dim, 1.0, streams.mask).retained == dim
+    threshold = cfg.clip_threshold(1.0)
+    std = cfg.sigma_hat * threshold / cfg.batch_size
+    keep_blocks = split_blocks(np.ones(dim), spec)
+    mean = np.empty(dim)
+    v = w.values.copy()
+    for _ in range(cfg.tau):
+        take = streams.batch.choice(data.n, size=cfg.batch_size, replace=False)
+        _, factors = loss_grad_factors(
+            ModelWeights(v, spec), data.features[take], data.labels[take]
+        )
+        clipped_masked_mean(factors, keep_blocks, threshold, split_blocks(mean, spec))
+        v -= cfg.eta * (mean + streams.noise.normal(0.0, std, size=dim))
+    assert np.array_equal(update.values, v - w.values)
 
 
 def test_local_train_noise_respects_mask_and_scale():

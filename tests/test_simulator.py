@@ -312,6 +312,8 @@ def test_budget_overrun_raises_after_the_exposure():
 def tiny_configs(draw):
     """At most 4 clients and 3 rounds; privacy on or off, energy caps loose or binding.
 
+    s_fixed sends the baseline policies through sparsified training as well.
+
     A full-power upload of this 15-coordinate model costs about 1e-3 J next to
     1e-4 J of compute, so the 2e-4 and 1e-3 caps force the optimizing policy
     below full power, and the 1e-6 cap leaves it no feasible client at all.
@@ -334,6 +336,7 @@ def tiny_configs(draw):
         partition=draw(st.sampled_from(("iid", "dirichlet"))),
         tau=draw(st.integers(1, 3)),
         batch_size=draw(st.integers(1, 6)),
+        s_fixed=draw(st.sampled_from((0.05, 0.3, 1.0))),
         sigma_hat=sigma_hat,
         eps_min=eps_min,
         eps_max=eps_min + draw(st.floats(0.0, 20.0)),
