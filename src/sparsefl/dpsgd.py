@@ -97,7 +97,6 @@ class SparseUpdate:
 
     values: np.ndarray
     mask: SparsityMask
-    payload_bits: int
 
 
 @dataclass(frozen=True)
@@ -234,5 +233,4 @@ def local_train(
     delta = w - w_init.values
     if not np.all(np.isfinite(delta)):
         raise TrainingDivergenceError(f"non-finite weight update for {where}")
-    payload = 32 * mask.retained + dim
-    return SparseUpdate(values=delta, mask=mask, payload_bits=payload)
+    return SparseUpdate(values=delta, mask=mask)

@@ -544,7 +544,7 @@ def run_verify() -> tuple[int, list[str]]:
         decision = schedule_round(ctx, cfg, queues)
         capped += bool(np.any(decision.powers[decision.participants] < ctx.radio.max_power_w))
         try:
-            validate_decision(ctx, cfg, decision, enforce_energy=True)
+            validate_decision(ctx, cfg, decision, optimized=True)
         except AssertionError:
             bad += 1
             continue

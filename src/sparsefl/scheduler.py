@@ -85,9 +85,10 @@ class RoundContext:
 
     weights are the aggregation weights over the eligible set (zero for
     ineligible clients). d_down, d_local, and e_comp are fixed per client for
-    the round; only the uplink leg depends on the decision variables, and the
-    uplink methods take client and channel index arrays (or scalars) that
-    broadcast against the rates and powers.
+    the round; only the uplink leg depends on the decision variables, through
+    the [clients, channels] uplink SNR per watt of transmit power. The uplink
+    methods take client and channel index arrays (or scalars) that broadcast
+    against the rates and powers.
     """
 
     model_dim: int
@@ -101,6 +102,7 @@ class RoundContext:
     d_down: np.ndarray = field(init=False)
     d_local: np.ndarray = field(init=False)
     e_comp: np.ndarray = field(init=False)
+    snr_per_w: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         down_rate = wireless.link_rate(
@@ -120,6 +122,8 @@ class RoundContext:
         )
         object.__setattr__(self, "d_local", work / freq)
         object.__setattr__(self, "e_comp", capacitance * work * freq**2 / 2.0)
+        noise = self.radio.interference_w + self.radio.noise_w
+        object.__setattr__(self, "snr_per_w", self.channels.uplink_gains / noise)
 
     @property
     def n_clients(self) -> int:
@@ -132,12 +136,7 @@ class RoundContext:
     def uplink_rate(
         self, clients: ArrayLike, channels: ArrayLike, power_w: ArrayLike
     ) -> np.ndarray:
-        return wireless.link_rate(
-            power_w,
-            self.channels.uplink_gains[clients, channels],
-            self.radio.interference_w,
-            self.radio,
-        )
+        return _shannon_rate(self.radio, power_w, self.snr_per_w[clients, channels])
 
     def smooth_delay(
         self, clients: ArrayLike, channels: ArrayLike, s: ArrayLike, power_w: ArrayLike
@@ -149,24 +148,33 @@ class RoundContext:
             return payload / rate + self.d_down[clients] + self.d_local[clients]
 
 
+def _shannon_rate(radio: RadioParams, power_w: ArrayLike, snr_per_w: ArrayLike) -> np.ndarray:
+    """Uplink Shannon rate in bits/s at the given power and SNR per watt."""
+    return radio.bandwidth_hz * np.log2(1.0 + power_w * snr_per_w)
+
+
+def _zero_power_energy(radio: RadioParams, bits: ArrayLike, snr_per_w: np.ndarray) -> np.ndarray:
+    """Transmit energy of `bits` in the zero-power limit, its infimum; inf on a dead link."""
+    with np.errstate(divide="ignore"):
+        return bits * math.log(2.0) / (radio.bandwidth_hz * snr_per_w)
+
+
 @dataclass
 class ScheduleDecision:
-    """One round's scheduling outcome with realized costs.
+    """One round's scheduling outcome with its realized uplink costs.
 
-    assigned_channel holds -1 for clients left out. Cost vectors are zero for
-    unscheduled clients. v_trace holds the optimizing policy's branch-and-bound
-    incumbents, non-increasing, ending with the emitted decision's objective
-    (empty for baselines).
+    assigned_channel holds -1 for clients left out. Rates, powers and uplink
+    costs are zero for unscheduled clients; the fixed per-client delays and
+    compute energy stay in the RoundContext. v_trace holds the optimizing
+    policy's branch-and-bound incumbents, non-increasing, ending with the
+    emitted decision's objective (empty for baselines).
     """
 
     assigned_channel: np.ndarray
     rates: np.ndarray
     powers: np.ndarray
-    d_down: np.ndarray
-    d_local: np.ndarray
     d_up: np.ndarray
     e_comm: np.ndarray
-    e_comp: np.ndarray
     round_delay: float
     v_trace: tuple[float, ...] = ()
 
@@ -243,21 +251,12 @@ def feasible_edges(ctx: RoundContext, cfg: SchedulerConfig) -> np.ndarray:
     of rounding slack, in the zero-power limit, stays below the cap's
     headroom, so any rate in (0, 1] admits a feasible power on a kept edge.
     """
-    gains = ctx.channels.uplink_gains
     headroom = cfg.e_max_j - ctx.e_comp
-    noise_total = ctx.radio.interference_w + ctx.radio.noise_w
     dense_payload = wireless.payload_bits(ctx.model_dim, 1.0) + 1.0
-    with np.errstate(divide="ignore"):
-        limit_energy = dense_payload * math.log(2.0) * noise_total / (
-            ctx.radio.bandwidth_hz * gains
-        )
+    limit_energy = _zero_power_energy(ctx.radio, dense_payload, ctx.snr_per_w)
     eligible = np.zeros(ctx.n_clients, dtype=bool)
     eligible[ctx.eligible] = True
-    return (
-        eligible[:, None]
-        & (gains > 0)
-        & (limit_energy * (1.0 + _ENERGY_MARGIN) < headroom[:, None])
-    )
+    return eligible[:, None] & (limit_energy * (1.0 + _ENERGY_MARGIN) < headroom[:, None])
 
 
 def optimal_power(
@@ -273,10 +272,10 @@ def optimal_power(
     clients = np.flatnonzero(assigned_channel >= 0)
     e_comp, e_max = ctx.e_comp[clients], cfg.e_max_j
     headroom, chans, radio = e_max - e_comp, assigned_channel[clients], ctx.radio
-    snr_per_w = ctx.channels.uplink_gains[clients, chans] / (radio.interference_w + radio.noise_w)
+    snr_per_w = ctx.snr_per_w[clients, chans]
     bits = wireless.payload_bits(ctx.model_dim, s[clients])
-    # The zero-power limit of the transmit energy; also catches no headroom.
-    unreachable = bits * math.log(2.0) >= headroom * radio.bandwidth_hz * snr_per_w
+    # The infimum of the transmit energy; also catches no headroom.
+    unreachable = _zero_power_energy(radio, bits, snr_per_w) >= headroom
     if np.any(unreachable):
         i = clients[np.argmax(unreachable)]
         raise EnergyInfeasibleError(f"client {i}: energy cap unreachable at any power")
@@ -302,19 +301,22 @@ def _binding_power(
     negative at full power when the cap binds there, so Newton's method from
     full power falls monotonically onto its positive root.
     """
-    bandwidth = radio.bandwidth_hz
     power = np.full(snr_per_w.shape, radio.max_power_w)
+    falling = np.ones(snr_per_w.shape, dtype=bool)
     for _ in range(_NEWTON_STEPS):
-        rate = bandwidth * np.log2(1.0 + power * snr_per_w)
-        rate_slope = bandwidth * snr_per_w / ((1.0 + power * snr_per_w) * math.log(2.0))
+        rate = _shannon_rate(radio, power, snr_per_w)
+        rate_slope = radio.bandwidth_hz * snr_per_w / ((1.0 + power * snr_per_w) * math.log(2.0))
         room = headroom - x * power
         step = (rate * room - bits * power) / (rate_slope * room - x * rate - bits)
-        power = power - step
-        if np.all(np.abs(step) <= 1e-15 * power):
+        # The fall is monotone, so a step that is not positive is rounding
+        # noise at the root; an element stops once its step is below 1e-15 P.
+        power = np.where(falling & (step > 0.0), power - step, power)
+        falling &= step > 1e-15 * power
+        if not falling.any():
             break
     else:
         raise RuntimeError("binding-branch power did not converge")
-    return power, bandwidth * np.log2(1.0 + power * snr_per_w)
+    return power, _shannon_rate(radio, power, snr_per_w)
 
 
 def _rate_line(
@@ -478,7 +480,6 @@ class _LevelModel:
         self.rows = ctx.eligible[self.edges[ctx.eligible].any(axis=1)]
         if self.rows.size == 0:
             raise EmptyRoundError("no client has an energy-feasible channel")
-        self.snr_per_w = ctx.channels.uplink_gains / (ctx.radio.interference_w + ctx.radio.noise_w)
         self.headroom = np.broadcast_to((cfg.e_max_j - ctx.e_comp)[:, None], self.edges.shape)
         self.fixed = np.broadcast_to((ctx.d_down + ctx.d_local)[:, None], self.edges.shape)
         self.slope, self.offset, s_sw = _rate_line(
@@ -500,7 +501,7 @@ class _LevelModel:
         """Level and power at which the binding branch of the edges at reaches rate s."""
         payload = 32.0 * s * self.ctx.model_dim + self.ctx.model_dim
         power, rate = _binding_power(
-            self.ctx.radio, self.snr_per_w[at], self.headroom[at], 0.0, payload + 1.0
+            self.ctx.radio, self.ctx.snr_per_w[at], self.headroom[at], 0.0, payload + 1.0
         )
         return payload / rate + self.fixed[at], power
 
@@ -517,7 +518,7 @@ class _LevelModel:
         if bind.any():
             x = level - self.fixed[at][bind]
             headroom = self.headroom[at][bind]
-            snr_per_w = self.snr_per_w[at][bind]
+            snr_per_w = self.ctx.snr_per_w[at][bind]
             power[bind], rate = _binding_power(self.ctx.radio, snr_per_w, headroom, x, 1.0)
             bits = np.minimum(x * rate, headroom * rate / power[bind] - 1.0)
             dim = self.ctx.model_dim
@@ -585,16 +586,10 @@ def build_decision(
     up_rate = ctx.uplink_rate(clients, assigned_channel[clients], powers[clients])
     if not np.all(up_rate > 0):
         raise ValueError("link rates must be positive for a scheduled client")
-    out = {
-        name: np.zeros(ctx.n_clients)
-        for name in ("d_down", "d_local", "d_up", "e_comm", "e_comp", "rates", "powers")
-    }
+    out = {name: np.zeros(ctx.n_clients) for name in ("d_up", "e_comm", "rates", "powers")}
     d_up = wireless.payload_bits(ctx.model_dim, s[clients]) / up_rate
-    out["d_down"][clients] = ctx.d_down[clients]
-    out["d_local"][clients] = ctx.d_local[clients]
     out["d_up"][clients] = d_up
     out["e_comm"][clients] = powers[clients] * d_up
-    out["e_comp"][clients] = ctx.e_comp[clients]
     out["rates"][clients] = s[clients]
     out["powers"][clients] = powers[clients]
     total_delay = ctx.d_down[clients] + ctx.d_local[clients] + d_up
@@ -607,17 +602,23 @@ def build_decision(
 
 
 def validate_decision(
-    ctx: RoundContext, cfg: SchedulerConfig, decision: ScheduleDecision, enforce_energy: bool
+    ctx: RoundContext, cfg: SchedulerConfig, decision: ScheduleDecision, optimized: bool
 ) -> None:
-    """Assert the structural and, optionally, energy constraints of a decision."""
-    _check_structure(ctx, decision.assigned_channel, decision.rates, decision.powers)
-    for i in decision.participants:
-        if decision.rates[i] < cfg.s_th - 1e-12:
-            raise AssertionError(f"client {i} below the rate floor")
-        if enforce_energy:
-            total = decision.e_comm[i] + decision.e_comp[i]
-            if total > cfg.e_max_j + 1e-9:
-                raise AssertionError(f"client {i} exceeds the energy cap: {total}")
+    """Assert a decision's structure and, for the optimizing policy, its limits.
+
+    Every policy keeps rates in (0, 1] and powers in (0, max]; only the
+    optimizing policy is held to the rate floor s_th and the energy cap.
+    """
+    clients = _check_structure(ctx, decision.assigned_channel, decision.rates, decision.powers)
+    if not optimized:
+        return
+    low = clients[decision.rates[clients] < cfg.s_th - 1e-12]
+    if low.size:
+        raise AssertionError(f"client {low[0]} below the rate floor")
+    total = decision.e_comm[clients] + ctx.e_comp[clients]
+    over = np.flatnonzero(total > cfg.e_max_j + 1e-9)
+    if over.size:
+        raise AssertionError(f"client {clients[over[0]]} exceeds the energy cap: {total[over[0]]}")
 
 
 def baseline_schedule(

@@ -16,7 +16,7 @@ integer path, so a repeated run is bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -86,21 +86,7 @@ class MetricsRow:
     spars_deficit: float = 0.0
 
 
-CSV_COLUMNS = (
-    "round",
-    "policy",
-    "accuracy",
-    "loss",
-    "round_delay_s",
-    "cum_delay_s",
-    "participants",
-    "mean_s",
-    "q_de",
-    "max_q_fa",
-    "term_sparsification",
-    "term_dp",
-    "eligible",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow) if f.name != "spars_deficit")
 
 
 @dataclass
@@ -390,7 +376,7 @@ def run_round(state: SimState) -> MetricsRow | None:
             s_value=config.s_fixed,
         )
     validate_decision(
-        ctx, state.sched_cfg, decision, enforce_energy=state.policy == OPTIMIZED_POLICY
+        ctx, state.sched_cfg, decision, optimized=state.policy == OPTIMIZED_POLICY
     )
 
     participants = np.sort(decision.participants)

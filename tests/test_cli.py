@@ -13,6 +13,7 @@ from sparsefl.config import (
     parse_config_text,
     validate_config,
 )
+from sparsefl.scheduler import BASELINE_POLICIES
 from sparsefl.simulator import CSV_COLUMNS, run_experiment
 
 from conftest import fast_config
@@ -192,6 +193,18 @@ def test_cli_degenerate_budget_exit_code(tmp_path, capsys):
     code = main(["run", "--config", cfg_path, "--policy", "lyapunov"])
     assert code == 1
     assert "privacy error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy", BASELINE_POLICIES)
+def test_cli_baseline_rate_below_the_lyapunov_floor_runs(tmp_path, policy):
+    """s_th is the optimizing policy's floor; s_fixed below it is a valid baseline rate."""
+    text = (
+        "rounds = 2\nnum_clients = 4\nnum_channels = 2\nnum_train = 200\n"
+        "num_test = 50\ntau = 2\nsigma_hat = 0\ns_fixed = 0.01\n"
+    )
+    out = str(tmp_path / "m.csv")
+    code = main(["run", "--config", write_cfg(tmp_path, text=text), "--policy", policy, "--out", out])
+    assert code == 0
 
 
 def test_cli_unwritable_output_exit_code(tmp_path, capsys):

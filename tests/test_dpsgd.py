@@ -376,14 +376,6 @@ def test_delta_support_contained_in_mask():
     assert update.mask.rate == 0.3
 
 
-def test_payload_counts_retained_coordinates():
-    data, w = small_problem(n=20, d=8, k=3, seed=4)
-    cfg = DpConfig(clip_c=1.0, sigma_hat=0.0, batch_size=5, tau=1, eta=0.1)
-    update = local_train(w, data, 0.4, cfg, make_streams(11))
-    dim = w.spec.dim
-    assert update.payload_bits == 32 * update.mask.retained + dim
-
-
 def test_small_dataset_uses_effective_batch_for_noise():
     """Noise std must divide by the actual batch when data.n < batch_size."""
     data, w = small_problem(n=3, seed=6)

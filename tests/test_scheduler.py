@@ -12,6 +12,7 @@ from sparsefl.oracles import (
 )
 from sparsefl.scheduler import (
     POLICIES,
+    _binding_power,
     EmptyRoundError,
     EnergyInfeasibleError,
     SchedulerConfig,
@@ -28,7 +29,7 @@ from sparsefl.scheduler import (
     update_queues,
     validate_decision,
 )
-from sparsefl.wireless import round_costs
+from sparsefl.wireless import RadioParams, round_costs
 
 from conftest import loose_scheduler_config, make_context
 
@@ -39,11 +40,8 @@ def test_update_queues_recursion():
         assigned_channel=np.array([0, -1, 1]),
         rates=np.zeros(3),
         powers=np.zeros(3),
-        d_down=np.zeros(3),
-        d_local=np.zeros(3),
         d_up=np.zeros(3),
         e_comm=np.zeros(3),
-        e_comp=np.zeros(3),
         round_delay=0.7,
     )
     beta = np.array([0.4, 0.3, 0.9])
@@ -104,6 +102,19 @@ def test_optimal_power_binds_the_energy_cap():
     del headroom_probe
 
 
+def test_binding_power_settles_where_rounding_noise_flips_the_step():
+    """Near this root F's rounding noise is larger than 1e-15 of the power."""
+    radio = RadioParams(
+        bandwidth_hz=10475.79314704276, noise_w=1e-14, downlink_power_w=0.2, max_power_w=1.0
+    )
+    headroom, bits = 0.07616065764936628, 165001.0
+    power, rate = _binding_power(
+        radio, np.array([155.91553682247476]), np.array([headroom]), 0.0, bits
+    )
+    assert 0.0 < power[0] < radio.max_power_w
+    assert power[0] * bits / rate[0] == pytest.approx(headroom, rel=1e-12)
+
+
 def test_optimal_power_never_exceeds_the_energy_cap():
     rng = np.random.default_rng(21)
     capped = 0
@@ -117,7 +128,7 @@ def test_optimal_power_never_exceeds_the_energy_cap():
             continue
         capped += int(np.sum(powers < ctx.radio.max_power_w))
         decision = build_decision(ctx, assigned, s, powers)
-        assert np.all(decision.e_comm + decision.e_comp <= cfg.e_max_j)
+        assert np.all(decision.e_comm + ctx.e_comp <= cfg.e_max_j)
     assert capped >= 10
 
 
@@ -211,7 +222,7 @@ def test_schedule_round_trace_never_increases():
         trace = np.asarray(decision.v_trace)
         assert trace.size >= 1
         assert np.all(np.diff(trace) <= 1e-12)
-        validate_decision(ctx, cfg, decision, enforce_energy=True)
+        validate_decision(ctx, cfg, decision, optimized=True)
 
 
 def test_schedule_round_reports_drift_penalty_of_emitted_decision():
@@ -253,7 +264,7 @@ def test_schedule_round_matches_energy_oracle_when_caps_bind():
         capped_edges += int((edges & (energy > cfg.e_max_j)).sum())
         edges_seen += int(edges.sum())
         decision = schedule_round(ctx, cfg, queues)
-        validate_decision(ctx, cfg, decision, enforce_energy=True)
+        validate_decision(ctx, cfg, decision, optimized=True)
         below_full_power += bool(np.any(decision.powers[decision.participants] < 1.0))
         value = drift_penalty_value(
             ctx, cfg, queues, decision.assigned_channel, decision.rates, decision.powers
@@ -284,7 +295,7 @@ def test_schedule_round_no_worse_than_energy_oracle_at_larger_sizes(shape, bindi
                 q_de=float(rng.uniform(5.0, 150.0)),
             )
         decision = schedule_round(ctx, cfg, queues)
-        validate_decision(ctx, cfg, decision, enforce_energy=True)
+        validate_decision(ctx, cfg, decision, optimized=True)
         below_full_power += bool(np.any(decision.powers[decision.participants] < 1.0))
         assert decision.v_trace[-1] <= brute_force_joint_energy(ctx, cfg, queues) + 1e-9
     assert below_full_power >= 2 if binding else below_full_power == 0
@@ -321,9 +332,9 @@ def test_schedule_round_energy_cap_respected_when_tight():
     cfg = SchedulerConfig(lam=10.0, d_avg=5.0, e_max_j=2e-3, s_th=0.05)
     queues = VirtualQueues(q_fa=np.array([1.0, 2.0, 0.5]), q_de=1.5)
     decision = schedule_round(ctx, cfg, queues)
-    validate_decision(ctx, cfg, decision, enforce_energy=True)
+    validate_decision(ctx, cfg, decision, optimized=True)
     for i in decision.participants:
-        assert decision.e_comm[i] + decision.e_comp[i] <= cfg.e_max_j + 1e-9
+        assert decision.e_comm[i] + ctx.e_comp[i] <= cfg.e_max_j + 1e-9
 
 
 def test_schedule_round_raises_when_nobody_eligible():
@@ -403,7 +414,7 @@ def test_build_decision_matches_scalar_round_costs(shape, policy):
     for i in range(ctx.n_clients):
         j = int(decision.assigned_channel[i])
         if j < 0:
-            for name in ("d_down", "d_local", "d_up", "e_comm", "e_comp"):
+            for name in ("d_up", "e_comm"):
                 assert getattr(decision, name)[i] == 0.0
             continue
         ref = round_costs(
@@ -417,9 +428,11 @@ def test_build_decision_matches_scalar_round_costs(shape, policy):
             ctx.radio,
             ctx.compute[i],
         )
-        for name in ("d_down", "d_local", "d_up", "e_comm", "e_comp"):
+        for name in ("d_up", "e_comm"):
             assert getattr(decision, name)[i] == pytest.approx(getattr(ref, name), rel=1e-12)
             assert getattr(rebuilt, name)[i] == getattr(decision, name)[i]
+        for name in ("d_down", "d_local", "e_comp"):
+            assert getattr(ctx, name)[i] == pytest.approx(getattr(ref, name), rel=1e-12)
         worst = max(worst, ref.total_delay)
     assert decision.round_delay == pytest.approx(worst, rel=1e-12)
 
@@ -460,4 +473,20 @@ def test_validate_decision_catches_duplicate_channels():
         decision.participants[1]
     ]
     with pytest.raises(ValueError):
-        validate_decision(ctx, cfg, decision, enforce_energy=False)
+        validate_decision(ctx, cfg, decision, optimized=False)
+
+
+def test_validate_decision_holds_only_the_optimizing_policy_to_its_limits():
+    ctx = make_context(np.array([[1e-9, 1e-9], [1e-9, 1e-9], [1e-10, 1e-10]]))
+    assigned = np.array([-1, 0, 1])
+    sparse = build_decision(ctx, assigned, np.array([1.0, 1.0, 0.01]), np.ones(3))
+    validate_decision(ctx, loose_scheduler_config(), sparse, optimized=False)
+    with pytest.raises(AssertionError, match="client 2 below the rate floor"):
+        validate_decision(ctx, loose_scheduler_config(), sparse, optimized=True)
+    dense = build_decision(ctx, assigned, np.ones(3), np.ones(3))
+    total = dense.e_comm + ctx.e_comp
+    assert total[1] < total[2]
+    cfg = loose_scheduler_config(e_max_j=float(total[1] + total[2]) / 2.0)
+    validate_decision(ctx, cfg, dense, optimized=False)
+    with pytest.raises(AssertionError, match="client 2 exceeds the energy cap"):
+        validate_decision(ctx, cfg, dense, optimized=True)

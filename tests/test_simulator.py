@@ -312,11 +312,14 @@ def test_budget_overrun_raises_after_the_exposure():
 def tiny_configs(draw):
     """At most 4 clients and 3 rounds; privacy on or off, energy caps loose or binding.
 
-    s_fixed sends the baseline policies through sparsified training as well.
+    s_fixed sends the baseline policies through sparsified training as well,
+    down to 0.01, below the optimizing policy's default floor s_th = 0.05.
 
-    A full-power upload of this 15-coordinate model costs about 1e-3 J next to
-    1e-4 J of compute, so the 2e-4 and 1e-3 caps force the optimizing policy
-    below full power, and the 1e-6 cap leaves it no feasible client at all.
+    In the default 100 m area a full-power upload of this 15-coordinate model
+    costs about 1e-3 J next to 1e-4 J of compute, so the 2e-4 and 1e-3 caps
+    force the optimizing policy below full power, and the 1e-6 cap leaves it
+    no feasible client at all. Areas up to 1000 m put far clients on links
+    tens of dB weaker, where the energy cap binds far below full power.
     """
     num_clients = draw(st.integers(1, 4))
     sigma_hat = draw(st.sampled_from((0.0, 0.8, 2.0)))
@@ -336,7 +339,8 @@ def tiny_configs(draw):
         partition=draw(st.sampled_from(("iid", "dirichlet"))),
         tau=draw(st.integers(1, 3)),
         batch_size=draw(st.integers(1, 6)),
-        s_fixed=draw(st.sampled_from((0.05, 0.3, 1.0))),
+        s_fixed=draw(st.sampled_from((0.01, 0.05, 0.3, 1.0))),
+        area_side_m=draw(st.floats(100.0, 1000.0)),
         sigma_hat=sigma_hat,
         eps_min=eps_min,
         eps_max=eps_min + draw(st.floats(0.0, 20.0)),
