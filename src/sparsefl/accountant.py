@@ -87,19 +87,25 @@ class RdpParams:
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
 
 
-def _integer_moment(q: float, sigma_hat: float, alpha: int) -> float:
-    """Exact log moment at an integer order, from the binomial expansion."""
+def _integer_moments(q: float, sigma_hat: float, alphas: np.ndarray) -> np.ndarray:
+    """Exact log moments at integer orders, from the binomial expansion.
+
+    All orders are one [orders, k] array evaluation: row alpha holds the
+    terms k = 0..alpha, padded with -inf up to the largest order.
+    """
     if q == 1.0:
-        return (alpha * alpha - alpha) / (2.0 * sigma_hat * sigma_hat)
-    k = np.arange(alpha + 1, dtype=float)
-    log_binom = gammaln(alpha + 1.0) - gammaln(k + 1.0) - gammaln(alpha - k + 1.0)
+        return (alphas * alphas - alphas) / (2.0 * sigma_hat * sigma_hat)
+    a = alphas[:, None]
+    k = np.arange(alphas.max(initial=0.0) + 1.0)
+    in_sum = k <= a
+    log_binom = gammaln(a + 1.0) - gammaln(k + 1.0) - gammaln(np.where(in_sum, a - k, 0.0) + 1.0)
     log_terms = (
         log_binom
-        + (alpha - k) * math.log1p(-q)
+        + (a - k) * math.log1p(-q)
         + k * math.log(q)
         + (k * k - k) / (2.0 * sigma_hat * sigma_hat)
     )
-    return float(logsumexp(log_terms))
+    return logsumexp(np.where(in_sum, log_terms, -np.inf), axis=1)
 
 
 def _quadrature_moment(q: float, sigma_hat: float, alpha: float) -> float:
@@ -136,10 +142,11 @@ def _moment_grid(q: float, sigma_hat: float, alphas: tuple[float, ...]) -> tuple
     """
     if q == 0.0:
         return tuple(0.0 for _ in alphas)
+    exact = iter(_integer_moments(q, sigma_hat, np.array([a for a in alphas if a.is_integer()])))
     out: list[float] = []
     for alpha in alphas:
         if alpha.is_integer():
-            result = _integer_moment(q, sigma_hat, int(alpha))
+            result = float(next(exact))
         else:
             result = _quadrature_moment(q, sigma_hat, alpha)
         if not math.isfinite(result):

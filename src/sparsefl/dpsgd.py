@@ -6,11 +6,11 @@ batch average is perturbed with Gaussian noise on the retained coordinates
 only. Masking before clipping shrinks the clipping threshold to
 sqrt(s) * clip_c, and the noise scale shrinks with it.
 
-Only the retained coordinates are drawn: each step takes mask.retained
-normals from the round's noise stream, in coordinate order, and updates only
-those coordinates. Off the mask the delta is exactly zero, as after zeroing
-a dense draw, so the mechanism and its accounting are unchanged by drawing
-less. With sigma_hat = 0 the noise stream is not read at all.
+Only the retained coordinates are drawn: each step takes one normal per
+retained coordinate from the round's noise stream, in coordinate order, and
+updates only those coordinates. Off the mask the delta is exactly zero, as
+after zeroing a dense draw, so the mechanism and its accounting are unchanged
+by drawing less. With sigma_hat = 0 the noise stream is not read at all.
 
 The [batch, dim] per-sample gradient matrix is never built. Every parameter
 block's per-sample gradient is an outer product A_i B_i^T (a bias block is
@@ -24,16 +24,29 @@ where f holds the per-sample clip factors. This is per-example norms
 arXiv:2110.05679), with a coordinate mask folded into the norm. The dense
 path (per_sample_loss_grads, mask, clip_per_sample, mean) is the reference it
 is tested against.
+
+local_train trains a whole round's clients at once. A step of a small model
+is mostly numpy call overhead, so the clients' models, masks and batches are
+stacked into [clients, ...] arrays and a step is one set of calls for all of
+them; only the mask, batch and noise draws stay per client.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model_data import Dataset, GradFactors, ModelWeights, loss_grad_factors, split_blocks
+from .model_data import (
+    Dataset,
+    GradFactors,
+    ModelWeights,
+    check_examples,
+    loss_grad_factors,
+    split_blocks,
+)
 
 # Not called here. perfbench/spans.py times the dense gradient path by
 # rebinding the name dpsgd.per_sample_loss_grads, and a traced run fails if
@@ -75,31 +88,6 @@ class DpConfig:
 
 
 @dataclass(frozen=True)
-class SparsityMask:
-    """Coordinate retention mask for one client round."""
-
-    bits: np.ndarray
-    rate: float
-
-    def __post_init__(self) -> None:
-        if self.bits.dtype != np.bool_ or self.bits.ndim != 1:
-            raise ValueError("bits must be a boolean vector")
-        self.bits.setflags(write=False)
-
-    @property
-    def retained(self) -> int:
-        return int(self.bits.sum())
-
-
-@dataclass(frozen=True)
-class SparseUpdate:
-    """Model delta whose support is confined to the round's mask."""
-
-    values: np.ndarray
-    mask: SparsityMask
-
-
-@dataclass(frozen=True)
 class TrainStreams:
     """Random generators for one client round, one per purpose."""
 
@@ -117,13 +105,13 @@ class TrainStats:
     noise_draws: int = 0
 
 
-def generate_mask(dim: int, s: float, rng: np.random.Generator) -> SparsityMask:
-    """Bernoulli(s) mask over dim coordinates."""
+def generate_mask(dim: int, s: float, rng: np.random.Generator) -> np.ndarray:
+    """Bernoulli(s) mask over dim coordinates, as a boolean vector."""
     if dim < 1:
         raise ValueError("dim must be positive")
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"rate must be in [0, 1], got {s}")
-    return SparsityMask(bits=rng.random(dim) < s, rate=float(s))
+    return rng.random(dim) < s
 
 
 def _clip_factors(norms: np.ndarray, threshold: float) -> np.ndarray:
@@ -141,7 +129,7 @@ def clip_per_sample(grads: np.ndarray, threshold: float) -> np.ndarray:
 def clipped_masked_mean(
     factors: GradFactors,
     keep_blocks: list[np.ndarray],
-    threshold: float,
+    threshold: float | np.ndarray,
     out_blocks: list[np.ndarray],
 ) -> np.ndarray:
     """Mean of the masked, clipped per-sample gradients, from their factors.
@@ -150,87 +138,185 @@ def clipped_masked_mean(
     into parameter blocks by split_blocks; the mean is written to out_blocks.
     Clip factors are those of clip_per_sample applied to the masked rows.
     Returns the per-sample squared norms of the unmasked gradients.
+
+    Stacked factors, masks and outputs (a leading [clients] axis, see
+    loss_grad_factors) give one mean per client; threshold is then a
+    [clients, 1] column. Each client's result is bit-identical to its own
+    unstacked call: a stacked matmul runs the same BLAS call per client.
     """
-    n = factors[0][0].shape[0]
-    sq_norms = np.zeros(n)
-    masked_sq_norms = np.zeros(n)
+    a0 = factors[0][0]
+    n = a0.shape[-2]
+    sq_norms = np.zeros(a0.shape[:-1])
+    masked_sq_norms = np.zeros(a0.shape[:-1])
     for (a, b), keep in zip(factors, keep_blocks):
         a2 = a * a
         if b is None:
-            sq_norms += a2.sum(axis=1)
-            masked_sq_norms += a2 @ keep
+            sq_norms += a2.sum(axis=-1)
+            masked_sq_norms += (a2 @ keep[..., None])[..., 0]
         else:
             b2 = b * b
-            sq_norms += a2.sum(axis=1) * b2.sum(axis=1)
-            masked_sq_norms += ((a2 @ keep) * b2).sum(axis=1)
+            sq_norms += a2.sum(axis=-1) * b2.sum(axis=-1)
+            masked_sq_norms += ((a2 @ keep) * b2).sum(axis=-1)
     coef = _clip_factors(np.sqrt(masked_sq_norms), threshold) / n
     for (a, b), keep, out in zip(factors, keep_blocks, out_blocks):
         if b is None:
-            np.matmul(coef, a, out=out)
+            np.matmul(coef[..., None, :], a, out=out[..., None, :])
         else:
-            np.matmul((coef[:, None] * a).T, b, out=out)
+            np.matmul((coef[..., None] * a).swapaxes(-1, -2), b, out=out)
         out *= keep
     return sq_norms
 
 
+# Largest stack of client models one group step holds, in parameters: at most
+# max(1, _STACK_PARAMS // dim) clients train together, so a large model keeps
+# one client per group and its memory stays that of a single client.
+_STACK_PARAMS = 2**16
+
+
 def local_train(
     w_init: ModelWeights,
-    data: Dataset,
-    s: float,
+    shards: Sequence[Dataset],
+    rates: Sequence[float],
     cfg: DpConfig,
-    streams: TrainStreams,
+    streams: Sequence[TrainStreams],
+    weights: Sequence[float],
     *,
-    client_id: int = -1,
+    client_ids: Sequence[int] | None = None,
     round_num: int = -1,
     stats: TrainStats | None = None,
-) -> SparseUpdate:
-    """Run tau masked noisy steps and return the resulting weight delta.
+) -> np.ndarray:
+    """Train every client of a round from w_init; return sum_i weights[i] * delta_i.
 
-    The mask is drawn once and reused for every step of the round, so the
-    delta's support is a subset of the mask. Batches are sampled without
-    replacement per step; a dataset smaller than the configured batch is used
-    whole. Each step draws mask.retained normals from streams.noise (none
-    when sigma_hat = 0). A non-finite loss, per-sample gradient norm or
-    clipped mean in any step, or a non-finite delta (from non-finite starting
-    weights or an overflowing step), raises TrainingDivergenceError naming
-    the client and the round.
+    Client i trains on shards[i] at rate rates[i] with its own streams[i]: it
+    draws one mask, reused for all tau steps, so its delta's support is a
+    subset of the mask. Batches are sampled without replacement per step; a
+    shard smaller than the configured batch is used whole. Each step draws
+    the mask's retained count of normals from the client's noise stream (none
+    when sigma_hat = 0). Every client's draws are the calls a lone client
+    would make, in the same order, so its delta does not depend on who else
+    trains.
+
+    The clients train in groups: consecutive clients with the same effective
+    batch, at most max(1, 2**16 // dim) of them, run each step as one stacked
+    step. A group's deltas are added to the result in client order before the
+    next group starts, so the sum's float order is that of a loop over the
+    clients. The per-client stats are folded in the same order.
+
+    A non-finite loss, per-sample gradient norm or clipped mean in any step,
+    or a non-finite delta (from non-finite starting weights or an overflowing
+    step), raises TrainingDivergenceError naming the client (client_ids[i],
+    or i) and the round; within a step, the first such client in order.
     """
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"rate must be in (0, 1], got {s}")
+    count = len(shards)
+    if not len(rates) == len(streams) == len(weights) == count:
+        raise ValueError("shards, rates, streams and weights must have one entry per client")
+    for s in rates:
+        if not 0.0 < s <= 1.0:
+            raise ValueError(f"rate must be in (0, 1], got {s}")
     spec = w_init.spec
-    dim = spec.dim
-    mask = generate_mask(dim, s, streams.mask)
-    where = f"client {client_id} in round {round_num}"
-    threshold = cfg.clip_threshold(s)
-    batch = min(cfg.batch_size, data.n)
-    std = cfg.sigma_hat * threshold / batch
-    kept = np.flatnonzero(mask.bits)
-    keep_blocks = split_blocks(mask.bits.astype(np.float64), spec)
-    clipped_mean = np.empty(dim)
+    for data in shards:
+        check_examples(spec, data.features, data.labels)
+    ids = range(count) if client_ids is None else client_ids
+    names = [f"client {int(i)} in round {round_num}" for i in ids]
+    batches = [min(cfg.batch_size, data.n) for data in shards]
+    cap = max(1, _STACK_PARAMS // spec.dim)
+    total = np.zeros(spec.dim)
+    start = 0
+    while start < count:
+        stop = start + 1
+        while stop < count and stop - start < cap and batches[stop] == batches[start]:
+            stop += 1
+        group = slice(start, stop)
+        deltas = _train_group(
+            w_init,
+            shards[group],
+            rates[group],
+            cfg,
+            streams[group],
+            batches[start],
+            names[group],
+            stats,
+        )
+        for weight, delta in zip(weights[group], deltas):
+            total += weight * delta
+        start = stop
+    return total
+
+
+def _train_group(
+    w_init: ModelWeights,
+    shards: Sequence[Dataset],
+    rates: Sequence[float],
+    cfg: DpConfig,
+    streams: Sequence[TrainStreams],
+    batch: int,
+    names: list[str],
+    stats: TrainStats | None,
+) -> np.ndarray:
+    """local_train's stacked steps for one group; returns the deltas [clients, dim].
+
+    Row j holds client j's model, mask, batch and clipped mean. The retained
+    coordinates of all rows form one flat index, so the noise and the update
+    of a step are one gather and one scatter for the whole group.
+    """
+    spec = w_init.spec
+    clients = len(shards)
+    masks = np.stack([generate_mask(spec.dim, s, st.mask) for s, st in zip(rates, streams)])
+    retained = masks.sum(axis=1).tolist()
+    kept = np.flatnonzero(masks)
+    keep_blocks = split_blocks(masks.astype(np.float64), spec)
+    thresholds = [cfg.clip_threshold(s) for s in rates]
+    threshold_col = np.array(thresholds)[:, None]
+    stds = [cfg.sigma_hat * threshold / batch for threshold in thresholds]
+    noisy = cfg.sigma_hat > 0.0
+    clipped_mean = np.empty((clients, spec.dim))
     mean_blocks = split_blocks(clipped_mean, spec)
-    w = w_init.values.copy()
+    w = np.repeat(w_init.values[None, :], clients, axis=0)
     model = ModelWeights(w, spec)
+    w_flat, mean_flat = w.reshape(-1), clipped_mean.reshape(-1)
+    features = np.empty((clients, batch, spec.feature_dim))
+    labels = np.empty((clients, batch), dtype=shards[0].labels.dtype)
+    noise_sq: list[list[float]] = [[] for _ in range(clients)]
     for _ in range(cfg.tau):
-        take = streams.batch.choice(data.n, size=batch, replace=False)
-        loss, factors = loss_grad_factors(model, data.features[take], data.labels[take])
-        sq_norms = clipped_masked_mean(factors, keep_blocks, threshold, mean_blocks)
+        for j, (data, st) in enumerate(zip(shards, streams)):
+            take = st.batch.choice(data.n, size=batch, replace=False)
+            features[j] = data.features[take]
+            labels[j] = data.labels[take]
+        loss, factors = loss_grad_factors(model, features, labels, validate=False)
+        sq_norms = clipped_masked_mean(factors, keep_blocks, threshold_col, mean_blocks)
         if not (
-            math.isfinite(loss)
-            and np.all(np.isfinite(sq_norms))
-            and np.all(np.isfinite(clipped_mean))
+            np.isfinite(loss).all()
+            and np.isfinite(sq_norms).all()
+            and np.isfinite(clipped_mean).all()
         ):
-            raise TrainingDivergenceError(f"non-finite loss or gradient for {where}")
+            finite = (
+                np.isfinite(loss)
+                & np.isfinite(sq_norms).all(axis=1)
+                & np.isfinite(clipped_mean).all(axis=1)
+            )
+            bad = int(np.argmin(finite))
+            raise TrainingDivergenceError(f"non-finite loss or gradient for {names[bad]}")
         if stats is not None:
             stats.max_grad_norm = max(stats.max_grad_norm, math.sqrt(float(sq_norms.max())))
-            stats.noise_draws += 1
-        step = clipped_mean[kept]
-        if std > 0.0:
-            noise = streams.noise.normal(0.0, std, size=kept.size)
-            step += noise
-            if stats is not None:
-                stats.noise_sq_sum += float(noise @ noise)
-        w[kept] -= cfg.eta * step
-    delta = w - w_init.values
-    if not np.all(np.isfinite(delta)):
-        raise TrainingDivergenceError(f"non-finite weight update for {where}")
-    return SparseUpdate(values=delta, mask=mask)
+            stats.noise_draws += clients
+        step = mean_flat[kept]
+        if noisy:
+            draws = [
+                st.noise.normal(0.0, std, size=size)
+                for st, std, size in zip(streams, stds, retained)
+            ]
+            step += np.concatenate(draws)
+            for sums, noise in zip(noise_sq, draws):
+                sums.append(float(noise @ noise))
+        w_flat[kept] -= cfg.eta * step
+    deltas = w - w_init.values
+    finite = np.isfinite(deltas).all(axis=1)
+    if not finite.all():
+        raise TrainingDivergenceError(
+            f"non-finite weight update for {names[int(np.argmin(finite))]}"
+        )
+    if stats is not None:
+        for sums in noise_sq:
+            for value in sums:
+                stats.noise_sq_sum += value
+    return deltas

@@ -80,11 +80,17 @@ class ModelSpec:
 
 @dataclass
 class ModelWeights:
+    """Flat parameter vector [dim], or a stack of them [clients, dim].
+
+    The stacked form holds one model per client for the stacked local step
+    (dpsgd.local_train); _forward and loss_grad_factors act on each row.
+    """
+
     values: np.ndarray
     spec: ModelSpec
 
     def __post_init__(self) -> None:
-        if self.values.shape != (self.spec.dim,):
+        if self.values.shape[-1:] != (self.spec.dim,):
             raise ValueError(f"expected flat vector of length {self.spec.dim}")
 
     def copy(self) -> "ModelWeights":
@@ -111,59 +117,79 @@ def init_weights(spec: ModelSpec, rng: np.random.Generator | None = None) -> Mod
 
 
 def split_blocks(flat: np.ndarray, spec: ModelSpec) -> list[np.ndarray]:
-    """Views of a flat parameter-length vector, one per block of spec.block_shapes."""
+    """Views of a flat parameter-length vector, one per block of spec.block_shapes.
+
+    A stack [..., dim] gives stacked views [..., *shape], one block per row.
+    """
+    lead = flat.shape[:-1]
     views = []
     start = 0
     for shape in spec.block_shapes:
         size = math.prod(shape)
-        views.append(flat[start : start + size].reshape(shape))
+        views.append(flat[..., start : start + size].reshape(lead + shape))
         start += size
     return views
 
 
 def _forward(w: ModelWeights, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Logits plus the hidden activation (None for softmax regression)."""
+    """Logits plus the hidden activation (None for softmax regression).
+
+    x is [n, feature_dim], or [clients, n, feature_dim] for stacked weights.
+    """
     if w.spec.hidden_units is None:
         wt, b = split_blocks(w.values, w.spec)
-        return x @ wt.T + b, None
+        return x @ wt.swapaxes(-1, -2) + b[..., None, :], None
     w1, b1, w2, b2 = split_blocks(w.values, w.spec)
-    hidden = np.tanh(x @ w1.T + b1)
-    return hidden @ w2.T + b2, hidden
+    hidden = np.tanh(x @ w1.swapaxes(-1, -2) + b1[..., None, :])
+    return hidden @ w2.swapaxes(-1, -2) + b2[..., None, :], hidden
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 # One (A, B) pair per parameter block, in flat-parameter order. For a weight
 # block A is [n, rows] and B is [n, cols]: sample i's gradient slice is
 # outer(A[i], B[i]).ravel(). For a bias block B is None and the slice is A[i].
+# Stacked weights give each factor a leading [clients] axis.
 GradFactors = list[tuple[np.ndarray, np.ndarray | None]]
 
 
+def check_examples(spec: ModelSpec, features: np.ndarray, labels: np.ndarray) -> None:
+    """Raise ValueError unless features [..., n, feature_dim] and labels [..., n] fit spec."""
+    if features.ndim < 2 or features.shape[-1] != spec.feature_dim:
+        raise ValueError("features do not match the model's feature_dim")
+    if labels.shape != features.shape[:-1]:
+        raise ValueError("labels must be a vector matching features rows")
+    if np.any(labels < 0) or np.any(labels >= spec.num_classes):
+        raise ValueError("labels out of range for the model's classes")
+
+
 def loss_grad_factors(
-    w: ModelWeights, features: np.ndarray, labels: np.ndarray
-) -> tuple[float, GradFactors]:
+    w: ModelWeights, features: np.ndarray, labels: np.ndarray, *, validate: bool = True
+) -> tuple[float | np.ndarray, GradFactors]:
     """Mean cross-entropy loss and the per-sample gradients as per-block factors.
 
     Both models are stacks of outer products, so the [n, dim] gradient matrix
     never needs to be built: softmax regression has the blocks
     (dlogits, features) and (dlogits, None); the tanh network has
     (dpre, features), (dpre, None), (dlogits, hidden) and (dlogits, None).
+
+    Stacked weights [clients, dim] take stacked batches [clients, n, ...] and
+    give one loss per client. validate=False skips check_examples, for a
+    caller that has checked the rows' source once already.
     """
-    if features.ndim != 2 or features.shape[1] != w.spec.feature_dim:
-        raise ValueError("features do not match the model's feature_dim")
-    if labels.shape != (features.shape[0],):
-        raise ValueError("labels must be a vector matching features rows")
-    if np.any(labels < 0) or np.any(labels >= w.spec.num_classes):
-        raise ValueError("labels out of range for the model's classes")
-    n = features.shape[0]
+    if validate:
+        check_examples(w.spec, features, labels)
+    num_classes = w.spec.num_classes
+    rows = np.arange(labels.size)
+    flat_labels = labels.reshape(-1)
     logits, hidden = _forward(w, features)
     logp = _log_softmax(logits)
-    loss = float(-logp[np.arange(n), labels].mean())
+    loss = -logp.reshape(-1, num_classes)[rows, flat_labels].reshape(labels.shape).mean(axis=-1)
     dlogits = np.exp(logp)
-    dlogits[np.arange(n), labels] -= 1.0
+    dlogits.reshape(-1, num_classes)[rows, flat_labels] -= 1.0
     if hidden is None:
         return loss, [(dlogits, features), (dlogits, None)]
     w2 = split_blocks(w.values, w.spec)[2]

@@ -350,6 +350,16 @@ def _eligible_clients(state: SimState) -> np.ndarray:
     return np.flatnonzero(state.participation < state.t_hats)
 
 
+def _train_streams(seed: int, round_num: int, client: int) -> TrainStreams:
+    """One client's mask, batch and noise streams for a round."""
+    return TrainStreams(
+        *(
+            streams.substream(seed, streams.TRAIN, round_num, client, purpose)
+            for purpose in (streams.MASK, streams.BATCH, streams.NOISE)
+        )
+    )
+
+
 def run_round(state: SimState) -> MetricsRow | None:
     """Advance one round; None means no eligible client remained."""
     config = state.config
@@ -383,26 +393,20 @@ def run_round(state: SimState) -> MetricsRow | None:
     spars_deficit = 0.0
     if participants.size:
         selected_weights = state.sizes[participants] / state.sizes[participants].sum()
-        delta = np.zeros(state.model_spec.dim)
-        for pos, i in enumerate(participants):
-            train_streams = TrainStreams(
-                mask=streams.substream(config.seed, streams.TRAIN, t, int(i), streams.MASK),
-                batch=streams.substream(config.seed, streams.TRAIN, t, int(i), streams.BATCH),
-                noise=streams.substream(config.seed, streams.TRAIN, t, int(i), streams.NOISE),
-            )
-            update = local_train(
-                state.weights,
-                state.shards[int(i)],
-                float(decision.rates[i]),
-                state.dp_cfg,
-                train_streams,
-                client_id=int(i),
-                round_num=t,
-                stats=state.stats,
-            )
-            delta += selected_weights[pos] * update.values
-            spars_deficit += selected_weights[pos] * (1.0 - float(decision.rates[i]))
-        state.weights.values += delta
+        rates = [float(decision.rates[i]) for i in participants]
+        state.weights.values += local_train(
+            state.weights,
+            [state.shards[i] for i in participants],
+            rates,
+            state.dp_cfg,
+            [_train_streams(config.seed, t, int(i)) for i in participants],
+            selected_weights,
+            client_ids=participants,
+            round_num=t,
+            stats=state.stats,
+        )
+        for weight, s in zip(selected_weights, rates):
+            spars_deficit += weight * (1.0 - s)
         state.participation[participants] += 1
         if state.ledgers is not None:
             for i in participants:

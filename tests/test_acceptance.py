@@ -82,7 +82,7 @@ def test_criterion_03_mask_statistics():
         norms = np.empty(10_000)
         norms_sq = np.empty(10_000)
         for k in range(10_000):
-            masked = g * generate_mask(g.size, s, rng).bits
+            masked = g * generate_mask(g.size, s, rng)
             norms_sq[k] = masked @ masked
             norms[k] = np.sqrt(norms_sq[k])
         rel = abs(norms_sq.mean() - s * g_sq) / (s * g_sq)

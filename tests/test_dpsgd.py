@@ -25,6 +25,14 @@ from sparsefl.model_data import (
 )
 
 
+def train_one(w, data, s, cfg, streams, *, client_id=None, round_num=-1, stats=None):
+    """One client's own delta: local_train on a round of one client at weight 1."""
+    ids = None if client_id is None else [client_id]
+    return local_train(
+        w, [data], [s], cfg, [streams], [1.0], client_ids=ids, round_num=round_num, stats=stats
+    )
+
+
 def make_streams(seed: int) -> TrainStreams:
     root = np.random.default_rng(seed)
     seeds = root.integers(0, 2**63, size=3)
@@ -57,11 +65,10 @@ def test_mask_statistics_match_the_retention_rate():
 def test_generate_mask_shapes_and_rates():
     rng = np.random.default_rng(0)
     mask = generate_mask(1000, 0.25, rng)
-    assert mask.bits.shape == (1000,)
-    assert mask.rate == 0.25
-    assert 150 < mask.retained < 350
-    assert generate_mask(50, 0.0, rng).retained == 0
-    assert generate_mask(50, 1.0, rng).retained == 50
+    assert mask.shape == (1000,) and mask.dtype == np.bool_
+    assert 150 < mask.sum() < 350
+    assert generate_mask(50, 0.0, rng).sum() == 0
+    assert generate_mask(50, 1.0, rng).sum() == 50
 
 
 def test_generate_mask_rejects_bad_rate():
@@ -127,7 +134,7 @@ def dense_local_train(w_init, data, s, cfg, streams, stats=None):
     Returns the weight delta and the mask bits.
     """
     dim = w_init.spec.dim
-    mask = generate_mask(dim, s, streams.mask)
+    bits = generate_mask(dim, s, streams.mask)
     threshold = cfg.clip_threshold(s)
     batch = min(cfg.batch_size, data.n)
     std = cfg.sigma_hat * threshold / batch
@@ -139,10 +146,10 @@ def dense_local_train(w_init, data, s, cfg, streams, stats=None):
         )
         if not np.isfinite(loss) or not np.all(np.isfinite(grads)):
             raise TrainingDivergenceError("non-finite loss or gradient")
-        clipped_mean = clip_per_sample(grads * mask.bits, threshold).mean(axis=0)
-        draw = streams.noise.normal(0.0, std, size=mask.bits.sum())
+        clipped_mean = clip_per_sample(grads * bits, threshold).mean(axis=0)
+        draw = streams.noise.normal(0.0, std, size=bits.sum())
         noise = np.zeros(dim)
-        noise[mask.bits] = draw
+        noise[bits] = draw
         if stats is not None:
             stats.max_grad_norm = max(
                 stats.max_grad_norm, float(np.linalg.norm(grads, axis=1).max())
@@ -150,7 +157,7 @@ def dense_local_train(w_init, data, s, cfg, streams, stats=None):
             stats.noise_sq_sum += float(draw @ draw)
             stats.noise_draws += 1
         w -= cfg.eta * (clipped_mean + noise)
-    return w - w_init.values, mask.bits
+    return w - w_init.values, bits
 
 
 def max_rel_diff(got, want):
@@ -230,10 +237,10 @@ def test_local_train_matches_dense_reference_loop(hidden, s, n, adaptive):
         clip_c=0.4, sigma_hat=0.7, batch_size=6, tau=5, eta=0.3, adaptive_clip=adaptive
     )
     stats, dense_stats = TrainStats(), TrainStats()
-    update = local_train(w, data, s, cfg, make_streams(35), stats=stats)
+    update = train_one(w, data, s, cfg, make_streams(35), stats=stats)
     delta, bits = dense_local_train(w, data, s, cfg, make_streams(35), stats=dense_stats)
-    assert np.array_equal(update.mask.bits, bits)
-    assert max_rel_diff(update.values, delta) <= 1e-12
+    assert np.all(update[~bits] == 0.0)
+    assert max_rel_diff(update, delta) <= 1e-12
     assert stats.max_grad_norm == pytest.approx(dense_stats.max_grad_norm, rel=1e-12)
     assert stats.noise_sq_sum == dense_stats.noise_sq_sum
     assert stats.noise_draws == dense_stats.noise_draws == cfg.tau
@@ -255,7 +262,7 @@ def test_non_finite_inputs_raise_divergence_naming_client_and_round(hidden, targ
                 w_bad = ModelWeights(values, w.spec)
                 data_bad = Dataset(features, data.labels)
                 with pytest.raises(TrainingDivergenceError, match="client 7 in round 3"):
-                    local_train(
+                    train_one(
                         w_bad, data_bad, 0.5, cfg, make_streams(37), client_id=7, round_num=3
                     )
                 try:
@@ -276,9 +283,9 @@ def test_local_train_noiseless_passthrough():
     other = TrainStreams(
         mask=make_streams(39).mask, batch=make_streams(39).batch, noise=np.random.default_rng(40)
     )
-    a = local_train(w, data, 0.66, cfg, base)
-    b = local_train(w, data, 0.66, cfg, other)
-    assert np.array_equal(a.values, b.values)
+    a = train_one(w, data, 0.66, cfg, base)
+    b = train_one(w, data, 0.66, cfg, other)
+    assert np.array_equal(a, b)
 
 
 def test_local_train_noiseless_reads_no_noise():
@@ -287,7 +294,7 @@ def test_local_train_noiseless_reads_no_noise():
     cfg = DpConfig(clip_c=1.0, sigma_hat=0.0, batch_size=4, tau=3, eta=0.1)
     streams = make_streams(39)
     before = streams.noise.bit_generator.state
-    local_train(w, data, 0.66, cfg, streams)
+    train_one(w, data, 0.66, cfg, streams)
     assert streams.noise.bit_generator.state == before
 
 
@@ -298,11 +305,11 @@ def test_step_noise_is_one_retained_draw_per_step(hidden):
     cfg = DpConfig(clip_c=0.4, sigma_hat=0.7, batch_size=6, tau=4, eta=1.0)
     s = 0.3
     deltas = [np.zeros(w.spec.dim)] + [
-        local_train(w, data, s, replace(cfg, tau=t), make_streams(42)).values
+        train_one(w, data, s, replace(cfg, tau=t), make_streams(42))
         for t in range(1, cfg.tau + 1)
     ]
     copy = make_streams(42)
-    bits = generate_mask(w.spec.dim, s, copy.mask).bits
+    bits = generate_mask(w.spec.dim, s, copy.mask)
     assert 0 < bits.sum() < bits.size
     threshold = cfg.clip_threshold(s)
     std = cfg.sigma_hat * threshold / cfg.batch_size
@@ -322,10 +329,10 @@ def test_full_rate_delta_is_the_dense_draw_formula_bit_for_bit():
     """At s = 1 every coordinate is kept: w -= eta * (mean + normal(0, std, size=dim))."""
     data, w = small_problem(n=20, d=7, k=3, seed=43, hidden=4, scale=0.5)
     cfg = DpConfig(clip_c=0.4, sigma_hat=0.7, batch_size=6, tau=5, eta=0.3)
-    update = local_train(w, data, 1.0, cfg, make_streams(44))
+    update = train_one(w, data, 1.0, cfg, make_streams(44))
     spec, dim = w.spec, w.spec.dim
     streams = make_streams(44)
-    assert generate_mask(dim, 1.0, streams.mask).retained == dim
+    assert generate_mask(dim, 1.0, streams.mask).sum() == dim
     threshold = cfg.clip_threshold(1.0)
     std = cfg.sigma_hat * threshold / cfg.batch_size
     keep_blocks = split_blocks(np.ones(dim), spec)
@@ -338,7 +345,7 @@ def test_full_rate_delta_is_the_dense_draw_formula_bit_for_bit():
         )
         clipped_masked_mean(factors, keep_blocks, threshold, split_blocks(mean, spec))
         v -= cfg.eta * (mean + streams.noise.normal(0.0, std, size=dim))
-    assert np.array_equal(update.values, v - w.values)
+    assert np.array_equal(update, v - w.values)
 
 
 def test_local_train_noise_respects_mask_and_scale():
@@ -347,12 +354,12 @@ def test_local_train_noise_respects_mask_and_scale():
     data, w = small_problem(n=10, d=999, k=4, seed=8)
     assert w.spec.dim == 4000
     streams = make_streams(99)
-    update = local_train(w, data, 0.5, cfg, streams)
+    update = train_one(w, data, 0.5, cfg, streams)
     take = make_streams(99).batch.choice(10, size=10, replace=False)
     _, grads = per_sample_loss_grads(w, data.features[take], data.labels[take])
-    bits = update.mask.bits
+    bits = generate_mask(w.spec.dim, 0.5, make_streams(99).mask)
     clipped = clip_per_sample(grads * bits, cfg.clip_threshold(0.5)).mean(axis=0)
-    noise = -update.values / cfg.eta - clipped
+    noise = -update / cfg.eta - clipped
     assert np.all(noise[~bits] == 0.0)
     want_std = 1.5 * np.sqrt(0.5) * 2.0 / 10.0
     assert noise[bits].std() == pytest.approx(want_std, rel=0.1)
@@ -362,18 +369,18 @@ def test_plain_sgd_reduction():
     """tau=1, sigma=0, s=1, batch covering one sample reduces to one SGD step."""
     data, w = small_problem(n=1)
     cfg = DpConfig(clip_c=1e6, sigma_hat=0.0, batch_size=1, tau=1, eta=0.05)
-    update = local_train(w.copy(), data, 1.0, cfg, make_streams(5))
+    update = train_one(w.copy(), data, 1.0, cfg, make_streams(5))
     _, grads = per_sample_loss_grads(w, data.features, data.labels)
-    assert np.allclose(update.values, -0.05 * grads[0], atol=1e-12)
+    assert np.allclose(update, -0.05 * grads[0], atol=1e-12)
 
 
 def test_delta_support_contained_in_mask():
     data, w = small_problem(n=30, d=10, k=4, seed=2)
     cfg = DpConfig(clip_c=1.0, sigma_hat=0.8, batch_size=6, tau=4, eta=0.1)
-    update = local_train(w, data, 0.3, cfg, make_streams(9))
-    off = ~update.mask.bits
-    assert np.all(update.values[off] == 0.0)
-    assert update.mask.rate == 0.3
+    update = train_one(w, data, 0.3, cfg, make_streams(9))
+    off = ~generate_mask(w.spec.dim, 0.3, make_streams(9).mask)
+    assert off.any() and not off.all()
+    assert np.all(update[off] == 0.0)
 
 
 def test_small_dataset_uses_effective_batch_for_noise():
@@ -384,29 +391,28 @@ def test_small_dataset_uses_effective_batch_for_noise():
     draws = np.empty((400, dim))
     for k in range(400):
         streams = make_streams(1000 + k)
-        upd = local_train(w.copy(), data, 1.0, cfg, streams)
+        upd = train_one(w.copy(), data, 1.0, cfg, streams)
         # recompute the clipped mean along the same batch path to isolate noise
         take = make_streams(1000 + k).batch.choice(3, size=3, replace=False)
         _, grads = per_sample_loss_grads(w, data.features[take], data.labels[take])
         clipped = clip_per_sample(grads, 1.0).mean(axis=0)
-        draws[k] = -upd.values / cfg.eta - clipped
+        draws[k] = -upd / cfg.eta - clipped
     assert draws.std() == pytest.approx(2.0 / 3.0, rel=0.1)
 
 
 def test_local_train_deterministic_given_streams():
     data, w = small_problem(n=25, d=7, k=3, seed=8)
     cfg = DpConfig(clip_c=1.0, sigma_hat=1.0, batch_size=5, tau=3, eta=0.05)
-    a = local_train(w.copy(), data, 0.5, cfg, make_streams(21))
-    b = local_train(w.copy(), data, 0.5, cfg, make_streams(21))
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.mask.bits, b.mask.bits)
+    a = train_one(w.copy(), data, 0.5, cfg, make_streams(21))
+    b = train_one(w.copy(), data, 0.5, cfg, make_streams(21))
+    assert np.array_equal(a, b)
 
 
 def test_stats_accumulate_grad_norms_and_noise():
     data, w = small_problem(n=25, d=7, k=3, seed=8)
     cfg = DpConfig(clip_c=1.0, sigma_hat=1.0, batch_size=5, tau=3, eta=0.05)
     stats = TrainStats()
-    local_train(w, data, 0.5, cfg, make_streams(13), stats=stats)
+    train_one(w, data, 0.5, cfg, make_streams(13), stats=stats)
     assert stats.max_grad_norm > 0.0
     assert stats.noise_draws == 3
     assert stats.noise_sq_sum > 0.0
@@ -416,7 +422,7 @@ def test_local_train_rejects_zero_rate():
     data, w = small_problem()
     cfg = DpConfig(clip_c=1.0, sigma_hat=1.0, batch_size=5, tau=1, eta=0.05)
     with pytest.raises(ValueError):
-        local_train(w, data, 0.0, cfg, make_streams(1))
+        train_one(w, data, 0.0, cfg, make_streams(1))
 
 
 def test_config_validation():
@@ -428,3 +434,91 @@ def test_config_validation():
         DpConfig(clip_c=1.0, sigma_hat=1.0, batch_size=0, tau=1, eta=0.05)
     with pytest.raises(ValueError):
         DpConfig(clip_c=1.0, sigma_hat=1.0, batch_size=5, tau=1, eta=0.0)
+
+
+def stacked_round(hidden, d, sizes, rates, sigma_hat, seed, k=3):
+    """A round of clients on shards of the given sizes, each with its own streams."""
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec(feature_dim=d, num_classes=k, hidden_units=hidden)
+    w = ModelWeights(rng.standard_normal(spec.dim) * 0.3, spec)
+    shards = [
+        Dataset(rng.standard_normal((n, d)), rng.integers(0, k, size=n)) for n in sizes
+    ]
+    cfg = DpConfig(clip_c=0.4, sigma_hat=sigma_hat, batch_size=6, tau=8, eta=0.3)
+    weights = rng.dirichlet(np.ones(len(sizes)))
+    return w, shards, list(rates), cfg, weights
+
+
+@pytest.mark.parametrize(
+    "hidden, d, sizes, rates, sigma_hat",
+    [
+        # batches 6, 3, 6, 6, 2: groups [0], [1], [2, 3], [4]
+        (None, 7, (20, 3, 15, 9, 2), (0.3, 1.0, 1e-12, 0.7, 0.5), 0.7),
+        (4, 7, (20, 3, 15, 9, 2), (0.3, 1.0, 1e-12, 0.7, 0.5), 0.7),
+        (4, 7, (20, 3, 15, 9, 2), (0.3, 1.0, 1e-12, 0.7, 0.5), 0.0),
+        (None, 20, (30, 40, 50, 60), (0.2, 0.4, 0.6, 1.0), 0.8),
+        # dim 30,403: the cap holds 2 clients, so three equal batches split 2 + 1
+        (100, 300, (10, 10, 10), (0.3, 1.0, 0.5), 0.5),
+        # dim 70,403 > 2**16: one client per group
+        (100, 700, (10, 10), (0.3, 0.6), 0.5),
+    ],
+)
+def test_stacked_round_equals_each_client_alone_bit_for_bit(hidden, d, sizes, rates, sigma_hat):
+    w, shards, rates, cfg, weights = stacked_round(hidden, d, sizes, rates, sigma_hat, seed=50)
+    count = len(shards)
+    alone_stats, alone = TrainStats(), []
+    noise_states = []
+    for j in range(count):
+        streams = make_streams(60 + j)
+        noise_states.append(streams.noise.bit_generator.state)
+        alone.append(train_one(w, shards[j], rates[j], cfg, streams, stats=alone_stats))
+        if sigma_hat == 0.0:
+            assert streams.noise.bit_generator.state == noise_states[j]
+    want = np.zeros(w.spec.dim)
+    for weight, delta in zip(weights, alone):
+        want += weight * delta
+
+    stats = TrainStats()
+    streams = [make_streams(60 + j) for j in range(count)]
+    got = local_train(w, shards, rates, cfg, streams, weights, stats=stats)
+    assert np.array_equal(got, want)
+    assert stats == alone_stats
+    assert stats.noise_draws == count * cfg.tau
+    if sigma_hat == 0.0:
+        assert [st.noise.bit_generator.state for st in streams] == noise_states
+        assert stats.noise_sq_sum == 0.0
+    # One-hot weights pick out each client's own delta from a stacked round.
+    for j in range(count):
+        one_hot = np.eye(count)[j]
+        streams = [make_streams(60 + i) for i in range(count)]
+        assert np.array_equal(local_train(w, shards, rates, cfg, streams, one_hot), alone[j])
+    # the tiny rate leaves an empty mask: that client's delta is exactly zero
+    for j, s in enumerate(rates):
+        if s < 1e-9:
+            assert np.all(alone[j] == 0.0)
+
+
+def test_non_finite_shard_names_its_client_in_a_stacked_round():
+    """A NaN in the second of three clients' shards raises naming that client and round."""
+    w, shards, rates, cfg, weights = stacked_round(
+        None, 5, (12, 12, 12), (0.5, 0.5, 0.5), 0.5, seed=51
+    )
+    features = shards[1].features.copy()
+    features[:] = np.nan
+    shards[1] = Dataset(features, shards[1].labels)
+    streams = [make_streams(70 + j) for j in range(3)]
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(TrainingDivergenceError, match="client 9 in round 4$"):
+            local_train(
+                w, shards, rates, cfg, streams, weights, client_ids=[4, 9, 11], round_num=4
+            )
+
+
+def test_local_train_checks_each_shard_against_the_model():
+    w, shards, rates, cfg, weights = stacked_round(None, 5, (12, 12), (0.5, 0.5), 0.5, seed=52)
+    bad = Dataset(shards[1].features, np.full(12, 3))
+    streams = [make_streams(80 + j) for j in range(2)]
+    with pytest.raises(ValueError, match="labels out of range"):
+        local_train(w, [shards[0], bad], rates, cfg, streams, weights)
+    with pytest.raises(ValueError, match="one entry per client"):
+        local_train(w, shards, rates[:1], cfg, streams, weights)

@@ -2,9 +2,12 @@
 
 The tracer reads sparsefl's call arguments and results (local_train's DpConfig,
 schedule_round's v_trace), so a change to those records shows up here before
-it breaks a benchmark run.
+it breaks a benchmark run. Each smoke CSV's SHA-256 is pinned, so a change
+that should keep the metrics byte-identical is checked on every run; one that
+moves them on purpose updates the pin and says why in CHANGES.md.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -15,6 +18,12 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# Seed 1, smoke size; tracing does not change the bytes.
+SMOKE_CSV_SHA256 = {
+    "privacy_hetero": "05510116d187f42e341f9077c7f264674e9d0eccb2c6bffc9ff18910cefb3dda",
+    "sched_wide": "a01210324bacf9f65b821effed3bee406f36b126be81791c0edb898e50832cfe",
+    "train_mlp": "85e8befdb350bba0ac50381acd3bdabff8e33812840703b2b44846b87cdf73b7",
+}
 
 
 def _load(name):
@@ -41,3 +50,5 @@ def test_traced_smoke_workload_passes_the_gate(workload, tmp_path):
     gate = _load("gate")
     assert gate.csv_errors(csv_text, result["d_avg_s"]) == []
     assert gate.privacy_errors(result["participation"], result["t_hats"], result["sigma_hat"]) == []
+    csv_sha = hashlib.sha256(prefix.with_suffix(".csv").read_bytes()).hexdigest()
+    assert csv_sha == SMOKE_CSV_SHA256[workload]
