@@ -144,9 +144,15 @@ def _forward(w: ModelWeights, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
     return hidden @ w2.swapaxes(-1, -2) + b2[..., None, :], hidden
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
+def _shifted_logsumexp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Logits less their row max, and the log-sum-exp of those shifted rows."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted, np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted, lse = _shifted_logsumexp(logits)
+    return shifted - lse
 
 
 # One (A, B) pair per parameter block, in flat-parameter order. For a weight
@@ -211,18 +217,18 @@ def per_sample_loss_grads(
     return loss, np.concatenate(blocks, axis=1)
 
 
-def evaluate(w: ModelWeights, data: Dataset) -> tuple[float, float]:
-    """(accuracy, mean cross-entropy loss) of w on data.
+def evaluate(w: ModelWeights, test_set: Dataset, train_pool: Dataset) -> tuple[float, float]:
+    """(test accuracy, mean train cross-entropy) of w: the two numbers a round records.
 
     Predictions are the argmax logit, with exact ties resolved to the lowest
-    class index.
+    class index. Each train sample's loss is its log-sum-exp less its label's
+    shifted logit, the value the full log-softmax matrix would hold there.
     """
-    logits, _ = _forward(w, data.features)
-    preds = logits.argmax(axis=1)
-    accuracy = float((preds == data.labels).mean())
-    logp = _log_softmax(logits)
-    loss = float(-logp[np.arange(data.n), data.labels].mean())
-    return accuracy, loss
+    logits, _ = _forward(w, test_set.features)
+    accuracy = float((logits.argmax(axis=1) == test_set.labels).mean())
+    shifted, lse = _shifted_logsumexp(_forward(w, train_pool.features)[0])
+    picked = shifted[np.arange(train_pool.n), train_pool.labels]
+    return accuracy, float(-(picked - lse[:, 0]).mean())
 
 
 def synthesize_classification(

@@ -105,14 +105,11 @@ def random_round_context(
         max_power_w=1.0,
     )
     sizes = rng.integers(20, 200, n_clients)
-    compute = [
-        ComputeParams(
-            cycles_per_sample=1e4,
-            cpu_freq_hz=float(rng.uniform(1.2e9, 2.4e9)),
-            capacitance=1e-28,
-        )
-        for _ in range(n_clients)
-    ]
+    compute = ComputeParams(
+        cycles_per_sample=1e4,
+        cpu_freq_hz=np.array([rng.uniform(1.2e9, 2.4e9) for _ in range(n_clients)]),
+        capacitance=1e-28,
+    )
     weights = sizes / sizes.sum()
     ctx = RoundContext(
         model_dim=model_dim,

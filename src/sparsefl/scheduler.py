@@ -89,6 +89,11 @@ class RoundContext:
     the [clients, channels] uplink SNR per watt of transmit power. The uplink
     methods take client and channel index arrays (or scalars) that broadcast
     against the rates and powers.
+
+    Channels and CPU frequencies may carry a leading [rounds] axis, stacking
+    rounds that share the eligible set, sizes and radio; the derived arrays
+    then carry it too and the uplink methods return one result per round.
+    Only delay_min baselines and build_decision accept such a context.
     """
 
     model_dim: int
@@ -98,7 +103,7 @@ class RoundContext:
     dataset_sizes: np.ndarray
     channels: ChannelRealization
     radio: RadioParams
-    compute: list[ComputeParams]
+    compute: ComputeParams
     d_down: np.ndarray = field(init=False)
     d_local: np.ndarray = field(init=False)
     e_comp: np.ndarray = field(init=False)
@@ -113,30 +118,28 @@ class RoundContext:
         )
         if not np.all(down_rate > 0):
             raise ValueError("downlink rates must be positive for every client")
-        cycles = np.array([c.cycles_per_sample for c in self.compute])
-        freq = np.array([c.cpu_freq_hz for c in self.compute])
-        capacitance = np.array([c.capacitance for c in self.compute])
-        work = self.tau * np.asarray(self.dataset_sizes, dtype=np.int64) * cycles
+        compute, freq = self.compute, self.compute.cpu_freq_hz
+        work = self.tau * np.asarray(self.dataset_sizes, dtype=np.int64) * compute.cycles_per_sample
         object.__setattr__(
             self, "d_down", wireless.downlink_payload_bits(self.model_dim) / down_rate
         )
         object.__setattr__(self, "d_local", work / freq)
-        object.__setattr__(self, "e_comp", capacitance * work * freq**2 / 2.0)
+        object.__setattr__(self, "e_comp", compute.capacitance * work * freq**2 / 2.0)
         noise = self.radio.interference_w + self.radio.noise_w
         object.__setattr__(self, "snr_per_w", self.channels.uplink_gains / noise)
 
     @property
     def n_clients(self) -> int:
-        return self.channels.uplink_gains.shape[0]
+        return self.channels.uplink_gains.shape[-2]
 
     @property
     def n_channels(self) -> int:
-        return self.channels.uplink_gains.shape[1]
+        return self.channels.uplink_gains.shape[-1]
 
     def uplink_rate(
         self, clients: ArrayLike, channels: ArrayLike, power_w: ArrayLike
     ) -> np.ndarray:
-        return _shannon_rate(self.radio, power_w, self.snr_per_w[clients, channels])
+        return _shannon_rate(self.radio, power_w, self.snr_per_w[..., clients, channels])
 
     def smooth_delay(
         self, clients: ArrayLike, channels: ArrayLike, s: ArrayLike, power_w: ArrayLike
@@ -145,7 +148,7 @@ class RoundContext:
         rate = self.uplink_rate(clients, channels, power_w)
         payload = 32.0 * s * self.model_dim + self.model_dim
         with np.errstate(divide="ignore"):
-            return payload / rate + self.d_down[clients] + self.d_local[clients]
+            return payload / rate + self.d_down[..., clients] + self.d_local[..., clients]
 
 
 def _shannon_rate(radio: RadioParams, power_w: ArrayLike, snr_per_w: ArrayLike) -> np.ndarray:
@@ -167,7 +170,8 @@ class ScheduleDecision:
     costs are zero for unscheduled clients; the fixed per-client delays and
     compute energy stay in the RoundContext. v_trace holds the optimizing
     policy's branch-and-bound incumbents, non-increasing, ending with the
-    emitted decision's objective (empty for baselines).
+    emitted decision's objective (empty for baselines). A decision on a
+    stacked RoundContext has one row per round and a [rounds] round_delay.
     """
 
     assigned_channel: np.ndarray
@@ -175,7 +179,7 @@ class ScheduleDecision:
     powers: np.ndarray
     d_up: np.ndarray
     e_comm: np.ndarray
-    round_delay: float
+    round_delay: float | np.ndarray
     v_trace: tuple[float, ...] = ()
 
     @property
@@ -580,22 +584,29 @@ def build_decision(
     """Realized costs of an assignment, with the rounded uplink payload.
 
     Unassigned clients get zero rate, power and costs; an all -1 assignment is
-    the empty decision.
+    the empty decision. On a stacked context assigned_channel is [rounds,
+    clients], s and powers broadcast against it, and each round gets its own
+    round delay.
     """
-    clients = np.flatnonzero(assigned_channel >= 0)
-    up_rate = ctx.uplink_rate(clients, assigned_channel[clients], powers[clients])
+    shape = assigned_channel.shape
+    at = np.nonzero(assigned_channel >= 0)
+    s_at, p_at = (np.broadcast_to(v, shape)[at] for v in (s, powers))
+    edges = at + (assigned_channel[at],)
+    up_rate = _shannon_rate(ctx.radio, p_at, ctx.snr_per_w[edges])
     if not np.all(up_rate > 0):
         raise ValueError("link rates must be positive for a scheduled client")
-    out = {name: np.zeros(ctx.n_clients) for name in ("d_up", "e_comm", "rates", "powers")}
-    d_up = wireless.payload_bits(ctx.model_dim, s[clients]) / up_rate
-    out["d_up"][clients] = d_up
-    out["e_comm"][clients] = powers[clients] * d_up
-    out["rates"][clients] = s[clients]
-    out["powers"][clients] = powers[clients]
-    total_delay = ctx.d_down[clients] + ctx.d_local[clients] + d_up
+    out = {name: np.zeros(shape) for name in ("d_up", "e_comm", "rates", "powers")}
+    d_up = wireless.payload_bits(ctx.model_dim, s_at) / up_rate
+    out["d_up"][at] = d_up
+    out["e_comm"][at] = p_at * d_up
+    out["rates"][at] = s_at
+    out["powers"][at] = p_at
+    total_delay = np.zeros(shape)
+    total_delay[at] = ctx.d_down[at] + ctx.d_local[at] + d_up
+    round_delay = total_delay.max(axis=-1, initial=0.0)
     return ScheduleDecision(
         assigned_channel=assigned_channel.copy(),
-        round_delay=float(np.max(total_delay, initial=0.0)),
+        round_delay=float(round_delay) if round_delay.ndim == 0 else round_delay,
         v_trace=v_trace,
         **out,
     )
@@ -625,20 +636,24 @@ def baseline_schedule(
     ctx: RoundContext,
     policy: str,
     round_num: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     s_value: float = 1.0,
 ) -> ScheduleDecision:
     """Dense reference policies: random, round_robin, or delay_min.
 
-    All run at maximum power. round_robin walks fixed client groups of channel
-    size in cyclic order, skipping ineligible members; delay_min greedily takes
-    the lowest-delay client-channel pairs at the given rate.
+    All run at maximum power. random draws from rng, which the other policies
+    never read; round_robin walks fixed client groups of channel size in
+    cyclic order, skipping ineligible members; delay_min greedily takes the
+    lowest-delay client-channel pairs at the given rate. delay_min also takes
+    a stacked context and decides each of its rounds.
     """
     if policy not in BASELINE_POLICIES:
         raise ValueError(f"unknown baseline policy {policy!r}")
     if ctx.eligible.size == 0:
         raise EmptyRoundError("no eligible clients")
-    assigned_channel = np.full(ctx.n_clients, -1, dtype=int)
+    if ctx.d_down.ndim > 1 and policy != "delay_min":
+        raise ValueError(f"{policy} takes one round at a time")
+    assigned_channel = np.full(ctx.d_down.shape, -1, dtype=int)
     p_max = ctx.radio.max_power_w
     if policy == "random":
         count = min(ctx.n_channels, ctx.eligible.size)
@@ -655,21 +670,25 @@ def baseline_schedule(
                 assigned_channel[i] = j
                 j += 1
     else:
-        # A stable sort of the client-major delay matrix breaks ties by
-        # (client, channel); dead links have infinite delay and rank last.
+        # A stable sort of each round's client-major delay matrix breaks ties
+        # by (client, channel); dead links have infinite delay and rank last.
         clients = np.sort(ctx.eligible)
         delays = ctx.smooth_delay(clients[:, None], np.arange(ctx.n_channels), s_value, p_max)
-        rows, cols = np.unravel_index(np.argsort(delays, axis=None, kind="stable"), delays.shape)
-        used_clients: set[int] = set()
-        used_channels: set[int] = set()
-        for i, j in zip(clients[rows].tolist(), cols.tolist()):
-            if i in used_clients or j in used_channels:
-                continue
-            assigned_channel[i] = j
-            used_clients.add(i)
-            used_channels.add(j)
-            if len(used_clients) == min(ctx.n_channels, ctx.eligible.size):
-                break
+        order = np.argsort(delays.reshape(*delays.shape[:-2], -1), axis=-1, kind="stable")
+        rows, cols = np.divmod(order, ctx.n_channels)
+        ranked, wanted = clients[rows], min(ctx.n_channels, ctx.eligible.size)
+        for r in np.ndindex(order.shape[:-1]):
+            chosen = assigned_channel[r]
+            used_clients: set[int] = set()
+            used_channels: set[int] = set()
+            for i, j in zip(ranked[r].tolist(), cols[r].tolist()):
+                if i in used_clients or j in used_channels:
+                    continue
+                chosen[i] = j
+                used_clients.add(i)
+                used_channels.add(j)
+                if len(used_clients) == wanted:
+                    break
     s = np.full(ctx.n_clients, s_value)
     powers = np.full(ctx.n_clients, p_max)
     return build_decision(ctx, assigned_channel, s, powers)

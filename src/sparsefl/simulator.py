@@ -54,11 +54,22 @@ from .scheduler import (
     update_queues,
     validate_decision,
 )
-from .wireless import ComputeParams, RadioParams, dbm_to_watts, realize_channels
+from .wireless import (
+    ChannelRealization,
+    ComputeParams,
+    RadioParams,
+    dbm_to_watts,
+    path_gain,
+    realize_channels,
+)
 
 # Channel and CPU draws for the d_avg calibration prologue live in their own
 # round-index namespace so they never collide with the training rounds.
 _CALIBRATION_BASE = 1_000_000
+# Largest stacked calibration block, in rounds * clients * channels: the
+# prologue decides max(1, _CALIBRATION_STACK // (clients * channels)) rounds
+# per RoundContext, which bounds its memory at any client count.
+_CALIBRATION_STACK = 2**12
 
 
 @dataclass
@@ -125,6 +136,8 @@ class SimState:
 
     participation counts each client's uploads so far; with privacy on it is
     also the exposure count that the immutable ledgers are evaluated at.
+    path_gains is each client's linear path-loss attenuation, fixed by its
+    placement.
     """
 
     config: ExperimentConfig
@@ -133,7 +146,7 @@ class SimState:
     weights: ModelWeights
     shards: list[Dataset]
     sizes: np.ndarray
-    distances: np.ndarray
+    path_gains: np.ndarray
     test_set: Dataset
     train_pool: Dataset
     radio: RadioParams
@@ -194,29 +207,23 @@ def _radio_params(config: ExperimentConfig) -> RadioParams:
     )
 
 
-def _draw_compute(config: ExperimentConfig, round_key: int) -> list[ComputeParams]:
-    """Per-round CPU frequencies, uniform over the configured fraction range."""
-    rng = streams.substream(config.seed, streams.CPU, round_key)
-    fracs = rng.uniform(config.cpu_freq_min_frac, config.cpu_freq_max_frac, config.num_clients)
-    return [
-        ComputeParams(
-            cycles_per_sample=config.cycles_per_sample,
-            cpu_freq_hz=float(f) * config.cpu_freq_max_hz,
-            capacitance=config.capacitance,
-        )
-        for f in fracs
-    ]
-
-
-def _round_context(
-    state: SimState, eligible: np.ndarray, round_key: int
-) -> RoundContext:
+def _draw_round(state: SimState, round_key: int) -> tuple[ChannelRealization, np.ndarray]:
+    """One round's channel realization and per-client CPU frequencies."""
     config = state.config
     channels = realize_channels(
-        state.distances,
+        state.path_gains,
         config.num_channels,
         streams.substream(config.seed, streams.CHANNEL, round_key),
     )
+    rng = streams.substream(config.seed, streams.CPU, round_key)
+    fracs = rng.uniform(config.cpu_freq_min_frac, config.cpu_freq_max_frac, config.num_clients)
+    return channels, fracs * config.cpu_freq_max_hz
+
+
+def _round_context(
+    state: SimState, eligible: np.ndarray, channels: ChannelRealization, cpu_freq_hz: np.ndarray
+) -> RoundContext:
+    config = state.config
     weights = np.zeros(config.num_clients)
     weights[eligible] = state.sizes[eligible] / state.sizes[eligible].sum()
     return RoundContext(
@@ -227,7 +234,11 @@ def _round_context(
         dataset_sizes=state.sizes,
         channels=channels,
         radio=state.radio,
-        compute=_draw_compute(config, round_key),
+        compute=ComputeParams(
+            cycles_per_sample=config.cycles_per_sample,
+            cpu_freq_hz=cpu_freq_hz,
+            capacitance=config.capacitance,
+        ),
     )
 
 
@@ -236,21 +247,28 @@ def _calibrate_d_avg(state: SimState) -> float:
 
     Runs a few rounds of the delay_min policy on dedicated channel and CPU
     draws (no training, no queue or ledger effects) and scales the mean round
-    delay by the configured margin.
+    delay by the configured margin. Each round keeps its own streams; the
+    rounds are decided in stacked blocks, and their delays summed in round
+    order.
     """
     config = state.config
     eligible = np.arange(config.num_clients)
+    rounds = config.d_avg_calibration_rounds
+    block = max(1, _CALIBRATION_STACK // (config.num_clients * config.num_channels))
     total = 0.0
-    for k in range(config.d_avg_calibration_rounds):
-        ctx = _round_context(state, eligible, _CALIBRATION_BASE + k)
-        decision = baseline_schedule(
-            ctx,
-            "delay_min",
-            k,
-            streams.substream(config.seed, streams.BASELINE, _CALIBRATION_BASE + k),
+    for start in range(0, rounds, block):
+        draws = [
+            _draw_round(state, _CALIBRATION_BASE + k)
+            for k in range(start, min(start + block, rounds))
+        ]
+        channels = ChannelRealization(
+            uplink_gains=np.stack([c.uplink_gains for c, _ in draws]),
+            downlink_gains=np.stack([c.downlink_gains for c, _ in draws]),
         )
-        total += decision.round_delay
-    return config.d_avg_margin * total / config.d_avg_calibration_rounds
+        ctx = _round_context(state, eligible, channels, np.stack([f for _, f in draws]))
+        for delay in baseline_schedule(ctx, "delay_min", start, None).round_delay.tolist():
+            total += delay
+    return config.d_avg_margin * total / rounds
 
 
 def build_state(config: ExperimentConfig, policy: str) -> SimState:
@@ -280,6 +298,7 @@ def build_state(config: ExperimentConfig, policy: str) -> SimState:
     positions = placement_rng.uniform(0.0, config.area_side_m, size=(config.num_clients, 2))
     center = np.full(2, config.area_side_m / 2.0)
     distances = np.maximum(np.linalg.norm(positions - center, axis=1), 1.0)
+    path_gains = np.array([path_gain(d) for d in distances])
 
     privacy_rng = streams.substream(config.seed, streams.PRIVACY)
     eps = privacy_rng.uniform(config.eps_min, config.eps_max, config.num_clients)
@@ -313,7 +332,7 @@ def build_state(config: ExperimentConfig, policy: str) -> SimState:
         weights=init_weights(spec, streams.substream(config.seed, streams.MODEL)),
         shards=parts,
         sizes=sizes,
-        distances=distances,
+        path_gains=path_gains,
         test_set=test_set,
         train_pool=train_pool,
         radio=_radio_params(config),
@@ -368,7 +387,7 @@ def run_round(state: SimState) -> MetricsRow | None:
     if eligible.size == 0:
         return None
 
-    ctx = _round_context(state, eligible, t)
+    ctx = _round_context(state, eligible, *_draw_round(state, t))
     if state.policy == OPTIMIZED_POLICY:
         try:
             decision = schedule_round(ctx, state.sched_cfg, state.queues)
@@ -378,13 +397,10 @@ def run_round(state: SimState) -> MetricsRow | None:
                 ctx, np.full(config.num_clients, -1, dtype=int), unused, unused
             )
     else:
-        decision = baseline_schedule(
-            ctx,
-            state.policy,
-            t,
-            streams.substream(config.seed, streams.BASELINE, t),
-            s_value=config.s_fixed,
-        )
+        rng = None
+        if state.policy == "random":
+            rng = streams.substream(config.seed, streams.BASELINE, t)
+        decision = baseline_schedule(ctx, state.policy, t, rng, s_value=config.s_fixed)
     validate_decision(
         ctx, state.sched_cfg, decision, optimized=state.policy == OPTIMIZED_POLICY
     )
@@ -422,8 +438,7 @@ def run_round(state: SimState) -> MetricsRow | None:
     state.cum_delay += decision.round_delay
     state.round_num += 1
 
-    accuracy, _ = evaluate(state.weights, state.test_set)
-    _, train_loss = evaluate(state.weights, state.train_pool)
+    accuracy, train_loss = evaluate(state.weights, state.test_set, state.train_pool)
     mean_s = float(decision.rates[participants].mean()) if participants.size else 0.0
     return MetricsRow(
         round=t,

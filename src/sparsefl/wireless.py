@@ -48,28 +48,37 @@ class RadioParams:
 
 @dataclass(frozen=True)
 class ComputeParams:
-    """Per-client processing profile for one round."""
+    """Processing profile for one round.
+
+    cpu_freq_hz holds one frequency per client: [clients], or [rounds,
+    clients] for stacked rounds, or a scalar for a single client. Cycles per
+    sample and switched capacitance are shared by every client.
+    """
 
     cycles_per_sample: float
-    cpu_freq_hz: float
+    cpu_freq_hz: np.ndarray | float
     capacitance: float
 
     def __post_init__(self) -> None:
-        if min(self.cycles_per_sample, self.cpu_freq_hz, self.capacitance) <= 0:
+        if min(self.cycles_per_sample, self.capacitance) <= 0 or np.any(self.cpu_freq_hz <= 0):
             raise ValueError("compute parameters must be positive")
 
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Per-round linear power gains: uplink [clients, channels], downlink [clients]."""
+    """Linear power gains: uplink [clients, channels], downlink [clients].
+
+    Stacked rounds add the same leading axes to both, e.g. [rounds, clients,
+    channels] and [rounds, clients].
+    """
 
     uplink_gains: np.ndarray
     downlink_gains: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.uplink_gains.ndim != 2:
-            raise ValueError("uplink_gains must be [clients, channels]")
-        if self.downlink_gains.shape != (self.uplink_gains.shape[0],):
+        if self.uplink_gains.ndim < 2:
+            raise ValueError("uplink_gains must be [..., clients, channels]")
+        if self.downlink_gains.shape != self.uplink_gains.shape[:-1]:
             raise ValueError("downlink_gains must have one entry per client")
 
 
@@ -77,27 +86,32 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) * 1e-3
 
 
+def path_gain(distance_m: float) -> float:
+    """Linear path-loss attenuation at the given distance."""
+    return 10.0 ** (-pathloss_db(distance_m) / 10.0)
+
+
 def channel_gain(distance_m: float, fading: float) -> float:
     """Linear power gain: path-loss attenuation times a fading draw."""
     if fading < 0:
         raise ValueError("fading must be nonnegative")
-    return 10.0 ** (-pathloss_db(distance_m) / 10.0) * fading
+    return path_gain(distance_m) * fading
 
 
 def realize_channels(
-    distances_m: np.ndarray, n_channels: int, rng: np.random.Generator
+    path_gains: np.ndarray, n_channels: int, rng: np.random.Generator
 ) -> ChannelRealization:
     """Draw unit-mean exponential fading for every client-channel pair.
 
-    Uplink fading is drawn first as a [clients, channels] block, then downlink
-    fading as a vector, a fixed order that keeps runs reproducible.
+    path_gains holds each client's path_gain, fixed for the run. Uplink
+    fading is drawn first as a [clients, channels] block, then downlink fading
+    as a vector, a fixed order that keeps runs reproducible.
     """
-    n = len(distances_m)
-    base = np.array([10.0 ** (-pathloss_db(d) / 10.0) for d in distances_m])
+    n = len(path_gains)
     fading_up = rng.exponential(1.0, size=(n, n_channels))
     fading_down = rng.exponential(1.0, size=n)
     return ChannelRealization(
-        uplink_gains=base[:, None] * fading_up, downlink_gains=base * fading_down
+        uplink_gains=path_gains[:, None] * fading_up, downlink_gains=path_gains * fading_down
     )
 
 

@@ -73,7 +73,9 @@ def make_context(
         downlink_power_w=0.199526231496888,
         max_power_w=max_power_w,
     )
-    compute = [ComputeParams(cycles_per_sample=1e4, cpu_freq_hz=2.4e9, capacitance=1e-28)] * n
+    compute = ComputeParams(
+        cycles_per_sample=1e4, cpu_freq_hz=np.full(n, 2.4e9), capacitance=1e-28
+    )
     return RoundContext(
         model_dim=model_dim,
         tau=tau,

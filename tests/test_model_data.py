@@ -11,6 +11,8 @@ from sparsefl.model_data import (
     ModelWeights,
     PartitionError,
     PartitionSpec,
+    _forward,
+    _log_softmax,
     evaluate,
     init_weights,
     load_mnist,
@@ -88,8 +90,23 @@ def test_zero_weights_give_uniform_loss():
     w = init_weights(spec)
     rng = np.random.default_rng(0)
     data = Dataset(rng.standard_normal((50, 6)), rng.integers(0, 4, size=50))
-    _, loss = evaluate(w, data)
+    _, loss = evaluate(w, data, data)
     assert loss == pytest.approx(np.log(4.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("hidden_units", [None, 7])
+def test_evaluate_matches_full_log_softmax_bits(hidden_units):
+    rng = np.random.default_rng(8)
+    spec = ModelSpec(feature_dim=6, num_classes=5, hidden_units=hidden_units)
+    w = ModelWeights(rng.standard_normal(spec.dim), spec)
+    test = Dataset(rng.standard_normal((30, 6)), rng.integers(0, 5, size=30))
+    train = Dataset(3.0 * rng.standard_normal((70, 6)), rng.integers(0, 5, size=70))
+    test_logits, _ = _forward(w, test.features)
+    train_logits, _ = _forward(w, train.features)
+    logp = _log_softmax(train_logits)
+    accuracy, loss = evaluate(w, test, train)
+    assert accuracy == float((test_logits.argmax(axis=1) == test.labels).mean())
+    assert loss == float(-logp[np.arange(train.n), train.labels].mean())
 
 
 def test_gradient_descent_reduces_loss():
@@ -97,12 +114,12 @@ def test_gradient_descent_reduces_loss():
     data = synthesize_classification(120, 5, 3, 3.0, rng)
     spec = ModelSpec(feature_dim=5, num_classes=3)
     w = init_weights(spec)
-    _, before = evaluate(w, data)
+    _, before = evaluate(w, data, data)
     values = w.values.copy()
     for _ in range(40):
         _, grads = per_sample_loss_grads(ModelWeights(values, spec), data.features, data.labels)
         values -= 0.5 * grads.mean(axis=0)
-    acc, after = evaluate(ModelWeights(values, spec), data)
+    acc, after = evaluate(ModelWeights(values, spec), data, data)
     assert after < before
     assert acc > 0.8
 

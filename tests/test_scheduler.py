@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -426,7 +427,7 @@ def test_build_decision_matches_scalar_round_costs(shape, policy):
             int(ctx.dataset_sizes[i]),
             ctx.tau,
             ctx.radio,
-            ctx.compute[i],
+            replace(ctx.compute, cpu_freq_hz=float(ctx.compute.cpu_freq_hz[i])),
         )
         for name in ("d_up", "e_comm"):
             assert getattr(decision, name)[i] == pytest.approx(getattr(ref, name), rel=1e-12)

@@ -12,6 +12,7 @@ from sparsefl.wireless import (
     dbm_to_watts,
     downlink_payload_bits,
     link_rate,
+    path_gain,
     pathloss_db,
     payload_bits,
     realize_channels,
@@ -94,10 +95,10 @@ def test_payload_bit_counts():
 
 
 def test_realize_channels_shapes_and_determinism():
-    distances = np.array([50.0, 120.0, 300.0])
-    a = realize_channels(distances, 4, np.random.default_rng(77))
-    b = realize_channels(distances, 4, np.random.default_rng(77))
-    c = realize_channels(distances, 4, np.random.default_rng(78))
+    gains = np.array([path_gain(d) for d in (50.0, 120.0, 300.0)])
+    a = realize_channels(gains, 4, np.random.default_rng(77))
+    b = realize_channels(gains, 4, np.random.default_rng(77))
+    c = realize_channels(gains, 4, np.random.default_rng(78))
     assert a.uplink_gains.shape == (3, 4)
     assert a.downlink_gains.shape == (3,)
     assert np.array_equal(a.uplink_gains, b.uplink_gains)
@@ -105,9 +106,22 @@ def test_realize_channels_shapes_and_determinism():
     assert np.all(a.uplink_gains >= 0.0)
 
 
+def test_realize_channels_matches_scalar_channel_gain():
+    distances = (1.0, 50.0, 120.0, 300.0, 0.5)
+    real = realize_channels(
+        np.array([path_gain(d) for d in distances]), 3, np.random.default_rng(9)
+    )
+    rng = np.random.default_rng(9)
+    fading_up = rng.exponential(1.0, size=(len(distances), 3))
+    fading_down = rng.exponential(1.0, size=len(distances))
+    for i, d in enumerate(distances):
+        for j in range(3):
+            assert real.uplink_gains[i, j] == channel_gain(d, float(fading_up[i, j]))
+        assert real.downlink_gains[i] == channel_gain(d, float(fading_down[i]))
+
+
 def test_realize_channels_mean_tracks_pathloss():
-    distances = np.full(2000, 100.0)
-    real = realize_channels(distances, 1, np.random.default_rng(5))
+    real = realize_channels(np.full(2000, path_gain(100.0)), 1, np.random.default_rng(5))
     base = 10.0 ** (-9.05)
     assert real.uplink_gains.mean() == pytest.approx(base, rel=0.1)
 
@@ -191,7 +205,16 @@ def test_param_validation():
         )
     with pytest.raises(ValueError):
         ComputeParams(cycles_per_sample=0.0, cpu_freq_hz=1e9, capacitance=1e-28)
+    ComputeParams(cycles_per_sample=1e4, cpu_freq_hz=np.array([1e9, 2e9]), capacitance=1e-28)
+    for freqs in (np.array([1e9, 0.0, 2e9]), np.array([[1e9, 2e9], [1e9, -1.0]])):
+        with pytest.raises(ValueError):
+            ComputeParams(cycles_per_sample=1e4, cpu_freq_hz=freqs, capacitance=1e-28)
     with pytest.raises(ValueError):
         ChannelRealization(uplink_gains=np.zeros(3), downlink_gains=np.zeros(3))
     with pytest.raises(ValueError):
         ChannelRealization(uplink_gains=np.zeros((3, 2)), downlink_gains=np.zeros(2))
+    stacked = ChannelRealization(uplink_gains=np.zeros((5, 3, 2)), downlink_gains=np.zeros((5, 3)))
+    assert stacked.downlink_gains.shape == (5, 3)
+    for downlink in (np.zeros(3), np.zeros((5, 2)), np.zeros((4, 3))):
+        with pytest.raises(ValueError):
+            ChannelRealization(uplink_gains=np.zeros((5, 3, 2)), downlink_gains=downlink)
