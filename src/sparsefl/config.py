@@ -61,11 +61,11 @@ class ExperimentConfig:
     capacitance: float = 1e-28
 
     # Local training
-    tau: int = 60
+    tau: int = 10
     eta: float = 0.002
     batch_size: int = 5
     clip_c: float = 1.0
-    sigma_hat: float = 0.6
+    sigma_hat: float = 1.0
     adaptive_clip: bool = True
     s_fixed: float = 1.0
 

@@ -181,9 +181,9 @@ def local_train(
     streams: Sequence[TrainStreams],
     weights: Sequence[float],
     *,
-    client_ids: Sequence[int] | None = None,
-    round_num: int = -1,
-    stats: TrainStats | None = None,
+    client_ids: Sequence[int],
+    round_num: int,
+    stats: TrainStats,
 ) -> np.ndarray:
     """Train every client of a round from w_init; return sum_i weights[i] * delta_i.
 
@@ -204,8 +204,8 @@ def local_train(
 
     A non-finite loss, per-sample gradient norm or clipped mean in any step,
     or a non-finite delta (from non-finite starting weights or an overflowing
-    step), raises TrainingDivergenceError naming the client (client_ids[i],
-    or i) and the round; within a step, the first such client in order.
+    step), raises TrainingDivergenceError naming the client (client_ids[i])
+    and the round; within a step, the first such client in order.
     """
     count = len(shards)
     if not len(rates) == len(streams) == len(weights) == count:
@@ -216,8 +216,7 @@ def local_train(
     spec = w_init.spec
     for data in shards:
         check_examples(spec, data.features, data.labels)
-    ids = range(count) if client_ids is None else client_ids
-    names = [f"client {int(i)} in round {round_num}" for i in ids]
+    names = [f"client {int(i)} in round {round_num}" for i in client_ids]
     batches = [min(cfg.batch_size, data.n) for data in shards]
     cap = max(1, _STACK_PARAMS // spec.dim)
     total = np.zeros(spec.dim)
@@ -251,7 +250,7 @@ def _train_group(
     streams: Sequence[TrainStreams],
     batch: int,
     names: list[str],
-    stats: TrainStats | None,
+    stats: TrainStats,
 ) -> np.ndarray:
     """local_train's stacked steps for one group; returns the deltas [clients, dim].
 
@@ -296,9 +295,8 @@ def _train_group(
             )
             bad = int(np.argmin(finite))
             raise TrainingDivergenceError(f"non-finite loss or gradient for {names[bad]}")
-        if stats is not None:
-            stats.max_grad_norm = max(stats.max_grad_norm, math.sqrt(float(sq_norms.max())))
-            stats.noise_draws += clients
+        stats.max_grad_norm = max(stats.max_grad_norm, math.sqrt(float(sq_norms.max())))
+        stats.noise_draws += clients
         step = mean_flat[kept]
         if noisy:
             draws = [
@@ -315,8 +313,7 @@ def _train_group(
         raise TrainingDivergenceError(
             f"non-finite weight update for {names[int(np.argmin(finite))]}"
         )
-    if stats is not None:
-        for sums in noise_sq:
-            for value in sums:
-                stats.noise_sq_sum += value
+    for sums in noise_sq:
+        for value in sums:
+            stats.noise_sq_sum += value
     return deltas

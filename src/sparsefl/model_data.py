@@ -93,22 +93,16 @@ class ModelWeights:
         if self.values.shape[-1:] != (self.spec.dim,):
             raise ValueError(f"expected flat vector of length {self.spec.dim}")
 
-    def copy(self) -> "ModelWeights":
-        return ModelWeights(self.values.copy(), self.spec)
 
-
-def init_weights(spec: ModelSpec, rng: np.random.Generator | None = None) -> ModelWeights:
+def init_weights(spec: ModelSpec, rng: np.random.Generator) -> ModelWeights:
     """Starting weights: zeros for softmax regression, which is convex there.
 
     The tanh network is stuck at an all-zero point (both layers' gradients
-    vanish), so its weight matrices get small random draws scaled by fan-in
-    instead, with zero biases. Pass a generator to control the draw; the
-    fallback generator is fixed so repeated calls agree.
+    vanish), so its weight matrices get small random draws from rng, scaled
+    by fan-in, instead, with zero biases.
     """
     if spec.hidden_units is None:
         return ModelWeights(np.zeros(spec.dim), spec)
-    if rng is None:
-        rng = np.random.default_rng(0)
     values = np.zeros(spec.dim)
     w1, _, w2, _ = split_blocks(values, spec)
     w1[...] = rng.standard_normal(w1.shape) / math.sqrt(spec.feature_dim)

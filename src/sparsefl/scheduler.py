@@ -110,12 +110,9 @@ class RoundContext:
     snr_per_w: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        down_rate = wireless.link_rate(
-            self.radio.downlink_power_w,
-            self.channels.downlink_gains,
-            self.radio.interference_w,
-            self.radio,
-        )
+        radio, noise = self.radio, self.radio.interference_w + self.radio.noise_w
+        down_snr = radio.downlink_power_w * self.channels.downlink_gains / noise
+        down_rate = wireless.shannon_rate(radio, down_snr)
         if not np.all(down_rate > 0):
             raise ValueError("downlink rates must be positive for every client")
         compute, freq = self.compute, self.compute.cpu_freq_hz
@@ -125,7 +122,6 @@ class RoundContext:
         )
         object.__setattr__(self, "d_local", work / freq)
         object.__setattr__(self, "e_comp", compute.capacitance * work * freq**2 / 2.0)
-        noise = self.radio.interference_w + self.radio.noise_w
         object.__setattr__(self, "snr_per_w", self.channels.uplink_gains / noise)
 
     @property
@@ -139,27 +135,16 @@ class RoundContext:
     def uplink_rate(
         self, clients: ArrayLike, channels: ArrayLike, power_w: ArrayLike
     ) -> np.ndarray:
-        return _shannon_rate(self.radio, power_w, self.snr_per_w[..., clients, channels])
+        return wireless.shannon_rate(self.radio, power_w * self.snr_per_w[..., clients, channels])
 
     def smooth_delay(
         self, clients: ArrayLike, channels: ArrayLike, s: ArrayLike, power_w: ArrayLike
     ) -> np.ndarray:
         """Round delay under the un-rounded payload model; a dead link's is inf."""
         rate = self.uplink_rate(clients, channels, power_w)
-        payload = 32.0 * s * self.model_dim + self.model_dim
+        payload = wireless.smooth_payload_bits(self.model_dim, s)
         with np.errstate(divide="ignore"):
             return payload / rate + self.d_down[..., clients] + self.d_local[..., clients]
-
-
-def _shannon_rate(radio: RadioParams, power_w: ArrayLike, snr_per_w: ArrayLike) -> np.ndarray:
-    """Uplink Shannon rate in bits/s at the given power and SNR per watt."""
-    return radio.bandwidth_hz * np.log2(1.0 + power_w * snr_per_w)
-
-
-def _zero_power_energy(radio: RadioParams, bits: ArrayLike, snr_per_w: np.ndarray) -> np.ndarray:
-    """Transmit energy of `bits` in the zero-power limit, its infimum; inf on a dead link."""
-    with np.errstate(divide="ignore"):
-        return bits * math.log(2.0) / (radio.bandwidth_hz * snr_per_w)
 
 
 @dataclass
@@ -257,7 +242,7 @@ def feasible_edges(ctx: RoundContext, cfg: SchedulerConfig) -> np.ndarray:
     """
     headroom = cfg.e_max_j - ctx.e_comp
     dense_payload = wireless.payload_bits(ctx.model_dim, 1.0) + 1.0
-    limit_energy = _zero_power_energy(ctx.radio, dense_payload, ctx.snr_per_w)
+    limit_energy = wireless.zero_power_energy(ctx.radio, dense_payload, ctx.snr_per_w)
     eligible = np.zeros(ctx.n_clients, dtype=bool)
     eligible[ctx.eligible] = True
     return eligible[:, None] & (limit_energy * (1.0 + _ENERGY_MARGIN) < headroom[:, None])
@@ -279,7 +264,7 @@ def optimal_power(
     snr_per_w = ctx.snr_per_w[clients, chans]
     bits = wireless.payload_bits(ctx.model_dim, s[clients])
     # The infimum of the transmit energy; also catches no headroom.
-    unreachable = _zero_power_energy(radio, bits, snr_per_w) >= headroom
+    unreachable = wireless.zero_power_energy(radio, bits, snr_per_w) >= headroom
     if np.any(unreachable):
         i = clients[np.argmax(unreachable)]
         raise EnergyInfeasibleError(f"client {i}: energy cap unreachable at any power")
@@ -308,7 +293,7 @@ def _binding_power(
     power = np.full(snr_per_w.shape, radio.max_power_w)
     falling = np.ones(snr_per_w.shape, dtype=bool)
     for _ in range(_NEWTON_STEPS):
-        rate = _shannon_rate(radio, power, snr_per_w)
+        rate = wireless.shannon_rate(radio, power * snr_per_w)
         rate_slope = radio.bandwidth_hz * snr_per_w / ((1.0 + power * snr_per_w) * math.log(2.0))
         room = headroom - x * power
         step = (rate * room - bits * power) / (rate_slope * room - x * rate - bits)
@@ -320,7 +305,7 @@ def _binding_power(
             break
     else:
         raise RuntimeError("binding-branch power did not converge")
-    return power, _shannon_rate(radio, power, snr_per_w)
+    return power, wireless.shannon_rate(radio, power * snr_per_w)
 
 
 def _rate_line(
@@ -331,13 +316,13 @@ def _rate_line(
     The cap is the largest rate the energy headroom allows less one bit of
     rounding slack, unclipped; dead links have infinite slope and offset.
     """
-    dim = ctx.model_dim
+    dim, width = ctx.model_dim, wireless.VALUE_BITS
     rate = ctx.uplink_rate(clients, chans, power)
     headroom = cfg.e_max_j - ctx.e_comp[clients]
     with np.errstate(divide="ignore", invalid="ignore"):
-        slope = 32.0 * dim / rate
+        slope = width * dim / rate
         offset = dim / rate + ctx.d_down[clients] + ctx.d_local[clients]
-        cap = (headroom * rate / power - dim) / (32.0 * dim) - 1.0 / (32.0 * dim)
+        cap = wireless.smooth_payload_rate(dim, headroom * rate / power) - 1.0 / (width * dim)
     return slope, offset, cap
 
 
@@ -503,7 +488,7 @@ class _LevelModel:
 
     def _curve_point(self, at: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
         """Level and power at which the binding branch of the edges at reaches rate s."""
-        payload = 32.0 * s * self.ctx.model_dim + self.ctx.model_dim
+        payload = wireless.smooth_payload_bits(self.ctx.model_dim, s)
         power, rate = _binding_power(
             self.ctx.radio, self.ctx.snr_per_w[at], self.headroom[at], 0.0, payload + 1.0
         )
@@ -526,7 +511,7 @@ class _LevelModel:
             power[bind], rate = _binding_power(self.ctx.radio, snr_per_w, headroom, x, 1.0)
             bits = np.minimum(x * rate, headroom * rate / power[bind] - 1.0)
             dim = self.ctx.model_dim
-            s[bind] = np.clip((bits - dim) / (32.0 * dim), self.s_th, 1.0)
+            s[bind] = np.clip(wireless.smooth_payload_rate(dim, bits), self.s_th, 1.0)
         return s, power, usable
 
 
@@ -592,7 +577,7 @@ def build_decision(
     at = np.nonzero(assigned_channel >= 0)
     s_at, p_at = (np.broadcast_to(v, shape)[at] for v in (s, powers))
     edges = at + (assigned_channel[at],)
-    up_rate = _shannon_rate(ctx.radio, p_at, ctx.snr_per_w[edges])
+    up_rate = wireless.shannon_rate(ctx.radio, p_at * ctx.snr_per_w[edges])
     if not np.all(up_rate > 0):
         raise ValueError("link rates must be positive for a scheduled client")
     out = {name: np.zeros(shape) for name in ("d_up", "e_comm", "rates", "powers")}

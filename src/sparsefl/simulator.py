@@ -122,14 +122,6 @@ class MetricsTrace:
     truncated_at: int | None = None
 
 
-@dataclass(frozen=True)
-class BoundTerms:
-    """Per-round diagnostic decomposition of the convergence penalty."""
-
-    term_sparsification: float
-    term_dp: float
-
-
 @dataclass
 class SimState:
     """Everything run_round reads or mutates between rounds.
@@ -465,8 +457,8 @@ def bound_diagnostics(
     noise_sq_mean: float,
     eta: float,
     tau: int,
-) -> list[BoundTerms]:
-    """Per-round convergence-penalty terms from run-level estimates.
+) -> None:
+    """Write each row's convergence-penalty terms from run-level estimates.
 
     grad_norm_bound is the largest pre-clip gradient norm observed,
     noise_sq_mean the sample mean of the squared per-step noise norm, and
@@ -474,13 +466,9 @@ def bound_diagnostics(
     are diagnostics, not certified bounds.
     """
     dp_term = eta * tau**2 * noise_sq_mean * (1.0 + 3.0 * eta * smoothness * tau)
-    return [
-        BoundTerms(
-            term_sparsification=3.0 * grad_norm_bound**2 * row.spars_deficit,
-            term_dp=dp_term,
-        )
-        for row in rows
-    ]
+    for row in rows:
+        row.term_sparsification = 3.0 * grad_norm_bound**2 * row.spars_deficit
+        row.term_dp = dp_term
 
 
 def run_experiment(config: ExperimentConfig, policy: str) -> MetricsTrace:
@@ -498,7 +486,7 @@ def run_experiment(config: ExperimentConfig, policy: str) -> MetricsTrace:
     noise_sq_mean = (
         state.stats.noise_sq_sum / state.stats.noise_draws if state.stats.noise_draws else 0.0
     )
-    terms = bound_diagnostics(
+    bound_diagnostics(
         rows,
         grad_norm_bound=state.stats.max_grad_norm,
         smoothness=config.smoothness_l,
@@ -506,10 +494,6 @@ def run_experiment(config: ExperimentConfig, policy: str) -> MetricsTrace:
         eta=config.eta,
         tau=config.tau,
     )
-    for row, term in zip(rows, terms):
-        row.term_sparsification = term.term_sparsification
-        row.term_dp = term.term_dp
-
     return MetricsTrace(
         policy=policy,
         rows=rows,

@@ -4,7 +4,9 @@ Path loss follows the urban-macro curve 128.1 + 37.6 log10(distance_km) dB,
 multiplied by unit-mean exponential small-scale fading. Link rates are Shannon
 capacities over the configured bandwidth. Uplink payloads combine 32-bit
 floats for retained coordinates with a 1-bit-per-coordinate mask; the dense
-downlink broadcast carries 32 bits per coordinate.
+downlink broadcast carries 32 bits per coordinate. The scheduler prices these
+links through this module only: shannon_rate, the payload sizes and their
+smooth (un-rounded) form.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ logger = logging.getLogger(__name__)
 _MIN_DISTANCE_M = 1.0
 _PATHLOSS_INTERCEPT_DB = 128.1
 _PATHLOSS_SLOPE_DB = 37.6
+# Bits per transmitted model coordinate, on both links.
+VALUE_BITS = 32
 
 
 def pathloss_db(distance_m: float) -> float:
@@ -115,17 +119,15 @@ def realize_channels(
     )
 
 
-def link_rate(
-    power_w: ArrayLike, gain: ArrayLike, interference_w: float, radio: RadioParams
-) -> np.ndarray:
-    """Shannon rate in bits/s for the given transmit power and channel gain.
-
-    power_w and gain may be scalars or broadcastable arrays.
-    """
-    if np.any(power_w < 0) or np.any(gain < 0):
-        raise ValueError("power and gain must be nonnegative")
-    snr = power_w * gain / (interference_w + radio.noise_w)
+def shannon_rate(radio: RadioParams, snr: ArrayLike) -> np.ndarray:
+    """Shannon rate in bits/s at the received SNR, a scalar or an array."""
     return radio.bandwidth_hz * np.log2(1.0 + snr)
+
+
+def zero_power_energy(radio: RadioParams, bits: ArrayLike, snr_per_w: ArrayLike) -> np.ndarray:
+    """Transmit energy of `bits` in the zero-power limit, its infimum; inf on a dead link."""
+    with np.errstate(divide="ignore"):
+        return bits * math.log(2.0) / (radio.bandwidth_hz * snr_per_w)
 
 
 def payload_bits(model_dim: int, s: ArrayLike) -> np.ndarray:
@@ -137,14 +139,24 @@ def payload_bits(model_dim: int, s: ArrayLike) -> np.ndarray:
         raise ValueError("model_dim must be positive")
     if not np.all((0.0 <= s) & (s <= 1.0)):
         raise ValueError(f"rate must be in [0, 1], got {s}")
-    return np.ceil(32.0 * s * model_dim) + model_dim
+    return np.ceil(VALUE_BITS * s * model_dim) + model_dim
+
+
+def smooth_payload_bits(model_dim: int, s: ArrayLike) -> ArrayLike:
+    """payload_bits without the rounding up, the scheduler's smooth payload model."""
+    return VALUE_BITS * s * model_dim + model_dim
+
+
+def smooth_payload_rate(model_dim: int, bits: ArrayLike) -> ArrayLike:
+    """The rate whose smooth payload is `bits`: the inverse of smooth_payload_bits."""
+    return (bits - model_dim) / (VALUE_BITS * model_dim)
 
 
 def downlink_payload_bits(model_dim: int) -> int:
     """Dense broadcast bits for the global model."""
     if model_dim < 1:
         raise ValueError("model_dim must be positive")
-    return 32 * model_dim
+    return VALUE_BITS * model_dim
 
 
 @dataclass(frozen=True)
@@ -180,9 +192,10 @@ def round_costs(
     times upload time; compute energy is the capacitance model
     capacitance * tau * dataset_size * cycles_per_sample * freq^2 / 2.
     """
-    down_rate = link_rate(radio.downlink_power_w, downlink_gain, radio.interference_w, radio)
-    up_rate = link_rate(power_w, uplink_gain, radio.interference_w, radio)
-    if down_rate <= 0 or up_rate <= 0:
+    noise = radio.interference_w + radio.noise_w
+    down_rate = shannon_rate(radio, radio.downlink_power_w * downlink_gain / noise)
+    up_rate = shannon_rate(radio, power_w * uplink_gain / noise)
+    if not (down_rate > 0 and up_rate > 0):
         raise ValueError("link rates must be positive for a scheduled client")
     d_down = downlink_payload_bits(model_dim) / down_rate
     d_up = payload_bits(model_dim, s) / up_rate

@@ -14,7 +14,7 @@ from sparsefl.config import (
     validate_config,
 )
 from sparsefl.scheduler import BASELINE_POLICIES
-from sparsefl.simulator import CSV_COLUMNS, run_experiment
+from sparsefl.simulator import CSV_COLUMNS, build_state, run_experiment
 
 from conftest import fast_config
 from test_model_data import write_idx_images, write_idx_labels
@@ -57,6 +57,15 @@ def test_readme_names_every_config_key():
     named = set(re.findall(r"`([a-z0-9_]+)`", section))
     missing = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in named]
     assert not missing, f"README 'Config keys' does not name {missing}"
+
+
+def test_readme_example_config_gives_every_client_an_upload():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```\n(# exp\.cfg\n.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1, "README should hold one '# exp.cfg' block"
+    cfg = parse_config_text(blocks[0])
+    state = build_state(cfg, cfg.policies[0])
+    assert np.all(state.t_hats >= 1), state.t_hats.tolist()
 
 
 def test_comments_and_blank_lines_ignored():

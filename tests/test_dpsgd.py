@@ -25,9 +25,10 @@ from sparsefl.model_data import (
 )
 
 
-def train_one(w, data, s, cfg, streams, *, client_id=None, round_num=-1, stats=None):
+def train_one(w, data, s, cfg, streams, *, client_id=0, round_num=0, stats=None):
     """One client's own delta: local_train on a round of one client at weight 1."""
-    ids = None if client_id is None else [client_id]
+    stats = TrainStats() if stats is None else stats
+    ids = [client_id]
     return local_train(
         w, [data], [s], cfg, [streams], [1.0], client_ids=ids, round_num=round_num, stats=stats
     )
@@ -369,7 +370,7 @@ def test_plain_sgd_reduction():
     """tau=1, sigma=0, s=1, batch covering one sample reduces to one SGD step."""
     data, w = small_problem(n=1)
     cfg = DpConfig(clip_c=1e6, sigma_hat=0.0, batch_size=1, tau=1, eta=0.05)
-    update = train_one(w.copy(), data, 1.0, cfg, make_streams(5))
+    update = train_one(w, data, 1.0, cfg, make_streams(5))
     _, grads = per_sample_loss_grads(w, data.features, data.labels)
     assert np.allclose(update, -0.05 * grads[0], atol=1e-12)
 
@@ -391,7 +392,7 @@ def test_small_dataset_uses_effective_batch_for_noise():
     draws = np.empty((400, dim))
     for k in range(400):
         streams = make_streams(1000 + k)
-        upd = train_one(w.copy(), data, 1.0, cfg, streams)
+        upd = train_one(w, data, 1.0, cfg, streams)
         # recompute the clipped mean along the same batch path to isolate noise
         take = make_streams(1000 + k).batch.choice(3, size=3, replace=False)
         _, grads = per_sample_loss_grads(w, data.features[take], data.labels[take])
@@ -403,8 +404,8 @@ def test_small_dataset_uses_effective_batch_for_noise():
 def test_local_train_deterministic_given_streams():
     data, w = small_problem(n=25, d=7, k=3, seed=8)
     cfg = DpConfig(clip_c=1.0, sigma_hat=1.0, batch_size=5, tau=3, eta=0.05)
-    a = train_one(w.copy(), data, 0.5, cfg, make_streams(21))
-    b = train_one(w.copy(), data, 0.5, cfg, make_streams(21))
+    a = train_one(w, data, 0.5, cfg, make_streams(21))
+    b = train_one(w, data, 0.5, cfg, make_streams(21))
     assert np.array_equal(a, b)
 
 
@@ -480,7 +481,10 @@ def test_stacked_round_equals_each_client_alone_bit_for_bit(hidden, d, sizes, ra
 
     stats = TrainStats()
     streams = [make_streams(60 + j) for j in range(count)]
-    got = local_train(w, shards, rates, cfg, streams, weights, stats=stats)
+    ids = range(count)
+    got = local_train(
+        w, shards, rates, cfg, streams, weights, client_ids=ids, round_num=0, stats=stats
+    )
     assert np.array_equal(got, want)
     assert stats == alone_stats
     assert stats.noise_draws == count * cfg.tau
@@ -491,7 +495,10 @@ def test_stacked_round_equals_each_client_alone_bit_for_bit(hidden, d, sizes, ra
     for j in range(count):
         one_hot = np.eye(count)[j]
         streams = [make_streams(60 + i) for i in range(count)]
-        assert np.array_equal(local_train(w, shards, rates, cfg, streams, one_hot), alone[j])
+        got = local_train(
+            w, shards, rates, cfg, streams, one_hot, client_ids=ids, round_num=0, stats=TrainStats()
+        )
+        assert np.array_equal(got, alone[j])
     # the tiny rate leaves an empty mask: that client's delta is exactly zero
     for j, s in enumerate(rates):
         if s < 1e-9:
@@ -510,7 +517,8 @@ def test_non_finite_shard_names_its_client_in_a_stacked_round():
     with np.errstate(invalid="ignore"):
         with pytest.raises(TrainingDivergenceError, match="client 9 in round 4$"):
             local_train(
-                w, shards, rates, cfg, streams, weights, client_ids=[4, 9, 11], round_num=4
+                w, shards, rates, cfg, streams, weights, client_ids=[4, 9, 11], round_num=4,
+                stats=TrainStats(),
             )
 
 
@@ -518,7 +526,8 @@ def test_local_train_checks_each_shard_against_the_model():
     w, shards, rates, cfg, weights = stacked_round(None, 5, (12, 12), (0.5, 0.5), 0.5, seed=52)
     bad = Dataset(shards[1].features, np.full(12, 3))
     streams = [make_streams(80 + j) for j in range(2)]
+    kwargs = dict(client_ids=[0, 1], round_num=0, stats=TrainStats())
     with pytest.raises(ValueError, match="labels out of range"):
-        local_train(w, [shards[0], bad], rates, cfg, streams, weights)
+        local_train(w, [shards[0], bad], rates, cfg, streams, weights, **kwargs)
     with pytest.raises(ValueError, match="one entry per client"):
-        local_train(w, shards, rates[:1], cfg, streams, weights)
+        local_train(w, shards, rates[:1], cfg, streams, weights, **kwargs)

@@ -76,7 +76,7 @@ def test_per_sample_mean_equals_batch_gradient():
 
 def test_per_sample_loss_grads_input_validation():
     spec = ModelSpec(feature_dim=4, num_classes=3)
-    w = init_weights(spec)
+    w = init_weights(spec, np.random.default_rng(0))
     with pytest.raises(ValueError):
         per_sample_loss_grads(w, np.zeros((2, 5)), np.zeros(2, dtype=int))
     with pytest.raises(ValueError):
@@ -87,7 +87,7 @@ def test_per_sample_loss_grads_input_validation():
 
 def test_zero_weights_give_uniform_loss():
     spec = ModelSpec(feature_dim=6, num_classes=4)
-    w = init_weights(spec)
+    w = init_weights(spec, np.random.default_rng(0))
     rng = np.random.default_rng(0)
     data = Dataset(rng.standard_normal((50, 6)), rng.integers(0, 4, size=50))
     _, loss = evaluate(w, data, data)
@@ -113,7 +113,7 @@ def test_gradient_descent_reduces_loss():
     rng = np.random.default_rng(23)
     data = synthesize_classification(120, 5, 3, 3.0, rng)
     spec = ModelSpec(feature_dim=5, num_classes=3)
-    w = init_weights(spec)
+    w = init_weights(spec, rng)
     _, before = evaluate(w, data, data)
     values = w.values.copy()
     for _ in range(40):

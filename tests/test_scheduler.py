@@ -16,6 +16,7 @@ from sparsefl.scheduler import (
     _binding_power,
     EmptyRoundError,
     EnergyInfeasibleError,
+    RoundContext,
     SchedulerConfig,
     ScheduleDecision,
     VirtualQueues,
@@ -30,7 +31,7 @@ from sparsefl.scheduler import (
     update_queues,
     validate_decision,
 )
-from sparsefl.wireless import RadioParams, round_costs
+from sparsefl.wireless import ComputeParams, RadioParams, realize_channels, round_costs
 
 from conftest import loose_scheduler_config, make_context
 
@@ -53,6 +54,42 @@ def test_update_queues_recursion():
     drained = update_queues(VirtualQueues(q_fa=np.zeros(3), q_de=0.0), decision, beta, 5.0)
     assert np.allclose(drained.q_fa, [0.6, 0.0, 0.1])
     assert drained.q_de == 0.0
+
+
+def test_round_context_link_snrs_keep_their_float_order():
+    """Downlink SNR is (P * g) / (I + N), uplink P * (g / (I + N)), bit for bit."""
+    rng = np.random.default_rng(3)
+    n, m, dim = 40, 5, 100
+    radio = RadioParams(
+        bandwidth_hz=15e3, noise_w=2e-14, downlink_power_w=0.2, max_power_w=1.0,
+        interference_w=3e-14,
+    )
+    channels = realize_channels(rng.uniform(1e-12, 1e-9, n), m, rng)
+    ctx = RoundContext(
+        model_dim=dim,
+        tau=2,
+        eligible=np.arange(n),
+        weights=np.full(n, 1.0 / n),
+        dataset_sizes=np.full(n, 20),
+        channels=channels,
+        radio=radio,
+        compute=ComputeParams(
+            cycles_per_sample=1e4, cpu_freq_hz=np.full(n, 2e9), capacitance=1e-28
+        ),
+    )
+    noise = radio.interference_w + radio.noise_w
+    p_dl, g_dl, g_ul = radio.downlink_power_w, channels.downlink_gains, channels.uplink_gains
+    power = rng.uniform(0.01, 1.0, (n, m))
+
+    def rate(snr):
+        return radio.bandwidth_hz * np.log2(1.0 + snr)
+
+    down, up = rate((p_dl * g_dl) / noise), rate(power * (g_ul / noise))
+    assert np.array_equal(ctx.d_down, 32 * dim / down)
+    assert np.array_equal(ctx.uplink_rate(np.arange(n)[:, None], np.arange(m), power), up)
+    # On these draws the other association order moves some rates, so a swap shows.
+    assert not np.array_equal(down, rate(p_dl * (g_dl / noise)))
+    assert not np.array_equal(up, rate((power * g_ul) / noise))
 
 
 def test_scheduler_config_validation():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sparsefl import streams
 from sparsefl.accountant import BudgetOverrunError
 from sparsefl.cli import emit_metrics_csv
-from sparsefl.config import ConfigError
+from sparsefl.config import ConfigError, ExperimentConfig
 from sparsefl.dpsgd import clip_per_sample
 from sparsefl.model_data import ModelSpec, ModelWeights, per_sample_loss_grads
 from sparsefl.scheduler import POLICIES
@@ -231,11 +231,21 @@ def test_bound_diagnostics_terms():
         eligible=1,
         spars_deficit=0.25,
     )
-    terms = bound_diagnostics(
+    bound_diagnostics(
         [row], grad_norm_bound=2.0, smoothness=1.0, noise_sq_mean=0.5, eta=0.1, tau=4
     )
-    assert terms[0].term_sparsification == pytest.approx(3.0 * 4.0 * 0.25)
-    assert terms[0].term_dp == pytest.approx(0.1 * 16 * 0.5 * (1.0 + 3.0 * 0.1 * 1.0 * 4))
+    assert row.term_sparsification == pytest.approx(3.0 * 4.0 * 0.25)
+    assert row.term_dp == pytest.approx(0.1 * 16 * 0.5 * (1.0 + 3.0 * 0.1 * 1.0 * 4))
+
+
+@pytest.mark.parametrize("policy", ["lyapunov", "round_robin"])
+def test_default_config_runs_every_round_and_every_client_uploads(policy):
+    """An empty config is a usable experiment, not one whose budgets are spent at birth."""
+    trace = run_experiment(ExperimentConfig(), policy)
+    assert trace.truncated_at is None
+    assert len(trace.rows) == ExperimentConfig().rounds == 100
+    assert np.all(trace.t_hats >= 1)
+    assert np.all(trace.participation >= 1), trace.participation
 
 
 def test_unknown_policy_rejected():

@@ -11,12 +11,12 @@ from sparsefl.wireless import (
     channel_gain,
     dbm_to_watts,
     downlink_payload_bits,
-    link_rate,
     path_gain,
     pathloss_db,
     payload_bits,
     realize_channels,
     round_costs,
+    shannon_rate,
 )
 
 
@@ -60,22 +60,23 @@ def test_channel_gain_scales_with_fading():
         channel_gain(150.0, -0.1)
 
 
-def test_link_rate_shannon_form():
+def test_shannon_rate_form():
     radio = default_radio()
     gain = 1e-9
     power = 0.5
     snr = power * gain / radio.noise_w
     want = 15e3 * math.log2(1.0 + snr)
-    assert link_rate(power, gain, 0.0, radio) == pytest.approx(want, rel=1e-12)
-    assert link_rate(0.0, gain, 0.0, radio) == 0.0
+    assert shannon_rate(radio, snr) == pytest.approx(want, rel=1e-12)
+    assert shannon_rate(radio, 0.0) == 0.0  # zero transmit power
 
 
-def test_link_rate_with_interference():
+def test_shannon_rate_with_interference():
     radio = default_radio(interference_w=1e-13)
     gain = 1e-9
     snr = 0.5 * gain / (1e-13 + radio.noise_w)
     want = 15e3 * math.log2(1.0 + snr)
-    assert link_rate(0.5, gain, 1e-13, radio) == pytest.approx(want, rel=1e-12)
+    assert shannon_rate(radio, snr) == pytest.approx(want, rel=1e-12)
+    assert shannon_rate(radio, snr) < shannon_rate(radio, 0.5 * gain / radio.noise_w)
 
 
 def test_uplink_time_for_dense_megabit_payload():
@@ -160,8 +161,8 @@ def test_round_costs_components_consistent():
         radio=radio,
         compute=compute,
     )
-    up_rate = link_rate(0.3, 2e-9, 0.0, radio)
-    down_rate = link_rate(radio.downlink_power_w, 3e-9, 0.0, radio)
+    up_rate = shannon_rate(radio, 0.3 * 2e-9 / radio.noise_w)
+    down_rate = shannon_rate(radio, radio.downlink_power_w * 3e-9 / radio.noise_w)
     assert costs.d_up == pytest.approx(payload_bits(50, 0.4) / up_rate, rel=1e-12)
     assert costs.d_down == pytest.approx(downlink_payload_bits(50) / down_rate, rel=1e-12)
     assert costs.e_comm == pytest.approx(0.3 * costs.d_up, rel=1e-12)
@@ -173,6 +174,9 @@ def test_round_costs_rejects_dead_links():
     compute = ComputeParams(cycles_per_sample=1e4, cpu_freq_hz=2e9, capacitance=1e-28)
     with pytest.raises(ValueError):
         round_costs(50, 1.0, 0.0, 1e-9, 1e-9, 10, 1, radio, compute)
+    # A negative gain gives a NaN rate, which must not pass as a live link.
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        round_costs(50, 1.0, 1.0, -1e-9, 1e-9, 10, 1, radio, compute)
 
 
 def test_sparser_updates_upload_faster():
