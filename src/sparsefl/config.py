@@ -3,8 +3,8 @@
 The on-disk format is one `key = value` pair per line, `#` comments, blank
 lines ignored. Keys are typed and validated; unknown or repeated keys are
 rejected with the offending line number. Power-like quantities are given in
-dBm and converted to Watts once, at parse time, so everything downstream is
-linear.
+dBm and converted to Watts once, when the simulator builds its radio
+(simulator._radio_params), so everything downstream is linear.
 """
 
 from __future__ import annotations

@@ -357,35 +357,31 @@ def _open_binary(path: str):
     return open(path, "rb")
 
 
+def _read_idx(path: str, magic: int, kind: str, unit: str) -> np.ndarray:
+    """An IDX file's bytes as [count, item size] uint8; the magic's low byte counts dimensions."""
+    size = 4 + 4 * (magic & 0xFF)
+    with _open_binary(path) as fh:
+        header = fh.read(size)
+        if len(header) < size:
+            raise IdxFormatError(f"{path}: truncated header")
+        got, count, *item_shape = struct.unpack(f">{size // 4}I", header)
+        if got != magic:
+            raise IdxFormatError(f"{path}: expected {kind} magic {magic:#x}, got {got:#010x}")
+        item = math.prod(item_shape)
+        raw = fh.read(count * item)
+    if len(raw) != count * item:
+        raise IdxFormatError(f"{path}: expected {count * item} {unit} bytes")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(count, item)
+
+
 def read_idx_images(path: str) -> np.ndarray:
     """Images from an IDX file as float64 rows scaled to [0, 1]."""
-    with _open_binary(path) as fh:
-        header = fh.read(16)
-        if len(header) < 16:
-            raise IdxFormatError(f"{path}: truncated header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != 0x00000803:
-            raise IdxFormatError(f"{path}: expected image magic 0x803, got {magic:#010x}")
-        raw = fh.read(count * rows * cols)
-    if len(raw) != count * rows * cols:
-        raise IdxFormatError(f"{path}: expected {count * rows * cols} pixel bytes")
-    pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
-    return pixels.reshape(count, rows * cols)
+    return _read_idx(path, 0x00000803, "image", "pixel").astype(np.float64) / 255.0
 
 
 def read_idx_labels(path: str) -> np.ndarray:
     """Labels from an IDX file as an int64 vector."""
-    with _open_binary(path) as fh:
-        header = fh.read(8)
-        if len(header) < 8:
-            raise IdxFormatError(f"{path}: truncated header")
-        magic, count = struct.unpack(">II", header)
-        if magic != 0x00000801:
-            raise IdxFormatError(f"{path}: expected label magic 0x801, got {magic:#010x}")
-        raw = fh.read(count)
-    if len(raw) != count:
-        raise IdxFormatError(f"{path}: expected {count} label bytes")
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    return _read_idx(path, 0x00000801, "label", "label").ravel().astype(np.int64)
 
 
 def load_mnist(images_path: str, labels_path: str, limit: int | None = None) -> Dataset:
@@ -393,7 +389,4 @@ def load_mnist(images_path: str, labels_path: str, limit: int | None = None) -> 
     labels = read_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError("image and label counts differ")
-    if limit is not None:
-        images = images[:limit]
-        labels = labels[:limit]
-    return Dataset(images, labels)
+    return Dataset(images[:limit], labels[:limit])

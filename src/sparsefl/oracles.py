@@ -27,7 +27,7 @@ from .scheduler import (
     schedule_round,
     validate_decision,
 )
-from .wireless import ChannelRealization, ComputeParams, RadioParams, channel_gain
+from .wireless import ChannelRealization, ComputeParams, RadioParams, path_gain
 
 # Level grid of brute_force_joint_energy: points per scan, and zooms onto the
 # best point's neighbours after the first scan.
@@ -96,8 +96,8 @@ def random_round_context(
     downlink = np.empty(n_clients)
     for i in range(n_clients):
         for j in range(n_channels):
-            uplink[i, j] = channel_gain(float(distances[i]), float(rng.exponential(1.0)))
-        downlink[i] = channel_gain(float(distances[i]), float(rng.exponential(1.0)))
+            uplink[i, j] = path_gain(float(distances[i])) * float(rng.exponential(1.0))
+        downlink[i] = path_gain(float(distances[i])) * float(rng.exponential(1.0))
     radio = RadioParams(
         bandwidth_hz=float(rng.uniform(1e4, 3e4)),
         noise_w=10.0 ** (-107.0 / 10.0) * 1e-3,
@@ -131,7 +131,7 @@ def random_round_context(
 
 def _smooth_delay(ctx: RoundContext, i: int, j: int, s: float, power_w: float) -> float:
     gain = float(ctx.channels.uplink_gains[i, j])
-    snr = power_w * gain / (ctx.radio.interference_w + ctx.radio.noise_w)
+    snr = power_w * gain / ctx.radio.noise_w
     rate = ctx.radio.bandwidth_hz * math.log2(1.0 + snr)
     return (32.0 * s * ctx.model_dim + ctx.model_dim) / rate + float(
         ctx.d_down[i] + ctx.d_local[i]
@@ -300,7 +300,6 @@ def brute_force_joint(
     required = min(ctx.n_channels, len(rows))
     grid = _rate_grid(cfg.s_th, step)
     p_max = ctx.radio.max_power_w
-    noise_total = ctx.radio.interference_w + ctx.radio.noise_w
     dim = ctx.model_dim
     best = math.inf
     for subset in itertools.combinations(rows, required):
@@ -310,7 +309,7 @@ def brute_force_joint(
             rates = []
             fixed = []
             for i, j in zip(subset, perm):
-                snr = p_max * float(ctx.channels.uplink_gains[i, j]) / noise_total
+                snr = p_max * float(ctx.channels.uplink_gains[i, j]) / ctx.radio.noise_w
                 rates.append(ctx.radio.bandwidth_hz * math.log2(1.0 + snr))
                 fixed.append(float(ctx.d_down[i] + ctx.d_local[i]))
             levels = [
@@ -354,12 +353,11 @@ def _edge_best_rate(
     the crossing of the two budgets, found by bisection on log P.
     """
     gain = float(ctx.channels.uplink_gains[i, j])
-    noise_total = ctx.radio.interference_w + ctx.radio.noise_w
     headroom = cfg.e_max_j - float(ctx.e_comp[i])
     dim = ctx.model_dim
 
     def budgets(power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rate = ctx.radio.bandwidth_hz * np.log1p(power * gain / noise_total) / math.log(2.0)
+        rate = ctx.radio.bandwidth_hz * np.log1p(power * gain / ctx.radio.noise_w) / math.log(2.0)
         return x * rate, headroom * rate / power - 1.0
 
     log_hi = np.full(x.shape, math.log(ctx.radio.max_power_w))

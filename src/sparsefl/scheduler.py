@@ -110,8 +110,8 @@ class RoundContext:
     snr_per_w: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        radio, noise = self.radio, self.radio.interference_w + self.radio.noise_w
-        down_snr = radio.downlink_power_w * self.channels.downlink_gains / noise
+        radio = self.radio
+        down_snr = radio.downlink_power_w * self.channels.downlink_gains / radio.noise_w
         down_rate = wireless.shannon_rate(radio, down_snr)
         if not np.all(down_rate > 0):
             raise ValueError("downlink rates must be positive for every client")
@@ -122,7 +122,7 @@ class RoundContext:
         )
         object.__setattr__(self, "d_local", work / freq)
         object.__setattr__(self, "e_comp", compute.capacitance * work * freq**2 / 2.0)
-        object.__setattr__(self, "snr_per_w", self.channels.uplink_gains / noise)
+        object.__setattr__(self, "snr_per_w", self.channels.uplink_gains / radio.noise_w)
 
     @property
     def n_clients(self) -> int:
@@ -294,7 +294,7 @@ def _binding_power(
     falling = np.ones(snr_per_w.shape, dtype=bool)
     for _ in range(_NEWTON_STEPS):
         rate = wireless.shannon_rate(radio, power * snr_per_w)
-        rate_slope = radio.bandwidth_hz * snr_per_w / ((1.0 + power * snr_per_w) * math.log(2.0))
+        rate_slope = wireless.shannon_rate_slope(radio, snr_per_w, power)
         room = headroom - x * power
         step = (rate * room - bits * power) / (rate_slope * room - x * rate - bits)
         # The fall is monotone, so a step that is not positive is rounding

@@ -32,13 +32,15 @@ from .config import ConfigError, ExperimentConfig, validate_config
 from .dpsgd import DpConfig, TrainStats, TrainStreams, local_train
 from .model_data import (
     Dataset,
+    IdxFormatError,
     ModelSpec,
     ModelWeights,
     PartitionSpec,
     evaluate,
     init_weights,
-    load_mnist,
     partition,
+    read_idx_images,
+    read_idx_labels,
     synthesize_classification,
 )
 from .scheduler import (
@@ -171,12 +173,17 @@ def _build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
             streams.substream(config.seed, streams.DATA, 1),
         )
         return train, test
-    train = load_mnist(config.mnist_train_images, config.mnist_train_labels, config.num_train)
-    test = load_mnist(config.mnist_test_images, config.mnist_test_labels, config.num_test)
-    for name, data, key, wanted in (
-        ("train", train, "num_train", config.num_train),
-        ("test", test, "num_test", config.num_test),
+    loaded = []
+    for name, key, wanted in (
+        ("train", "num_train", config.num_train),
+        ("test", "num_test", config.num_test),
     ):
+        images = _read_mnist_file(config, f"mnist_{name}_images")
+        labels = _read_mnist_file(config, f"mnist_{name}_labels")
+        if len(labels) != len(images):
+            raise ConfigError(f"mnist_{name}_labels: {len(labels)} labels for {len(images)} images")
+        data = Dataset(images[:wanted], labels[:wanted])
+        loaded.append(data)
         if data.n < wanted:
             raise ConfigError(
                 f"{key}: the {name} files hold {data.n} samples, but {key} = {wanted}"
@@ -186,16 +193,31 @@ def _build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
                 f"num_classes: {name} labels reach {int(data.labels.max())}, "
                 f"but num_classes = {config.num_classes}"
             )
+    train, test = loaded
+    if test.feature_dim != train.feature_dim:
+        raise ConfigError(
+            f"mnist_test_images: {test.feature_dim} pixels per image, "
+            f"but the training images have {train.feature_dim}"
+        )
     return train, test
+
+
+def _read_mnist_file(config: ExperimentConfig, key: str) -> np.ndarray:
+    """The IDX images or labels that `key` names; a bad or unreadable file is a config error."""
+    reader = read_idx_images if key.endswith("_images") else read_idx_labels
+    try:
+        return reader(getattr(config, key))
+    except (IdxFormatError, OSError, EOFError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _radio_params(config: ExperimentConfig) -> RadioParams:
     return RadioParams(
         bandwidth_hz=config.bandwidth_hz,
-        noise_w=dbm_to_watts(config.noise_dbm),
+        # The receiver's noise floor: interference plus thermal noise, summed only here.
+        noise_w=dbm_to_watts(config.interference_dbm) + dbm_to_watts(config.noise_dbm),
         downlink_power_w=dbm_to_watts(config.downlink_power_dbm),
         max_power_w=dbm_to_watts(config.max_power_dbm),
-        interference_w=dbm_to_watts(config.interference_dbm),
     )
 
 
@@ -289,7 +311,7 @@ def build_state(config: ExperimentConfig, policy: str) -> SimState:
     placement_rng = streams.substream(config.seed, streams.PLACEMENT)
     positions = placement_rng.uniform(0.0, config.area_side_m, size=(config.num_clients, 2))
     center = np.full(2, config.area_side_m / 2.0)
-    distances = np.maximum(np.linalg.norm(positions - center, axis=1), 1.0)
+    distances = np.linalg.norm(positions - center, axis=1)
     path_gains = np.array([path_gain(d) for d in distances])
 
     privacy_rng = streams.substream(config.seed, streams.PRIVACY)

@@ -2,23 +2,21 @@
 
 Path loss follows the urban-macro curve 128.1 + 37.6 log10(distance_km) dB,
 multiplied by unit-mean exponential small-scale fading. Link rates are Shannon
-capacities over the configured bandwidth. Uplink payloads combine 32-bit
+capacities over the configured bandwidth, at the SNR over the receiver's noise
+floor (thermal noise plus interference). Uplink payloads combine 32-bit
 floats for retained coordinates with a 1-bit-per-coordinate mask; the dense
 downlink broadcast carries 32 bits per coordinate. The scheduler prices these
-links through this module only: shannon_rate, the payload sizes and their
-smooth (un-rounded) form.
+links through this module only: shannon_rate and its power derivative, the
+payload sizes and their smooth (un-rounded) form.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike
-
-logger = logging.getLogger(__name__)
 
 _MIN_DISTANCE_M = 1.0
 _PATHLOSS_INTERCEPT_DB = 128.1
@@ -29,25 +27,22 @@ VALUE_BITS = 32
 
 def pathloss_db(distance_m: float) -> float:
     """Path loss in dB at the given distance, clamped below at one meter."""
-    if distance_m < _MIN_DISTANCE_M:
-        logger.warning("distance %.3g m below %.0f m floor, clamping", distance_m, _MIN_DISTANCE_M)
-        distance_m = _MIN_DISTANCE_M
+    distance_m = max(distance_m, _MIN_DISTANCE_M)
     return _PATHLOSS_INTERCEPT_DB + _PATHLOSS_SLOPE_DB * math.log10(distance_m / 1000.0)
 
 
 @dataclass(frozen=True)
 class RadioParams:
+    """Link constants; noise_w is the receiver's whole noise floor, thermal plus interference."""
+
     bandwidth_hz: float
     noise_w: float
     downlink_power_w: float
     max_power_w: float
-    interference_w: float = 0.0
 
     def __post_init__(self) -> None:
         if min(self.bandwidth_hz, self.noise_w, self.downlink_power_w, self.max_power_w) <= 0:
             raise ValueError("bandwidth, noise, and powers must be positive")
-        if self.interference_w < 0:
-            raise ValueError("interference must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -95,13 +90,6 @@ def path_gain(distance_m: float) -> float:
     return 10.0 ** (-pathloss_db(distance_m) / 10.0)
 
 
-def channel_gain(distance_m: float, fading: float) -> float:
-    """Linear power gain: path-loss attenuation times a fading draw."""
-    if fading < 0:
-        raise ValueError("fading must be nonnegative")
-    return path_gain(distance_m) * fading
-
-
 def realize_channels(
     path_gains: np.ndarray, n_channels: int, rng: np.random.Generator
 ) -> ChannelRealization:
@@ -122,6 +110,11 @@ def realize_channels(
 def shannon_rate(radio: RadioParams, snr: ArrayLike) -> np.ndarray:
     """Shannon rate in bits/s at the received SNR, a scalar or an array."""
     return radio.bandwidth_hz * np.log2(1.0 + snr)
+
+
+def shannon_rate_slope(radio: RadioParams, snr_per_w: ArrayLike, power_w: ArrayLike) -> np.ndarray:
+    """d shannon_rate / d power at power_w, for the SNR per watt of transmit power."""
+    return radio.bandwidth_hz * snr_per_w / ((1.0 + power_w * snr_per_w) * math.log(2.0))
 
 
 def zero_power_energy(radio: RadioParams, bits: ArrayLike, snr_per_w: ArrayLike) -> np.ndarray:
@@ -192,9 +185,8 @@ def round_costs(
     times upload time; compute energy is the capacitance model
     capacitance * tau * dataset_size * cycles_per_sample * freq^2 / 2.
     """
-    noise = radio.interference_w + radio.noise_w
-    down_rate = shannon_rate(radio, radio.downlink_power_w * downlink_gain / noise)
-    up_rate = shannon_rate(radio, power_w * uplink_gain / noise)
+    down_rate = shannon_rate(radio, radio.downlink_power_w * downlink_gain / radio.noise_w)
+    up_rate = shannon_rate(radio, power_w * uplink_gain / radio.noise_w)
     if not (down_rate > 0 and up_rate > 0):
         raise ValueError("link rates must be positive for a scheduled client")
     d_down = downlink_payload_bits(model_dim) / down_rate

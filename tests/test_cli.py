@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gzip
 import re
 from pathlib import Path
 
@@ -258,6 +259,55 @@ def test_cli_short_mnist_file_is_config_error(tmp_path, capsys, short):
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "m.csv")]) == 2
     err = capsys.readouterr().err
     assert f"{short}: the" in err and "hold 50 samples" in err
+
+
+def write_mnist_cfg(tmp_path, image_shapes):
+    """A two-round MNIST config over IDX files with the given {split: (n, rows, cols)}."""
+    rng = np.random.default_rng(5)
+    text = (
+        "rounds = 2\nnum_clients = 2\nnum_channels = 1\nnum_train = 40\nnum_test = 10\n"
+        "num_classes = 4\nsigma_hat = 0\ndataset = mnist\n"
+    )
+    for name, shape in image_shapes.items():
+        images, labels = tmp_path / f"{name}_images.idx", tmp_path / f"{name}_labels.idx"
+        write_idx_images(images, rng.integers(0, 256, size=shape))
+        write_idx_labels(labels, rng.integers(0, 4, size=shape[0]))
+        text += f"mnist_{name}_images = {images}\nmnist_{name}_labels = {labels}\n"
+    return write_cfg(tmp_path, text=text)
+
+
+@pytest.mark.parametrize(
+    "key, damage",
+    [
+        ("mnist_train_labels", "magic"),
+        ("mnist_test_images", "truncate"),
+        ("mnist_test_labels", "truncate_gzip"),
+        ("mnist_train_images", "missing"),
+    ],
+)
+def test_cli_malformed_mnist_file_is_config_error(tmp_path, capsys, key, damage):
+    """A wrong magic, a truncated (plain or gzip) or a missing IDX file exits 2, naming its key."""
+    cfg_path = write_mnist_cfg(tmp_path, {"train": (40, 4, 4), "test": (10, 4, 4)})
+    bad = tmp_path / (key.removeprefix("mnist_") + ".idx")
+    raw = bad.read_bytes()
+    if damage == "magic":
+        bad.write_bytes(b"\x00\x00\x09\x99" + raw[4:])
+    elif damage == "truncate":
+        bad.write_bytes(raw[:-3])
+    elif damage == "truncate_gzip":
+        bad.write_bytes(gzip.compress(raw)[:-12])
+    else:
+        bad.unlink()
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "m.csv")]) == 2
+    assert f"config error: {key}: " in capsys.readouterr().err
+
+
+def test_cli_test_images_of_another_size_is_config_error(tmp_path, capsys):
+    """Test images whose pixel count differs from the training images' exit 2 before round 1."""
+    cfg_path = write_mnist_cfg(tmp_path, {"train": (40, 4, 4), "test": (10, 5, 5)})
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "m.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: mnist_test_images:" in err and "25 pixels" in err
 
 
 def test_cli_truncation_note(tmp_path, capsys):

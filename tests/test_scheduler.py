@@ -57,13 +57,11 @@ def test_update_queues_recursion():
 
 
 def test_round_context_link_snrs_keep_their_float_order():
-    """Downlink SNR is (P * g) / (I + N), uplink P * (g / (I + N)), bit for bit."""
+    """Downlink SNR is (P * g) / N, uplink P * (g / N), bit for bit, at the noise floor N."""
     rng = np.random.default_rng(3)
     n, m, dim = 40, 5, 100
-    radio = RadioParams(
-        bandwidth_hz=15e3, noise_w=2e-14, downlink_power_w=0.2, max_power_w=1.0,
-        interference_w=3e-14,
-    )
+    noise = 3e-14 + 2e-14  # interference plus thermal noise, summed as the simulator does
+    radio = RadioParams(bandwidth_hz=15e3, noise_w=noise, downlink_power_w=0.2, max_power_w=1.0)
     channels = realize_channels(rng.uniform(1e-12, 1e-9, n), m, rng)
     ctx = RoundContext(
         model_dim=dim,
@@ -77,7 +75,6 @@ def test_round_context_link_snrs_keep_their_float_order():
             cycles_per_sample=1e4, cpu_freq_hz=np.full(n, 2e9), capacitance=1e-28
         ),
     )
-    noise = radio.interference_w + radio.noise_w
     p_dl, g_dl, g_ul = radio.downlink_power_w, channels.downlink_gains, channels.uplink_gains
     power = rng.uniform(0.01, 1.0, (n, m))
 

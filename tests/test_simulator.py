@@ -19,6 +19,7 @@ from sparsefl.simulator import (
     run_experiment,
     run_round,
 )
+from sparsefl.wireless import dbm_to_watts
 
 from conftest import fast_config
 from test_model_data import write_idx_images, write_idx_labels
@@ -144,6 +145,15 @@ def test_d_avg_passthrough_and_calibration():
     assert explicit.d_avg_s == 0.42
     calibrated = run_experiment(fast_config(rounds=2), "lyapunov")
     assert calibrated.d_avg_s > 0.0
+
+
+def test_interference_joins_the_noise_floor_once():
+    """interference_dbm adds its Watts to the thermal noise floor, which slows every link."""
+    quiet = build_state(fast_config(rounds=2), "lyapunov")
+    noisy = build_state(fast_config(rounds=2, interference_dbm=-100.0), "lyapunov")
+    assert quiet.radio.noise_w == dbm_to_watts(-107.0)
+    assert noisy.radio.noise_w == dbm_to_watts(-100.0) + dbm_to_watts(-107.0)
+    assert noisy.sched_cfg.d_avg > quiet.sched_cfg.d_avg
 
 
 def test_matches_hand_rolled_weighted_averaging():

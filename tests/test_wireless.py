@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ from sparsefl.wireless import (
     ChannelRealization,
     ComputeParams,
     RadioParams,
-    channel_gain,
     dbm_to_watts,
     downlink_payload_bits,
     path_gain,
@@ -17,6 +15,7 @@ from sparsefl.wireless import (
     realize_channels,
     round_costs,
     shannon_rate,
+    shannon_rate_slope,
 )
 
 
@@ -41,23 +40,11 @@ def test_dbm_conversions():
 def test_pathloss_at_hundred_meters():
     # 128.1 + 37.6*log10(0.1) = 90.5 dB
     assert pathloss_db(100.0) == pytest.approx(90.5, abs=1e-9)
-    assert channel_gain(100.0, 1.0) == pytest.approx(10.0 ** (-9.05), rel=1e-12)
+    assert path_gain(100.0) == pytest.approx(10.0 ** (-9.05), rel=1e-12)
 
 
-def test_pathloss_clamps_below_one_meter(caplog):
-    at_floor = pathloss_db(1.0)
-    with caplog.at_level(logging.WARNING, logger="sparsefl.wireless"):
-        clamped = pathloss_db(0.05)
-    assert clamped == at_floor
-    assert any("clamping" in rec.message for rec in caplog.records)
-
-
-def test_channel_gain_scales_with_fading():
-    g1 = channel_gain(150.0, 1.0)
-    g2 = channel_gain(150.0, 2.5)
-    assert g2 == pytest.approx(2.5 * g1, rel=1e-12)
-    with pytest.raises(ValueError):
-        channel_gain(150.0, -0.1)
+def test_pathloss_clamps_below_one_meter():
+    assert pathloss_db(0.05) == pathloss_db(1.0)
 
 
 def test_shannon_rate_form():
@@ -71,12 +58,31 @@ def test_shannon_rate_form():
 
 
 def test_shannon_rate_with_interference():
-    radio = default_radio(interference_w=1e-13)
+    thermal = dbm_to_watts(-107.0)
+    radio = default_radio(noise_w=1e-13 + thermal)
     gain = 1e-9
-    snr = 0.5 * gain / (1e-13 + radio.noise_w)
+    snr = 0.5 * gain / radio.noise_w
     want = 15e3 * math.log2(1.0 + snr)
     assert shannon_rate(radio, snr) == pytest.approx(want, rel=1e-12)
-    assert shannon_rate(radio, snr) < shannon_rate(radio, 0.5 * gain / radio.noise_w)
+    assert shannon_rate(radio, snr) < shannon_rate(radio, 0.5 * gain / thermal)
+
+
+def test_shannon_rate_slope_is_the_rate_derivative():
+    radio = default_radio()
+    for snr_per_w in (1e2, 1e5, 3e8):
+        for power in (1e-3, 0.2, 1.0):
+            h = 1e-6 * power
+            central = (
+                shannon_rate(radio, (power + h) * snr_per_w)
+                - shannon_rate(radio, (power - h) * snr_per_w)
+            ) / (2.0 * h)
+            slope = shannon_rate_slope(radio, snr_per_w, power)
+            assert slope == pytest.approx(central, rel=1e-6)
+    # On arrays it keeps the float order B * k / ((1 + P * k) * ln 2), bit for bit.
+    rng = np.random.default_rng(4)
+    snr_per_w, power = rng.uniform(1e2, 1e9, (6, 3)), rng.uniform(1e-3, 1.0, (6, 3))
+    inline = radio.bandwidth_hz * snr_per_w / ((1.0 + power * snr_per_w) * math.log(2.0))
+    assert np.array_equal(shannon_rate_slope(radio, snr_per_w, power), inline)
 
 
 def test_uplink_time_for_dense_megabit_payload():
@@ -108,6 +114,7 @@ def test_realize_channels_shapes_and_determinism():
 
 
 def test_realize_channels_matches_scalar_channel_gain():
+    """Each gain is the client's path_gain times its fading draw, in draw order."""
     distances = (1.0, 50.0, 120.0, 300.0, 0.5)
     real = realize_channels(
         np.array([path_gain(d) for d in distances]), 3, np.random.default_rng(9)
@@ -117,8 +124,8 @@ def test_realize_channels_matches_scalar_channel_gain():
     fading_down = rng.exponential(1.0, size=len(distances))
     for i, d in enumerate(distances):
         for j in range(3):
-            assert real.uplink_gains[i, j] == channel_gain(d, float(fading_up[i, j]))
-        assert real.downlink_gains[i] == channel_gain(d, float(fading_down[i]))
+            assert real.uplink_gains[i, j] == path_gain(d) * float(fading_up[i, j])
+        assert real.downlink_gains[i] == path_gain(d) * float(fading_down[i])
 
 
 def test_realize_channels_mean_tracks_pathloss():
@@ -203,10 +210,7 @@ def test_param_validation():
     with pytest.raises(ValueError):
         RadioParams(bandwidth_hz=0.0, noise_w=1e-14, downlink_power_w=0.1, max_power_w=1.0)
     with pytest.raises(ValueError):
-        RadioParams(
-            bandwidth_hz=1e4, noise_w=1e-14, downlink_power_w=0.1, max_power_w=1.0,
-            interference_w=-1e-15,
-        )
+        RadioParams(bandwidth_hz=1e4, noise_w=0.0, downlink_power_w=0.1, max_power_w=1.0)
     with pytest.raises(ValueError):
         ComputeParams(cycles_per_sample=0.0, cpu_freq_hz=1e9, capacitance=1e-28)
     ComputeParams(cycles_per_sample=1e4, cpu_freq_hz=np.array([1e9, 2e9]), capacitance=1e-28)
