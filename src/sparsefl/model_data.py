@@ -14,6 +14,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -357,18 +358,26 @@ def _open_binary(path: str):
     return open(path, "rb")
 
 
+def _read_body(fh, size: int, path: str) -> bytes:
+    """Up to size bytes; a corrupt or cut gzip stream is malformed IDX, not an I/O error."""
+    try:
+        return fh.read(size)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise IdxFormatError(f"{path}: corrupt gzip stream: {exc}") from None
+
+
 def _read_idx(path: str, magic: int, kind: str, unit: str) -> np.ndarray:
     """An IDX file's bytes as [count, item size] uint8; the magic's low byte counts dimensions."""
     size = 4 + 4 * (magic & 0xFF)
     with _open_binary(path) as fh:
-        header = fh.read(size)
+        header = _read_body(fh, size, path)
         if len(header) < size:
             raise IdxFormatError(f"{path}: truncated header")
         got, count, *item_shape = struct.unpack(f">{size // 4}I", header)
         if got != magic:
             raise IdxFormatError(f"{path}: expected {kind} magic {magic:#x}, got {got:#010x}")
         item = math.prod(item_shape)
-        raw = fh.read(count * item)
+        raw = _read_body(fh, count * item, path)
     if len(raw) != count * item:
         raise IdxFormatError(f"{path}: expected {count * item} {unit} bytes")
     return np.frombuffer(raw, dtype=np.uint8).reshape(count, item)
@@ -383,10 +392,3 @@ def read_idx_labels(path: str) -> np.ndarray:
     """Labels from an IDX file as an int64 vector."""
     return _read_idx(path, 0x00000801, "label", "label").ravel().astype(np.int64)
 
-
-def load_mnist(images_path: str, labels_path: str, limit: int | None = None) -> Dataset:
-    images = read_idx_images(images_path)
-    labels = read_idx_labels(labels_path)
-    if images.shape[0] != labels.shape[0]:
-        raise IdxFormatError("image and label counts differ")
-    return Dataset(images[:limit], labels[:limit])

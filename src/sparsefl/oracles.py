@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import logsumexp
@@ -22,8 +23,6 @@ from .scheduler import (
     VirtualQueues,
     drift_penalty_value,
     feasible_edges,
-    optimal_assignment,
-    optimal_sparsification,
     schedule_round,
     validate_decision,
 )
@@ -493,6 +492,9 @@ def run_verify() -> tuple[int, list[str]]:
         n_cl = int(rng.integers(2, 7))
         n_ch = int(rng.integers(2, 6))
         ctx, cfg, queues = random_round_context(rng, n_cl, n_ch, q_de=0.0, e_max_j=0.05)
+        # At s_th = 1 every rate is 1, and with no delay debt the round is
+        # the assignment problem alone.
+        cfg = replace(cfg, s_th=1.0)
         edges = feasible_edges(ctx, cfg)
         s = np.ones(n_cl)
         powers = np.full(n_cl, ctx.radio.max_power_w)
@@ -500,11 +502,11 @@ def run_verify() -> tuple[int, list[str]]:
         if reference is None:
             continue
         try:
-            assigned = optimal_assignment(ctx, cfg, queues, s, powers, edges)
+            decision = schedule_round(ctx, cfg, queues)
         except Exception:
             bad += 1
             continue
-        got = sum(queues.q_fa[i] - cfg.lam * ctx.weights[i] for i in np.flatnonzero(assigned >= 0))
+        got = sum(queues.q_fa[i] - cfg.lam * ctx.weights[i] for i in decision.participants)
         if abs(got - reference[0]) > 1e-9:
             bad += 1
     record("assignment-enumeration", bad == 0, f"{bad} of 100 instances mismatched")
@@ -512,9 +514,8 @@ def run_verify() -> tuple[int, list[str]]:
     bad = 0
     for _ in range(10):
         ctx, cfg, queues = random_round_context(rng, 3, 3)
-        powers = np.full(3, ctx.radio.max_power_w)
-        assigned = np.array([0, 1, 2])
-        s = optimal_sparsification(ctx, cfg, queues, assigned, powers)
+        decision = schedule_round(ctx, cfg, queues)
+        assigned, s, powers = decision.assigned_channel, decision.rates, decision.powers
         solver_v = drift_penalty_value(ctx, cfg, queues, assigned, s, powers)
         oracle_v, _ = grid_search_sparsification(ctx, cfg, queues, assigned, powers, step=1e-3)
         coarse_smart, _ = grid_search_sparsification(ctx, cfg, queues, assigned, powers, step=0.05)

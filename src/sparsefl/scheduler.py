@@ -18,6 +18,12 @@ breakpoints, so branch and bound over the sorted breakpoints is exact. Where
 a cap binds the winning matching's own objective is convex in l and is then
 minimized by bounded Brent search.
 
+schedule_round runs three named steps: optimal_assignment (the level sweep
+and its matchings), optimal_sparsification (the winner's level, rates and
+powers) and optimal_power (the Newton solve for a binding edge's power).
+Each is called through its module global, so a wrapper bound to the name
+sees every call.
+
 The objective's uplink payload is the smooth 32 * s * dim + dim bits; the
 energy constraint keeps one bit of slack for the realized, rounded payload.
 """
@@ -47,10 +53,6 @@ POLICIES = (OPTIMIZED_POLICY,) + BASELINE_POLICIES
 
 class EmptyRoundError(RuntimeError):
     """No client can be scheduled this round."""
-
-
-class EnergyInfeasibleError(RuntimeError):
-    """A client cannot meet the energy cap at any positive transmit power."""
 
 
 @dataclass
@@ -249,41 +251,9 @@ def feasible_edges(ctx: RoundContext, cfg: SchedulerConfig) -> np.ndarray:
 
 
 def optimal_power(
-    ctx: RoundContext, cfg: SchedulerConfig, assigned_channel: np.ndarray, s: np.ndarray
-) -> np.ndarray:
-    """Largest energy-feasible power per assigned client, capped at max power.
-
-    The transmit energy P * payload / R(P) rises with P, so a capped client
-    sends at the largest power at which the rounded payload's energy, as
-    build_decision realizes it, stays within the cap.
-    """
-    powers = np.full(ctx.n_clients, ctx.radio.max_power_w)
-    clients = np.flatnonzero(assigned_channel >= 0)
-    e_comp, e_max = ctx.e_comp[clients], cfg.e_max_j
-    headroom, chans, radio = e_max - e_comp, assigned_channel[clients], ctx.radio
-    snr_per_w = ctx.snr_per_w[clients, chans]
-    bits = wireless.payload_bits(ctx.model_dim, s[clients])
-    # The infimum of the transmit energy; also catches no headroom.
-    unreachable = wireless.zero_power_energy(radio, bits, snr_per_w) >= headroom
-    if np.any(unreachable):
-        i = clients[np.argmax(unreachable)]
-        raise EnergyInfeasibleError(f"client {i}: energy cap unreachable at any power")
-    full_rate = ctx.uplink_rate(clients, chans, radio.max_power_w)
-    capped = radio.max_power_w * bits > headroom * full_rate
-    clients, chans, bits, e_comp = clients[capped], chans[capped], bits[capped], e_comp[capped]
-    power = _binding_power(radio, snr_per_w[capped], headroom[capped], 0.0, bits)[0]
-    # Newton reaches the root from above: step down until the energy, as
-    # build_decision realizes it, fits the cap.
-    while (over := power * (bits / ctx.uplink_rate(clients, chans, power)) + e_comp > e_max).any():
-        power = np.where(over, np.nextafter(power, 0.0), power)
-    powers[clients] = power
-    return powers
-
-
-def _binding_power(
     radio: RadioParams, snr_per_w: np.ndarray, headroom: np.ndarray, x: ArrayLike, bits: ArrayLike
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Power and uplink rate solving R(P) * (H - x * P) = bits * P.
+    """Power and uplink rate solving R(P) * (H - x * P) = bits * P on binding edges.
 
     F(P) = R(P) * (H - x * P) - bits * P is concave with F(0) = 0, rises at
     zero when the headroom H covers `bits` in the zero-power limit and is
@@ -306,89 +276,6 @@ def _binding_power(
     else:
         raise RuntimeError("binding-branch power did not converge")
     return power, wireless.shannon_rate(radio, power * snr_per_w)
-
-
-def _rate_line(
-    ctx: RoundContext, cfg: SchedulerConfig, clients: ArrayLike, chans: ArrayLike, power: ArrayLike
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each edge's delay slope * s + offset at rate s and a fixed power, and its rate cap.
-
-    The cap is the largest rate the energy headroom allows less one bit of
-    rounding slack, unclipped; dead links have infinite slope and offset.
-    """
-    dim, width = ctx.model_dim, wireless.VALUE_BITS
-    rate = ctx.uplink_rate(clients, chans, power)
-    headroom = cfg.e_max_j - ctx.e_comp[clients]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = width * dim / rate
-        offset = dim / rate + ctx.d_down[clients] + ctx.d_local[clients]
-        cap = wireless.smooth_payload_rate(dim, headroom * rate / power) - 1.0 / (width * dim)
-    return slope, offset, cap
-
-
-def optimal_sparsification(
-    ctx: RoundContext,
-    cfg: SchedulerConfig,
-    queues: VirtualQueues,
-    assigned_channel: np.ndarray,
-    powers: np.ndarray,
-) -> np.ndarray:
-    """Exact rate vector minimizing the objective for a fixed assignment and powers.
-
-    Rates are capped by the energy headroom at the given power, less one bit
-    of rounding slack (never below s_th). At a round-delay level each client
-    takes the largest rate no slower than it, so the objective is convex and
-    piecewise linear in the level, minimal where a client meets its floor or
-    cap; with zero delay debt that is the top level.
-    """
-    s = np.ones(ctx.n_clients)
-    assigned = np.flatnonzero(assigned_channel >= 0)
-    if assigned.size == 0:
-        return s
-    slopes, offsets, caps = _rate_line(
-        ctx, cfg, assigned, assigned_channel[assigned], powers[assigned]
-    )
-    caps = np.clip(caps, cfg.s_th, 1.0)
-    floor = slopes * cfg.s_th + offsets
-    levels = np.unique(np.concatenate([floor, slopes * caps + offsets]))
-    levels = levels[levels >= floor.max()] if queues.q_de > 0.0 else levels[-1:]
-    rates = np.clip((levels[:, None] - offsets) / slopes, cfg.s_th, caps)
-    values = queues.q_de * levels - cfg.lam * rates @ ctx.weights[assigned]
-    s[assigned] = rates[np.argmin(values)]
-    return s
-
-
-def optimal_assignment(
-    ctx: RoundContext,
-    cfg: SchedulerConfig,
-    queues: VirtualQueues,
-    s: np.ndarray,
-    powers: np.ndarray,
-    edges: np.ndarray,
-) -> np.ndarray:
-    """Best one-to-one assignment for fixed rates and powers, by the level sweep.
-
-    Costs q_fa - lam * p * s do not depend on the level; a level admits the
-    edges no slower than it, so the candidate levels are the edge delays. As
-    many clients are scheduled as the feasible edges allow, up to the channel
-    count.
-    """
-    rows = ctx.eligible[edges[ctx.eligible].any(axis=1)]
-    if rows.size == 0:
-        raise EmptyRoundError("no client has an energy-feasible channel")
-    linear = (queues.q_fa[rows] - cfg.lam * ctx.weights[rows] * s[rows])[:, None]
-    row_edges = edges[rows]
-    delays = ctx.smooth_delay(
-        rows[:, None], np.arange(ctx.n_channels), s[rows, None], powers[rows, None]
-    )
-
-    def match_at(level: float) -> tuple[float, np.ndarray] | None:
-        return _matching(ctx, rows, np.where(row_edges & (delays <= level), linear, _BIG_COST))
-
-    _, _, best = _level_sweep(np.unique(delays[row_edges]), match_at, queues.q_de, cfg.d_avg)
-    if best is None:
-        raise EmptyRoundError("no feasible assignment")
-    return best
 
 
 def _matching(
@@ -457,10 +344,11 @@ class _LevelModel:
 
     At level l an edge has x = l - d_down - d_local seconds to upload. While
     its cap is slack it sends at full power and its rate rises linearly from
-    s_th at bp_lo to 1 at bp_hi. A cap that binds before s = 1 does so from
-    bp_sw on; the edge then sends at the power where the delay and energy
-    constraints meet, and its rate rises concavely until bp_hi. Infeasible
-    edges have bp_lo = inf.
+    s_th at bp_lo to 1 at bp_hi: its delay is slope * s + offset. The cap
+    allows rates up to s_sw at full power, less one bit of rounding slack; a
+    cap that binds before s = 1 does so from bp_sw on. The edge then sends at
+    the power where the delay and energy constraints meet, and its rate rises
+    concavely until bp_hi. Infeasible edges have bp_lo = inf.
     """
 
     def __init__(self, ctx: RoundContext, cfg: SchedulerConfig) -> None:
@@ -471,16 +359,20 @@ class _LevelModel:
             raise EmptyRoundError("no client has an energy-feasible channel")
         self.headroom = np.broadcast_to((cfg.e_max_j - ctx.e_comp)[:, None], self.edges.shape)
         self.fixed = np.broadcast_to((ctx.d_down + ctx.d_local)[:, None], self.edges.shape)
-        self.slope, self.offset, s_sw = _rate_line(
-            ctx, cfg, np.arange(ctx.n_clients)[:, None], np.arange(ctx.n_channels), p_max
-        )
+        dim, width = ctx.model_dim, wireless.VALUE_BITS
+        rate = wireless.shannon_rate(ctx.radio, p_max * ctx.snr_per_w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.slope = width * dim / rate
+            self.offset = dim / rate + ctx.d_down[:, None] + ctx.d_local[:, None]
+            bits_at_cap = self.headroom * rate / p_max
+            s_sw = wireless.smooth_payload_rate(dim, bits_at_cap) - 1.0 / (width * dim)
         self.bp_lo = np.where(self.edges, self.slope * self.s_th + self.offset, np.inf)
         self.bp_hi = self.slope + self.offset
         self.bp_sw = np.full(self.edges.shape, np.inf)
         self.p_hi = np.full(self.edges.shape, p_max)
         binds = self.edges & (s_sw < 1.0)
         low = binds & (s_sw < self.s_th)
-        self.bp_sw[binds] = (self.slope * s_sw + self.offset)[binds]
+        self.bp_sw[binds] = self.slope[binds] * s_sw[binds] + self.offset[binds]
         self.bp_hi[binds], self.p_hi[binds] = self._curve_point(binds, 1.0)
         self.bp_lo[low] = self._curve_point(low, self.s_th)[0]
         breakpoints = (self.bp_lo[self.edges], self.bp_hi[self.edges], self.bp_sw[binds & ~low])
@@ -489,7 +381,7 @@ class _LevelModel:
     def _curve_point(self, at: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
         """Level and power at which the binding branch of the edges at reaches rate s."""
         payload = wireless.smooth_payload_bits(self.ctx.model_dim, s)
-        power, rate = _binding_power(
+        power, rate = optimal_power(
             self.ctx.radio, self.ctx.snr_per_w[at], self.headroom[at], 0.0, payload + 1.0
         )
         return payload / rate + self.fixed[at], power
@@ -508,26 +400,21 @@ class _LevelModel:
             x = level - self.fixed[at][bind]
             headroom = self.headroom[at][bind]
             snr_per_w = self.ctx.snr_per_w[at][bind]
-            power[bind], rate = _binding_power(self.ctx.radio, snr_per_w, headroom, x, 1.0)
+            power[bind], rate = optimal_power(self.ctx.radio, snr_per_w, headroom, x, 1.0)
             bits = np.minimum(x * rate, headroom * rate / power[bind] - 1.0)
             dim = self.ctx.model_dim
             s[bind] = np.clip(wireless.smooth_payload_rate(dim, bits), self.s_th, 1.0)
         return s, power, usable
 
 
-def schedule_round(
-    ctx: RoundContext, cfg: SchedulerConfig, queues: VirtualQueues
-) -> ScheduleDecision:
-    """Drift-plus-penalty decision by branch and bound over the straggler level.
+def optimal_assignment(
+    model: _LevelModel, cfg: SchedulerConfig, queues: VirtualQueues
+) -> tuple[list[float], float, np.ndarray]:
+    """Branch and bound over the straggler level, one Hungarian matching per visited level.
 
-    One Hungarian matching per visited breakpoint. When the winning matching
-    has an edge whose cap binds, its own level is then refined between the
-    levels at which all its edges are usable and all have reached s = 1.
+    Returns the incumbents, the winning level and its assignment.
     """
-    if ctx.eligible.size == 0:
-        raise EmptyRoundError("no eligible clients")
-    model = _LevelModel(ctx, cfg)
-    rows = model.rows
+    ctx, rows = model.ctx, model.rows
     lam_w = cfg.lam * ctx.weights
 
     def match_at(level: float) -> tuple[float, np.ndarray] | None:
@@ -538,8 +425,27 @@ def schedule_round(
     trace, level, assigned = _level_sweep(model.levels, match_at, queues.q_de, cfg.d_avg)
     if assigned is None:
         raise EmptyRoundError("no feasible assignment")
-    clients = np.flatnonzero(assigned >= 0)
-    at = (clients, assigned[clients])
+    return trace, level, assigned
+
+
+def optimal_sparsification(
+    model: _LevelModel,
+    cfg: SchedulerConfig,
+    queues: VirtualQueues,
+    assigned_channel: np.ndarray,
+    level: float,
+    trace: list[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rates and powers of the winning assignment at its level.
+
+    When one of its edges' caps binds, the level is first refined by Brent's
+    method between the levels at which all its edges are usable and all have
+    reached s = 1; an improved objective is appended to trace.
+    """
+    ctx = model.ctx
+    lam_w = cfg.lam * ctx.weights
+    clients = np.flatnonzero(assigned_channel >= 0)
+    at = (clients, assigned_channel[clients])
     if queues.q_de > 0.0 and np.isfinite(model.bp_sw[at]).any():
 
         def value_at(x: float) -> float:
@@ -554,6 +460,18 @@ def schedule_round(
     s = np.ones(ctx.n_clients)
     powers = np.full(ctx.n_clients, ctx.radio.max_power_w)
     s[clients], powers[clients], _ = model.at_level(level, at)
+    return s, powers
+
+
+def schedule_round(
+    ctx: RoundContext, cfg: SchedulerConfig, queues: VirtualQueues
+) -> ScheduleDecision:
+    """Drift-plus-penalty decision: the assignment and level, then its rates and powers."""
+    if ctx.eligible.size == 0:
+        raise EmptyRoundError("no eligible clients")
+    model = _LevelModel(ctx, cfg)
+    trace, level, assigned = optimal_assignment(model, cfg, queues)
+    s, powers = optimal_sparsification(model, cfg, queues, assigned, level, trace)
     final = drift_penalty_value(ctx, cfg, queues, assigned, s, powers)
     trace.append(min(final, trace[-1]))
     return build_decision(ctx, assigned, s, powers, tuple(trace))

@@ -207,7 +207,7 @@ def _read_mnist_file(config: ExperimentConfig, key: str) -> np.ndarray:
     reader = read_idx_images if key.endswith("_images") else read_idx_labels
     try:
         return reader(getattr(config, key))
-    except (IdxFormatError, OSError, EOFError) as exc:
+    except (IdxFormatError, OSError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
 

@@ -26,8 +26,6 @@ from sparsefl.accountant import per_step_rdp
 from sparsefl.scheduler import (
     drift_penalty_value,
     feasible_edges,
-    optimal_assignment,
-    optimal_sparsification,
     schedule_round,
 )
 from sparsefl.simulator import run_experiment
@@ -126,22 +124,29 @@ def test_criterion_05_assignment_oracle():
     rng = np.random.default_rng(505)
     t0 = time.perf_counter()
     bad = skipped = 0
-    for _ in range(1000):
+    for k in range(1000):
         n_clients = int(rng.integers(2, 7))
         n_channels = int(rng.integers(1, 6))
+        # At s_th = 1 every rate is 1. Under loose caps every power is full, so
+        # the round is the assignment problem with the delay debt; under the
+        # tight caps the debt is zero and powers do not enter the objective.
+        caps = dict(e_max_j=1e9) if k % 2 == 0 else dict(e_max_j=0.05, q_de=0.0)
         ctx, cfg, queues = random_round_context(
-            rng, n_clients, n_channels, model_dim=40, tau=2, e_max_j=0.05, q_de=0.0
+            rng, n_clients, n_channels, model_dim=40, tau=2, **caps
         )
+        cfg = replace(cfg, s_th=1.0)
         edges = feasible_edges(ctx, cfg)
         if not edges.any():
             skipped += 1
             continue
-        s = rng.uniform(cfg.s_th, 1.0, n_clients)
-        powers = rng.uniform(0.05, 1.0, n_clients)
+        s = np.ones(n_clients)
+        powers = np.full(n_clients, ctx.radio.max_power_w)
         reference, _ = brute_force_assignment(ctx, cfg, queues, s, powers, edges)
-        assigned = optimal_assignment(ctx, cfg, queues, s, powers, edges)
-        value = drift_penalty_value(ctx, cfg, queues, assigned, s, powers)
-        if abs(value - reference) > 1e-9:
+        decision = schedule_round(ctx, cfg, queues)
+        value = drift_penalty_value(
+            ctx, cfg, queues, decision.assigned_channel, decision.rates, decision.powers
+        )
+        if abs(value - reference) > 1e-9 or np.any(decision.rates[decision.participants] != 1.0):
             bad += 1
     elapsed = time.perf_counter() - t0
     ok = bad == 0 and skipped < 100 and elapsed < 30.0
@@ -165,9 +170,8 @@ def test_criterion_06_sparsification_oracle():
             ctx, cfg, queues = random_round_context(
                 rng, 3, 3, model_dim=5000, e_max_j=1e9, q_de=float(rng.uniform(30.0, 150.0))
             )
-        assigned = np.array([0, 1, 2])
-        powers = np.full(3, ctx.radio.max_power_w)
-        s = optimal_sparsification(ctx, cfg, queues, assigned, powers)
+        decision = schedule_round(ctx, cfg, queues)
+        assigned, s, powers = decision.assigned_channel, decision.rates, decision.powers
         solver_v = drift_penalty_value(ctx, cfg, queues, assigned, s, powers)
         oracle_v, _ = grid_search_sparsification(ctx, cfg, queues, assigned, powers, step=1e-3)
         worst = max(worst, solver_v - oracle_v)

@@ -282,11 +282,13 @@ def write_mnist_cfg(tmp_path, image_shapes):
         ("mnist_train_labels", "magic"),
         ("mnist_test_images", "truncate"),
         ("mnist_test_labels", "truncate_gzip"),
+        ("mnist_train_images", "corrupt_gzip"),
+        ("mnist_test_labels", "count"),
         ("mnist_train_images", "missing"),
     ],
 )
 def test_cli_malformed_mnist_file_is_config_error(tmp_path, capsys, key, damage):
-    """A wrong magic, a truncated (plain or gzip) or a missing IDX file exits 2, naming its key."""
+    """A malformed or missing IDX file, or a label count unlike the image count, exits 2."""
     cfg_path = write_mnist_cfg(tmp_path, {"train": (40, 4, 4), "test": (10, 4, 4)})
     bad = tmp_path / (key.removeprefix("mnist_") + ".idx")
     raw = bad.read_bytes()
@@ -296,6 +298,11 @@ def test_cli_malformed_mnist_file_is_config_error(tmp_path, capsys, key, damage)
         bad.write_bytes(raw[:-3])
     elif damage == "truncate_gzip":
         bad.write_bytes(gzip.compress(raw)[:-12])
+    elif damage == "corrupt_gzip":
+        packed = gzip.compress(raw)
+        bad.write_bytes(packed[:10] + b"\xff" * 10 + packed[20:])
+    elif damage == "count":
+        write_idx_labels(bad, np.zeros(7, dtype=int))
     else:
         bad.unlink()
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "m.csv")]) == 2

@@ -1,7 +1,8 @@
 """The link model is written once, in sparsefl.wireless; the oracles re-derive it on purpose.
 
 These checks parse the package source, so a Shannon formula or a noise-floor sum
-restated elsewhere fails the suite rather than waiting for a reader to spot it.
+restated elsewhere, or a function that only tests still call, fails the suite
+rather than waiting for a reader to spot it.
 """
 
 import ast
@@ -59,3 +60,47 @@ def test_guard_sees_the_whole_package():
     assert {"wireless.py", "scheduler.py", "simulator.py", "oracles.py"} <= {
         p.name for p in MODULES
     }
+
+
+# Production names that tests and oracles hold the program to, which no
+# production module needs to call itself.
+TEST_REFERENCES = {
+    "accountant.per_step_rdp",
+    "dpsgd.clip_per_sample",
+    "model_data.per_sample_loss_grads",
+    "wireless.round_costs",
+}
+
+
+def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name read in tree, as a bare name or an attribute, outside the node skip."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_top_level_definition_has_a_production_caller():
+    """A function or class outside oracles.py that only tests reach is dead code."""
+    trees = {
+        p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES if p.name != "oracles.py"
+    }
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            used = any(
+                node.name in _referenced_names(other, skip=node) for other in trees.values()
+            )
+            if not used and f"{module}.{node.name}" not in TEST_REFERENCES:
+                unused.append(f"{module}.{node.name}")
+    assert not unused, f"referenced by no production module: {unused}"

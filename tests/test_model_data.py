@@ -15,7 +15,6 @@ from sparsefl.model_data import (
     _log_softmax,
     evaluate,
     init_weights,
-    load_mnist,
     partition,
     per_sample_loss_grads,
     read_idx_images,
@@ -232,10 +231,6 @@ def test_idx_round_trip(tmp_path):
     assert np.allclose(images[0], raw[0].reshape(-1) / 255.0)
     got_labels = read_idx_labels(lab_path)
     assert np.array_equal(got_labels, labels.astype(np.int64))
-    data = load_mnist(img_path, lab_path)
-    assert data.n == 7 and data.feature_dim == 12
-    limited = load_mnist(img_path, lab_path, limit=3)
-    assert limited.n == 3
 
 
 def test_idx_gzip_transparency(tmp_path):
@@ -260,14 +255,17 @@ def test_idx_error_paths(tmp_path):
         fh.write(struct.pack(">IIII", 0x00000803, 5, 2, 2) + b"\x00" * 3)
     with pytest.raises(IdxFormatError):
         read_idx_images(truncated)
-    lab = str(tmp_path / "labs.idx")
-    with open(lab, "wb") as fh:
-        fh.write(struct.pack(">II", 0x00000801, 2) + b"\x01\x02")
-    img = str(tmp_path / "one.idx")
-    with open(img, "wb") as fh:
-        fh.write(struct.pack(">IIII", 0x00000803, 1, 2, 2) + b"\x00" * 4)
-    with pytest.raises(IdxFormatError):
-        load_mnist(img, lab)
+    with pytest.raises(OSError):
+        read_idx_images(str(tmp_path / "missing.idx"))
+    # A damaged deflate body raises zlib.error and a cut stream EOFError inside gzip.
+    raw = np.random.default_rng(11).integers(0, 256, size=60 * 16).astype(np.uint8)
+    packed = gzip.compress(struct.pack(">IIII", 0x00000803, 60, 4, 4) + raw.tobytes())
+    corrupt = packed[:10] + b"\xff" * 10 + packed[20:]
+    for name, body in (("corrupt.idx.gz", corrupt), ("cut.idx.gz", packed[:-12])):
+        path = tmp_path / name
+        path.write_bytes(body)
+        with pytest.raises(IdxFormatError, match="corrupt gzip stream"):
+            read_idx_images(str(path))
 
 
 def test_model_spec_dims():
