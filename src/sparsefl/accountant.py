@@ -16,11 +16,12 @@ At an integer order the moment has the exact binomial closed form
 
 (Mironov, Talwar and Zhang, "Renyi Differential Privacy of the Sampled
 Gaussian Mechanism", arXiv:1908.10530), evaluated in log space with gammaln
-and logsumexp. A fractional order has no finite sum; its integral is evaluated
-with a deterministic composite Simpson rule in log space over
-z in [-20 sigma_hat, alpha + 20 sigma_hat]. The upper limit scales with alpha
-because the integrand's mass concentrates near z = alpha; node spacing scales
-with sigma_hat so resolution is independent of the range.
+and logsumexp. A fractional order has no finite sum; QUADPACK's adaptive
+Gauss-Kronrod rule (scipy.integrate.quad) integrates it over z in
+[-20 sigma_hat, alpha + 20 sigma_hat], split at the peaks z = 0 and z = alpha
+and at z0 = sigma_hat**2 ln(1/q - 1) + 1/2, where the mixture's two terms are
+equal. The upper limit scales with alpha because the integrand's mass
+concentrates near z = alpha.
 """
 
 from __future__ import annotations
@@ -30,19 +31,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
 DEFAULT_ALPHA_GRID: tuple[float, ...] = (1.5,) + tuple(float(a) for a in range(2, 65))
-
-# Fractional-order quadrature nodes per unit of sigma_hat. The range spans
-# alpha / sigma_hat + 40 units, so the default order 1.5 gets at least 32,000
-# nodes at any sigma_hat and more as sigma_hat shrinks.
-_NODES_PER_SIGMA = 800
 _MAX_T_HAT = 10**15
 
 
 class AccountantOverflowError(ArithmeticError):
-    """A log moment evaluated to a non-finite value."""
+    """A log moment evaluated to a non-finite value, or its quadrature did not converge."""
 
 
 class DegenerateBudgetError(ValueError):
@@ -83,7 +80,7 @@ class RdpParams:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.tau < 1:
             raise ValueError(f"tau must be at least 1, got {self.tau}")
-        # One hashable float tuple, so _moment_grid's cache key needs no copy.
+        # One hashable float tuple, so log_moments' cache key needs no copy.
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
 
 
@@ -109,37 +106,49 @@ def _integer_moments(q: float, sigma_hat: float, alphas: np.ndarray) -> np.ndarr
 
 
 def _quadrature_moment(q: float, sigma_hat: float, alpha: float) -> float:
-    """Log moment at any order, via composite Simpson in log space."""
-    lo = -20.0 * sigma_hat
-    hi = alpha + 20.0 * sigma_hat
-    n = int((hi - lo) / sigma_hat * _NODES_PER_SIGMA)
-    if n % 2 == 0:
-        n += 1
-    z = np.linspace(lo, hi, n)
-    step = (hi - lo) / (n - 1)
+    """Log moment at any order: adaptive quadrature of the integrand, scaled to 1 at its peak."""
+    lo, hi = -20.0 * sigma_hat, alpha + 20.0 * sigma_hat
     inv_two_var = 1.0 / (2.0 * sigma_hat * sigma_hat)
-    log_ratio = (2.0 * z - 1.0) * inv_two_var  # log(mu1/mu0)
-    if q == 1.0:
-        log_base = log_ratio
-    else:
-        log_base = np.logaddexp(math.log1p(-q), math.log(q) + log_ratio)
-    log_pdf = -(z * z) * inv_two_var - math.log(sigma_hat) - 0.5 * math.log(2.0 * math.pi)
-    log_w = np.full(n, math.log(2.0))
-    log_w[1::2] = math.log(4.0)
-    log_w[0] = 0.0
-    log_w[-1] = 0.0
-    log_w += math.log(step / 3.0)
-    return float(logsumexp(log_pdf + log_w + alpha * log_base))
+    log_keep = math.log1p(-q) if q < 1.0 else -math.inf
+    z0 = sigma_hat * sigma_hat * math.log(1.0 / q - 1.0) + 0.5 if q < 1.0 else 0.0
+
+    def log_integrand(z: float) -> float:
+        """alpha log(1 - q + q mu1/mu0) + log mu0, less mu0's normalizing constant."""
+        log_base = np.logaddexp(log_keep, math.log(q) + (2.0 * z - 1.0) * inv_two_var)
+        return alpha * log_base - z * z * inv_two_var
+
+    points = sorted({z for z in (0.0, alpha, z0) if lo < z < hi})
+    peak = max(map(log_integrand, points))
+    value, _, _, *failed = quad(
+        lambda z: math.exp(log_integrand(z) - peak),
+        lo,
+        hi,
+        points=points,
+        epsabs=0.0,
+        epsrel=1e-13,
+        full_output=1,
+    )
+    if failed or not value > 0.0:
+        raise AccountantOverflowError(
+            f"log moment quadrature did not converge at q={q}, sigma_hat={sigma_hat}, alpha={alpha}"
+        )
+    return peak + math.log(value / (sigma_hat * math.sqrt(2.0 * math.pi)))
 
 
 @functools.lru_cache(maxsize=4096)
-def _moment_grid(q: float, sigma_hat: float, alphas: tuple[float, ...]) -> tuple[float, ...]:
-    """Log moments for every order, cached per (q, sigma_hat, orders).
+def log_moments(q: float, sigma_hat: float, alphas: tuple[float, ...]) -> tuple[float, ...]:
+    """Log moment of one subsampled noisy step at every order (nats), cached.
 
-    Integer orders use the exact binomial sum; any other order falls back to
-    the Simpson quadrature. Accumulation and inversion share one call per
-    (q, sigma) pair.
+    alphas is a tuple of floats, each above 1. Integer orders use the exact
+    binomial sum; any other order uses the adaptive quadrature. Accumulation
+    and inversion share one call per (q, sigma) pair.
     """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
+    if sigma_hat <= 0.0:
+        raise ValueError(f"sigma_hat must be positive, got {sigma_hat}")
+    if any(alpha <= 1.0 for alpha in alphas):
+        raise ValueError(f"every order must exceed 1, got {alphas}")
     if q == 0.0:
         return tuple(0.0 for _ in alphas)
     exact = iter(_integer_moments(q, sigma_hat, np.array([a for a in alphas if a.is_integer()])))
@@ -160,17 +169,6 @@ def _moment_grid(q: float, sigma_hat: float, alphas: tuple[float, ...]) -> tuple
     return tuple(out)
 
 
-def per_step_rdp(q: float, sigma_hat: float, alpha: float) -> float:
-    """Log moment of order alpha accumulated by one subsampled noisy step (nats)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    if not sigma_hat > 0.0:
-        raise ValueError(f"sigma_hat must be positive, got {sigma_hat}")
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
-    return _moment_grid(float(q), float(sigma_hat), (float(alpha),))[0]
-
-
 @functools.lru_cache(maxsize=64)
 def _conversion_offsets(alphas: tuple[float, ...], delta: float) -> tuple[float, ...]:
     """Additive terms converting an RDP bound at each order to epsilon at delta.
@@ -188,7 +186,7 @@ def _conversion_offsets(alphas: tuple[float, ...], delta: float) -> tuple[float,
 def accumulate_privacy(t_bar: int, params: RdpParams) -> tuple[float, float]:
     """Tightest (epsilon, order) after t_bar participated rounds.
 
-    For each order the accumulated RDP is t_bar * tau * per_step_rdp / (alpha - 1);
+    For each order the accumulated RDP is t_bar * tau * log_moment / (alpha - 1);
     the returned epsilon is the minimum over the grid of the converted guarantee,
     along with the minimizing order.
     """
@@ -196,7 +194,7 @@ def accumulate_privacy(t_bar: int, params: RdpParams) -> tuple[float, float]:
         raise ValueError(f"t_bar must be nonnegative, got {t_bar}")
     best_eps = math.inf
     best_alpha = params.alpha_grid[0]
-    moments = _moment_grid(params.q, params.sigma_hat, params.alpha_grid)
+    moments = log_moments(params.q, params.sigma_hat, params.alpha_grid)
     offsets = _conversion_offsets(params.alpha_grid, params.delta)
     for alpha, rdp, offset in zip(params.alpha_grid, moments, offsets):
         eps = t_bar * params.tau * rdp / (alpha - 1.0) + offset
@@ -217,7 +215,7 @@ def max_participation_rounds(eps_budget: float, params: RdpParams) -> int:
     if not eps_budget > 0.0:
         raise ValueError(f"eps_budget must be positive, got {eps_budget}")
     best = 0
-    moments = _moment_grid(params.q, params.sigma_hat, params.alpha_grid)
+    moments = log_moments(params.q, params.sigma_hat, params.alpha_grid)
     offsets = _conversion_offsets(params.alpha_grid, params.delta)
     for alpha, rdp, offset in zip(params.alpha_grid, moments, offsets):
         numerator = (alpha - 1.0) * (eps_budget - offset)

@@ -11,7 +11,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .accountant import DegenerateBudgetError
+from .accountant import AccountantOverflowError, DegenerateBudgetError
 from .config import ConfigError, parse_config, validate_config
 from .simulator import CSV_COLUMNS, MetricsTrace, run_experiment
 
@@ -103,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DegenerateBudgetError as exc:
+    except (DegenerateBudgetError, AccountantOverflowError) as exc:
         print(f"privacy error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

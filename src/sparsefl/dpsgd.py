@@ -21,9 +21,7 @@ A_i alone; see model_data.loss_grad_factors), so with the block's mask M:
 
 where f holds the per-sample clip factors. This is per-example norms
 (Goodfellow, arXiv:1510.01799) and ghost clipping (Li et al.,
-arXiv:2110.05679), with a coordinate mask folded into the norm. The dense
-path (per_sample_loss_grads, mask, clip_per_sample, mean) is the reference it
-is tested against.
+arXiv:2110.05679), with a coordinate mask folded into the norm.
 
 local_train trains a whole round's clients at once. A step of a small model
 is mostly numpy call overhead, so the clients' models, masks and batches are
@@ -114,18 +112,6 @@ def generate_mask(dim: int, s: float, rng: np.random.Generator) -> np.ndarray:
     return rng.random(dim) < s
 
 
-def _clip_factors(norms: np.ndarray, threshold: float) -> np.ndarray:
-    """Per-row scale that caps a norm at threshold; a zero norm keeps factor 1."""
-    return np.where(norms > 0.0, np.minimum(1.0, threshold / np.maximum(norms, 1e-300)), 1.0)
-
-
-def clip_per_sample(grads: np.ndarray, threshold: float) -> np.ndarray:
-    """Scale each row to norm at most threshold. Zero rows pass through."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    return grads * _clip_factors(np.linalg.norm(grads, axis=1), threshold)[:, None]
-
-
 def clipped_masked_mean(
     factors: GradFactors,
     keep_blocks: list[np.ndarray],
@@ -136,7 +122,7 @@ def clipped_masked_mean(
 
     keep_blocks is the float mask and out_blocks the output vector, both cut
     into parameter blocks by split_blocks; the mean is written to out_blocks.
-    Clip factors are those of clip_per_sample applied to the masked rows.
+    Each masked row is scaled to norm at most threshold; a zero row keeps factor 1.
     Returns the per-sample squared norms of the unmasked gradients.
 
     Stacked factors, masks and outputs (a leading [clients] axis, see
@@ -157,7 +143,8 @@ def clipped_masked_mean(
             b2 = b * b
             sq_norms += a2.sum(axis=-1) * b2.sum(axis=-1)
             masked_sq_norms += ((a2 @ keep) * b2).sum(axis=-1)
-    coef = _clip_factors(np.sqrt(masked_sq_norms), threshold) / n
+    norms = np.sqrt(masked_sq_norms)
+    coef = np.where(norms > 0.0, np.minimum(1.0, threshold / np.maximum(norms, 1e-300)), 1.0) / n
     for (a, b), keep, out in zip(factors, keep_blocks, out_blocks):
         if b is None:
             np.matmul(coef[..., None, :], a, out=out[..., None, :])

@@ -1,7 +1,7 @@
 """Independent brute-force and quadrature oracles.
 
 Everything here re-derives a quantity the library computes elsewhere, by a
-deliberately different method: trapezoid instead of Simpson quadrature,
+deliberately different method: a fixed trapezoid rule instead of adaptive quadrature,
 exhaustive enumeration instead of Hungarian matching, grid search instead of
 parametric sweeps, bisection instead of Newton's method. The oracles back the `verify` CLI subcommand and the
 acceptance tests; they are slow by design and not part of the training path.
@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .accountant import accumulate_privacy, max_participation_rounds, per_step_rdp, RdpParams
+from .accountant import accumulate_privacy, log_moments, max_participation_rounds, RdpParams
 from .scheduler import (
     RoundContext,
     SchedulerConfig,
@@ -462,7 +462,7 @@ def run_verify() -> tuple[int, list[str]]:
     worst_rel = 0.0
     for alpha in (2.0, 4.0, 8.0, 16.0):
         for sigma in (0.4, 0.5, 0.6, 1.0):
-            got = per_step_rdp(1.0, sigma, alpha)
+            got = log_moments(1.0, sigma, (alpha,))[0]
             want = analytic_full_batch_log_moment(sigma, alpha)
             worst_rel = max(worst_rel, abs(got - want) / want)
     record("accountant-analytic", worst_rel < 1e-6, f"max relative error {worst_rel:.2e}")
@@ -473,7 +473,7 @@ def run_verify() -> tuple[int, list[str]]:
         q = float(rng.uniform(0.01, 1.0))
         sigma = float(rng.uniform(0.4, 2.0))
         alpha = float(rng.integers(2, 33))
-        got = per_step_rdp(q, sigma, alpha)
+        got = log_moments(q, sigma, (alpha,))[0]
         ref = log_moment_trapezoid(q, sigma, alpha)
         worst_abs = max(worst_abs, abs(got - ref) / max(1.0, abs(ref)))
     record("accountant-quadrature", worst_abs < 1e-7, f"max mismatch {worst_abs:.2e}")
@@ -551,5 +551,13 @@ def run_verify() -> tuple[int, list[str]]:
         bad == 0,
         f"{bad} of 6 instances above the oracle or over the cap ({capped} below full power)",
     )
+
+    # Its own generator, so the lines above keep their draws.
+    frac_rng = np.random.default_rng(20261019)
+    worst_rel = 0.0
+    for q, sigma in zip(frac_rng.uniform(0.01, 1.0, 4).tolist(), [0.1, 0.4, 1.0, 2.0]):
+        ref = log_moment_trapezoid(q, sigma, 1.5)
+        worst_rel = max(worst_rel, abs(log_moments(q, sigma, (1.5,))[0] - ref) / ref)
+    record("accountant-fractional", worst_rel < 1e-8, f"order 1.5, max rel error {worst_rel:.2e}")
 
     return failures, lines

@@ -372,9 +372,11 @@ class _LevelModel:
         self.p_hi = np.full(self.edges.shape, p_max)
         binds = self.edges & (s_sw < 1.0)
         low = binds & (s_sw < self.s_th)
-        self.bp_sw[binds] = self.slope[binds] * s_sw[binds] + self.offset[binds]
-        self.bp_hi[binds], self.p_hi[binds] = self._curve_point(binds, 1.0)
-        self.bp_lo[low] = self._curve_point(low, self.s_th)[0]
+        if binds.any():
+            self.bp_sw[binds] = self.slope[binds] * s_sw[binds] + self.offset[binds]
+            self.bp_hi[binds], self.p_hi[binds] = self._curve_point(binds, 1.0)
+        if low.any():
+            self.bp_lo[low] = self._curve_point(low, self.s_th)[0]
         breakpoints = (self.bp_lo[self.edges], self.bp_hi[self.edges], self.bp_sw[binds & ~low])
         self.levels = np.unique(np.concatenate(breakpoints))
 

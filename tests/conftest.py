@@ -90,6 +90,17 @@ def make_context(
     )
 
 
+def clip_per_sample(grads: np.ndarray, threshold: float) -> np.ndarray:
+    """Dense clipping reference: each row of grads scaled to norm at most threshold.
+
+    With model_data.per_sample_loss_grads this is the dense path that the
+    factored clipped mean in dpsgd is tested against. A zero row stays zero.
+    """
+    norms = np.sqrt((grads * grads).sum(axis=1))
+    factors = np.minimum(1.0, threshold / np.where(norms > 0.0, norms, 1.0))
+    return grads * factors[:, None]
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

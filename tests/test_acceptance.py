@@ -22,7 +22,7 @@ from sparsefl.oracles import (
     grid_search_sparsification,
     random_round_context,
 )
-from sparsefl.accountant import per_step_rdp
+from sparsefl.accountant import log_moments
 from sparsefl.scheduler import (
     drift_penalty_value,
     feasible_edges,
@@ -46,7 +46,7 @@ def test_criterion_01_accountant_analytic_form():
     worst = 0.0
     for alpha in (2.0, 4.0, 8.0, 16.0):
         for sigma in (0.4, 0.5, 0.6, 1.0):
-            got = per_step_rdp(1.0, sigma, alpha)
+            got = log_moments(1.0, sigma, (alpha,))[0]
             want = alpha * (alpha - 1.0) / (2.0 * sigma * sigma)
             worst = max(worst, abs(got - want) / want)
     elapsed = time.perf_counter() - t0

@@ -10,46 +10,59 @@ from sparsefl.accountant import (
     DegenerateBudgetError,
     RdpParams,
     accumulate_privacy,
+    log_moments,
     make_ledger,
     max_participation_rounds,
     participation_fraction,
-    per_step_rdp,
 )
 from sparsefl.oracles import analytic_full_batch_log_moment, log_moment_trapezoid
 
 FULL_GRID = tuple(float(a) for a in range(2, 65))
 
 
+def log_moment(q, sigma, alpha):
+    return log_moments(q, sigma, (alpha,))[0]
+
+
 def test_full_batch_matches_analytic():
     for alpha in (2.0, 4.0, 8.0, 16.0):
         for sigma in (0.4, 0.5, 0.6, 1.0):
-            got = per_step_rdp(1.0, sigma, alpha)
+            got = log_moment(1.0, sigma, alpha)
             want = analytic_full_batch_log_moment(sigma, alpha)
             assert got == pytest.approx(want, rel=1e-6)
 
 
 def test_unit_variance_order_two_is_one():
-    assert per_step_rdp(1.0, 1.0, 2.0) == pytest.approx(1.0, rel=1e-9)
+    assert log_moment(1.0, 1.0, 2.0) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_zero_sampling_rate_is_free():
-    assert per_step_rdp(0.0, 0.6, 8.0) == 0.0
+    assert log_moment(0.0, 0.6, 8.0) == 0.0
 
 
 def test_matches_high_resolution_quadrature():
-    got = per_step_rdp(0.167, 0.5, 16.0)
+    got = log_moment(0.167, 0.5, 16.0)
     oracle = log_moment_trapezoid(0.167, 0.5, 16.0)
     assert got == pytest.approx(oracle, rel=1e-8)
     # regression anchor for the integer-order moment at this (q, sigma)
     assert got == pytest.approx(451.3638165349539, rel=1e-9)
 
 
-@pytest.mark.parametrize("q, sigma", [(0.02, 0.45), (0.3, 1.0), (0.9, 1.8)])
-def test_every_default_order_matches_trapezoid_oracle(q, sigma):
+@pytest.mark.parametrize(
+    "q, sigma, orders",
+    [
+        (0.02, 0.45, DEFAULT_ALPHA_GRID),
+        (0.3, 1.0, DEFAULT_ALPHA_GRID),
+        (0.9, 1.8, DEFAULT_ALPHA_GRID),
+        (0.05, 0.1, (1.5,)),
+    ],
+    ids=["0.02-0.45", "0.3-1.0", "0.9-1.8", "0.05-0.1"],
+)
+def test_every_default_order_matches_trapezoid_oracle(q, sigma, orders):
     # Covers the fractional order's quadrature and every integer order's
-    # closed form, up to the largest order in the default grid.
-    for alpha in DEFAULT_ALPHA_GRID:
-        got = per_step_rdp(q, sigma, alpha)
+    # closed form, up to the largest order in the default grid. At sigma 0.1
+    # the integrand's peaks are 0.1 wide; only the quadrature order is checked.
+    for alpha, got in zip(orders, log_moments(q, sigma, orders)):
         assert got == pytest.approx(log_moment_trapezoid(q, sigma, alpha), rel=1e-8), alpha
 
 
@@ -59,18 +72,18 @@ def test_never_exceeds_full_batch_cost():
         q = float(rng.uniform(0.0, 1.0))
         sigma = float(rng.uniform(0.3, 2.0))
         alpha = float(rng.integers(2, 40))
-        assert per_step_rdp(q, sigma, alpha) <= analytic_full_batch_log_moment(sigma, alpha) + 1e-9
+        assert log_moment(q, sigma, alpha) <= analytic_full_batch_log_moment(sigma, alpha) + 1e-9
 
 
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        per_step_rdp(-0.1, 1.0, 2.0)
+        log_moment(-0.1, 1.0, 2.0)
     with pytest.raises(ValueError):
-        per_step_rdp(1.1, 1.0, 2.0)
+        log_moment(1.1, 1.0, 2.0)
     with pytest.raises(ValueError):
-        per_step_rdp(0.5, 0.0, 2.0)
+        log_moment(0.5, 0.0, 2.0)
     with pytest.raises(ValueError):
-        per_step_rdp(0.5, 1.0, 1.0)
+        log_moment(0.5, 1.0, 1.0)
 
 
 @settings(max_examples=20)
@@ -80,22 +93,22 @@ def test_rejects_bad_arguments():
     alpha=st.sampled_from([2.0, 4.0, 8.0, 16.0, 32.0]),
 )
 def test_monotone_in_sampling_rate(q, sigma, alpha):
-    lower = per_step_rdp(q * 0.5, sigma, alpha)
-    upper = per_step_rdp(q, sigma, alpha)
+    lower = log_moment(q * 0.5, sigma, alpha)
+    upper = log_moment(q, sigma, alpha)
     assert upper >= lower - 1e-9
 
 
 @settings(max_examples=20)
 @given(q=st.floats(0.05, 1.0), sigma=st.floats(0.4, 2.0))
 def test_monotone_in_order(q, sigma):
-    values = [per_step_rdp(q, sigma, a) for a in (2.0, 4.0, 8.0, 16.0)]
+    values = [log_moment(q, sigma, a) for a in (2.0, 4.0, 8.0, 16.0)]
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
 
 @settings(max_examples=20)
 @given(q=st.floats(0.05, 1.0), alpha=st.sampled_from([2.0, 8.0, 32.0]))
 def test_nonincreasing_in_noise(q, alpha):
-    values = [per_step_rdp(q, sigma, alpha) for sigma in (0.4, 0.8, 1.6)]
+    values = [log_moment(q, sigma, alpha) for sigma in (0.4, 0.8, 1.6)]
     assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
 
@@ -165,6 +178,40 @@ def test_inversion_brackets_the_budget(q, sigma, eps):
     assert accumulate_privacy(t_hat + 1, params)[0] > eps
 
 
+# (q, sigma_hat, eps_budget, tau, t_hat) on the default grid and delta; the
+# fractional order 1.5 is the minimizing order at t_hat on 12 of the 20.
+PINNED_T_HATS = [
+    (0.7515, 0.1, 182.8, 1, 2),
+    (0.9553, 0.12, 7.7, 10, 0),
+    (0.0011, 0.14, 0.8, 60, 0),
+    (0.9696, 0.17, 38.8, 1, 1),
+    (0.002, 0.2, 27.4, 10, 1),
+    (0.0011, 0.24, 39.3, 60, 9),
+    (0.0014, 0.29, 8.0, 1, 9),
+    (0.0579, 0.35, 36.9, 10, 5),
+    (0.0035, 0.42, 136.1, 60, 1612),
+    (0.0032, 0.5, 6.4, 1, 1601),
+    (0.0055, 0.6, 110.4, 10, 32080),
+    (0.0143, 0.72, 76.1, 60, 1280),
+    (0.006, 0.86, 2.4, 1, 4474),
+    (0.0142, 1.02, 0.9, 10, 17),
+    (0.1633, 1.23, 69.6, 60, 55),
+    (0.1321, 1.47, 3.0, 1, 59),
+    (0.2942, 1.75, 127.8, 10, 488),
+    (0.0105, 2.1, 116.3, 60, 82790),
+    (0.1977, 2.51, 17.3, 1, 1757),
+    (0.159, 3.0, 35.8, 10, 1082),
+]
+
+
+def test_inversion_is_pinned_across_noise_levels():
+    got = [
+        max_participation_rounds(eps, RdpParams(q=q, sigma_hat=sigma, tau=tau))
+        for q, sigma, eps, tau, _ in PINNED_T_HATS
+    ]
+    assert got == [t_hat for *_, t_hat in PINNED_T_HATS]
+
+
 def test_participation_fraction_equal_budgets():
     out = participation_fraction([7, 7, 7, 7], 2)
     assert np.allclose(out, 0.5)
@@ -191,18 +238,20 @@ def test_participation_fraction_rejects_negative():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        RdpParams(q=1.2, sigma_hat=1.0)
-    with pytest.raises(ValueError):
-        RdpParams(q=0.5, sigma_hat=0.0)
-    with pytest.raises(ValueError):
-        RdpParams(q=0.5, sigma_hat=1.0, alpha_grid=())
-    with pytest.raises(ValueError):
-        RdpParams(q=0.5, sigma_hat=1.0, alpha_grid=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        RdpParams(q=0.5, sigma_hat=1.0, delta=0.0)
-    with pytest.raises(ValueError):
-        RdpParams(q=0.5, sigma_hat=1.0, tau=0)
+    bad = [
+        dict(q=-0.1, sigma_hat=1.0),
+        dict(q=1.1, sigma_hat=1.0),
+        dict(q=1.2, sigma_hat=1.0),
+        dict(q=0.5, sigma_hat=0.0),
+        dict(q=0.5, sigma_hat=1.0, alpha_grid=()),
+        dict(q=0.5, sigma_hat=1.0, alpha_grid=(1.0,)),
+        dict(q=0.5, sigma_hat=1.0, alpha_grid=(1.0, 2.0)),
+        dict(q=0.5, sigma_hat=1.0, delta=0.0),
+        dict(q=0.5, sigma_hat=1.0, tau=0),
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            RdpParams(**kwargs)
 
 
 def test_ledger_matches_standalone_accounting():

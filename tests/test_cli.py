@@ -205,6 +205,14 @@ def test_cli_degenerate_budget_exit_code(tmp_path, capsys):
     assert "privacy error" in capsys.readouterr().err
 
 
+def test_cli_noise_too_small_to_account_is_a_privacy_error(tmp_path, capsys):
+    """At sigma_hat 0.001 no client can afford a round, and some moments do not converge."""
+    cfg_path = write_cfg(tmp_path, text=FAST_TEXT.replace("sigma_hat = 1.5", "sigma_hat = 0.001"))
+    code = main(["run", "--config", cfg_path, "--policy", "lyapunov"])
+    assert code == 1
+    assert "privacy error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("policy", BASELINE_POLICIES)
 def test_cli_baseline_rate_below_the_lyapunov_floor_runs(tmp_path, policy):
     """s_th is the optimizing policy's floor; s_fixed below it is a valid baseline rate."""
@@ -340,9 +348,10 @@ def test_cli_summary_counts_clients_born_exhausted(tmp_path, capsys):
 def test_verify_subcommand_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 7
-    assert "7 of 7" in out
+    assert out.count("PASS") == 8
+    assert "8 of 8" in out
     assert "PASS  joint-round-energy" in out
+    assert "PASS  accountant-fractional" in out
 
 
 def test_all_floats_in_csv_are_finite(tmp_path):

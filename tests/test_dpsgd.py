@@ -10,7 +10,6 @@ from sparsefl.dpsgd import (
     TrainingDivergenceError,
     TrainStreams,
     TrainStats,
-    clip_per_sample,
     clipped_masked_mean,
     generate_mask,
     local_train,
@@ -23,6 +22,8 @@ from sparsefl.model_data import (
     per_sample_loss_grads,
     split_blocks,
 )
+
+from conftest import clip_per_sample
 
 
 def train_one(w, data, s, cfg, streams, *, client_id=0, round_num=0, stats=None):

@@ -269,6 +269,23 @@ def test_schedule_round_calls_its_steps_through_the_module_globals(monkeypatch):
     assert calls["optimal_power"] >= 1
 
 
+def test_loose_cap_schedule_round_solves_no_power(monkeypatch):
+    """Where no cap binds every edge sends at full power, and no Newton pass runs."""
+    calls = []
+    step = scheduler.optimal_power
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "optimal_power", counted)
+    ctx, cfg, queues = random_round_context(np.random.default_rng(3), 6, 3, q_de=5.0)
+    decision = schedule_round(ctx, cfg, queues)
+    assert decision.participants.size > 0
+    assert np.all(decision.powers[decision.participants] == ctx.radio.max_power_w)
+    assert calls == []
+
+
 def test_schedule_round_trace_never_increases():
     rng = np.random.default_rng(7)
     for _ in range(12):

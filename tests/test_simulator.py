@@ -10,7 +10,6 @@ from sparsefl import streams
 from sparsefl.accountant import BudgetOverrunError
 from sparsefl.cli import emit_metrics_csv
 from sparsefl.config import ConfigError, ExperimentConfig
-from sparsefl.dpsgd import clip_per_sample
 from sparsefl.model_data import ModelSpec, ModelWeights, per_sample_loss_grads
 from sparsefl.scheduler import POLICIES
 from sparsefl.simulator import (
@@ -21,7 +20,7 @@ from sparsefl.simulator import (
 )
 from sparsefl.wireless import dbm_to_watts
 
-from conftest import fast_config
+from conftest import clip_per_sample, fast_config
 from test_model_data import write_idx_images, write_idx_labels
 
 
