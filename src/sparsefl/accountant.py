@@ -119,13 +119,14 @@ def _quadrature_moment(q: float, sigma_hat: float, alpha: float) -> float:
 
     points = sorted({z for z in (0.0, alpha, z0) if lo < z < hi})
     peak = max(map(log_integrand, points))
+    # Rounding in log_integrand(z) - peak caps the relative accuracy near 1e-16 |peak|.
     value, _, _, *failed = quad(
         lambda z: math.exp(log_integrand(z) - peak),
         lo,
         hi,
         points=points,
         epsabs=0.0,
-        epsrel=1e-13,
+        epsrel=max(1e-13, 1e-16 * abs(peak)),
         full_output=1,
     )
     if failed or not value > 0.0:

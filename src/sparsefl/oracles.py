@@ -109,12 +109,10 @@ def random_round_context(
         cpu_freq_hz=np.array([rng.uniform(1.2e9, 2.4e9) for _ in range(n_clients)]),
         capacitance=1e-28,
     )
-    weights = sizes / sizes.sum()
     ctx = RoundContext(
         model_dim=model_dim,
         tau=tau,
         eligible=np.arange(n_clients),
-        weights=weights,
         dataset_sizes=sizes,
         channels=ChannelRealization(uplink_gains=uplink, downlink_gains=downlink),
         radio=radio,
@@ -555,7 +553,7 @@ def run_verify() -> tuple[int, list[str]]:
     # Its own generator, so the lines above keep their draws.
     frac_rng = np.random.default_rng(20261019)
     worst_rel = 0.0
-    for q, sigma in zip(frac_rng.uniform(0.01, 1.0, 4).tolist(), [0.1, 0.4, 1.0, 2.0]):
+    for q, sigma in zip(frac_rng.uniform(0.01, 1.0, 5).tolist(), [0.1, 0.4, 1.0, 2.0, 0.001]):
         ref = log_moment_trapezoid(q, sigma, 1.5)
         worst_rel = max(worst_rel, abs(log_moments(q, sigma, (1.5,))[0] - ref) / ref)
     record("accountant-fractional", worst_rel < 1e-8, f"order 1.5, max rel error {worst_rel:.2e}")

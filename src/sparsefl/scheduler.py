@@ -41,7 +41,6 @@ from scipy.optimize import linear_sum_assignment, minimize_scalar
 from . import wireless
 from .wireless import ChannelRealization, ComputeParams, RadioParams
 
-_BIG_COST = 1e18
 _ENERGY_MARGIN = 1e-6
 # Cap on Newton steps for a binding-branch power; it converges in far fewer.
 _NEWTON_STEPS = 50
@@ -85,27 +84,28 @@ class SchedulerConfig:
 class RoundContext:
     """The round's cost model: every delay and energy the solvers score.
 
-    weights are the aggregation weights over the eligible set (zero for
-    ineligible clients). d_down, d_local, and e_comp are fixed per client for
-    the round; only the uplink leg depends on the decision variables, through
-    the [clients, channels] uplink SNR per watt of transmit power. The uplink
-    methods take client and channel index arrays (or scalars) that broadcast
-    against the rates and powers.
+    weights are each eligible client's share p_i of the eligible set's
+    samples (zero for ineligible clients). They, d_down, d_local, and e_comp
+    are fixed per client for the round; only the uplink leg depends on the
+    decision variables, through the [clients, channels] uplink SNR per watt
+    of transmit power. The uplink methods take client and channel index
+    arrays (or scalars) that broadcast against the rates and powers.
 
     Channels and CPU frequencies may carry a leading [rounds] axis, stacking
     rounds that share the eligible set, sizes and radio; the derived arrays
-    then carry it too and the uplink methods return one result per round.
+    other than weights then carry it too and the uplink methods return one
+    result per round.
     Only delay_min baselines and build_decision accept such a context.
     """
 
     model_dim: int
     tau: int
     eligible: np.ndarray
-    weights: np.ndarray
     dataset_sizes: np.ndarray
     channels: ChannelRealization
     radio: RadioParams
     compute: ComputeParams
+    weights: np.ndarray = field(init=False)
     d_down: np.ndarray = field(init=False)
     d_local: np.ndarray = field(init=False)
     e_comp: np.ndarray = field(init=False)
@@ -119,6 +119,10 @@ class RoundContext:
             raise ValueError("downlink rates must be positive for every client")
         compute, freq = self.compute, self.compute.cpu_freq_hz
         work = self.tau * np.asarray(self.dataset_sizes, dtype=np.int64) * compute.cycles_per_sample
+        sizes, eligible = self.dataset_sizes, self.eligible
+        weights = np.zeros(self.n_clients)
+        weights[eligible] = sizes[eligible] / sizes[eligible].sum()
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(
             self, "d_down", wireless.downlink_payload_bits(self.model_dim) / down_rate
         )
@@ -202,7 +206,7 @@ def _check_structure(
         raise ValueError("assignment reuses a channel")
     if np.any(assigned_channel >= ctx.n_channels):
         raise ValueError("assignment names an unknown channel")
-    if not set(ctx.eligible.tolist()).issuperset(assigned.tolist()):
+    if not np.isin(assigned, ctx.eligible).all():
         raise ValueError("assignment schedules an ineligible client")
     rate_ok = (0.0 < s[assigned]) & (s[assigned] <= 1.0 + 1e-12)
     power_ok = (0.0 < powers[assigned]) & (
@@ -283,16 +287,18 @@ def _matching(
 ) -> tuple[float, np.ndarray] | None:
     """Minimum-cost matching of rows to channels, or None.
 
-    Entries at _BIG_COST are excluded edges. Returns the matching only when it
-    schedules min(channels, len(rows)) clients without touching one.
+    Infinite entries are excluded edges. Returns None when no matching of
+    min(channels, len(rows)) clients avoids them all.
     """
-    row_ind, col_ind = linear_sum_assignment(cost)
-    kept = cost[row_ind, col_ind] < _BIG_COST / 2
-    if kept.sum() < min(ctx.n_channels, rows.size):
+    try:
+        row_ind, col_ind = linear_sum_assignment(cost)
+    except ValueError as exc:
+        if str(exc) != "cost matrix is infeasible":
+            raise
         return None
     assigned_channel = np.full(ctx.n_clients, -1, dtype=int)
-    assigned_channel[rows[row_ind[kept]]] = col_ind[kept]
-    return _sum_in_order(cost[row_ind[kept], col_ind[kept]]), assigned_channel
+    assigned_channel[rows[row_ind]] = col_ind
+    return _sum_in_order(cost[row_ind, col_ind]), assigned_channel
 
 
 def _level_sweep(
@@ -422,7 +428,7 @@ def optimal_assignment(
     def match_at(level: float) -> tuple[float, np.ndarray] | None:
         s, _, usable = model.at_level(level, (rows,))
         cost = queues.q_fa[rows, None] - lam_w[rows, None] * s
-        return _matching(ctx, rows, np.where(usable, cost, _BIG_COST))
+        return _matching(ctx, rows, np.where(usable, cost, np.inf))
 
     trace, level, assigned = _level_sweep(model.levels, match_at, queues.q_de, cfg.d_avg)
     if assigned is None:
@@ -482,16 +488,16 @@ def schedule_round(
 def build_decision(
     ctx: RoundContext,
     assigned_channel: np.ndarray,
-    s: np.ndarray,
-    powers: np.ndarray,
+    s: ArrayLike,
+    powers: ArrayLike,
     v_trace: tuple[float, ...] = (),
 ) -> ScheduleDecision:
     """Realized costs of an assignment, with the rounded uplink payload.
 
-    Unassigned clients get zero rate, power and costs; an all -1 assignment is
-    the empty decision. On a stacked context assigned_channel is [rounds,
-    clients], s and powers broadcast against it, and each round gets its own
-    round delay.
+    s and powers broadcast against assigned_channel. Unassigned clients get
+    zero rate, power and costs; an all -1 assignment is the empty decision.
+    On a stacked context assigned_channel is [rounds, clients] and each round
+    gets its own round delay.
     """
     shape = assigned_channel.shape
     at = np.nonzero(assigned_channel >= 0)
@@ -566,14 +572,10 @@ def baseline_schedule(
         assigned_channel[chosen] = rng.permutation(ctx.n_channels)[:count]
     elif policy == "round_robin":
         n_groups = math.ceil(ctx.n_clients / ctx.n_channels)
-        group = round_num % n_groups
-        members = range(group * ctx.n_channels, min((group + 1) * ctx.n_channels, ctx.n_clients))
-        eligible = set(int(i) for i in ctx.eligible)
-        j = 0
-        for i in members:
-            if i in eligible:
-                assigned_channel[i] = j
-                j += 1
+        first = (round_num % n_groups) * ctx.n_channels
+        members = np.arange(first, min(first + ctx.n_channels, ctx.n_clients))
+        chosen = members[np.isin(members, ctx.eligible)]
+        assigned_channel[chosen] = np.arange(chosen.size)
     else:
         # A stable sort of each round's client-major delay matrix breaks ties
         # by (client, channel); dead links have infinite delay and rank last.
@@ -594,6 +596,4 @@ def baseline_schedule(
                 used_channels.add(j)
                 if len(used_clients) == wanted:
                     break
-    s = np.full(ctx.n_clients, s_value)
-    powers = np.full(ctx.n_clients, p_max)
-    return build_decision(ctx, assigned_channel, s, powers)
+    return build_decision(ctx, assigned_channel, s_value, p_max)

@@ -136,7 +136,6 @@ class SimState:
 
     config: ExperimentConfig
     policy: str
-    model_spec: ModelSpec
     weights: ModelWeights
     shards: list[Dataset]
     sizes: np.ndarray
@@ -158,19 +157,15 @@ class SimState:
 
 def _build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
     if config.dataset == "synthetic":
-        train = synthesize_classification(
-            config.num_train,
-            config.feature_dim,
-            config.num_classes,
-            config.separation,
-            streams.substream(config.seed, streams.DATA, 0),
-        )
-        test = synthesize_classification(
-            config.num_test,
-            config.feature_dim,
-            config.num_classes,
-            config.separation,
-            streams.substream(config.seed, streams.DATA, 1),
+        train, test = (
+            synthesize_classification(
+                count,
+                config.feature_dim,
+                config.num_classes,
+                config.separation,
+                streams.substream(config.seed, streams.DATA, key),
+            )
+            for key, count in ((0, config.num_train), (1, config.num_test))
         )
         return train, test
     loaded = []
@@ -238,13 +233,10 @@ def _round_context(
     state: SimState, eligible: np.ndarray, channels: ChannelRealization, cpu_freq_hz: np.ndarray
 ) -> RoundContext:
     config = state.config
-    weights = np.zeros(config.num_clients)
-    weights[eligible] = state.sizes[eligible] / state.sizes[eligible].sum()
     return RoundContext(
-        model_dim=state.model_spec.dim,
+        model_dim=state.weights.spec.dim,
         tau=config.tau,
         eligible=eligible,
-        weights=weights,
         dataset_sizes=state.sizes,
         channels=channels,
         radio=state.radio,
@@ -342,7 +334,6 @@ def build_state(config: ExperimentConfig, policy: str) -> SimState:
     state = SimState(
         config=config,
         policy=policy,
-        model_spec=spec,
         weights=init_weights(spec, streams.substream(config.seed, streams.MODEL)),
         shards=parts,
         sizes=sizes,
@@ -406,10 +397,7 @@ def run_round(state: SimState) -> MetricsRow | None:
         try:
             decision = schedule_round(ctx, state.sched_cfg, state.queues)
         except EmptyRoundError:
-            unused = np.ones(config.num_clients)
-            decision = build_decision(
-                ctx, np.full(config.num_clients, -1, dtype=int), unused, unused
-            )
+            decision = build_decision(ctx, np.full(config.num_clients, -1, dtype=int), 1.0, 1.0)
     else:
         rng = None
         if state.policy == "random":

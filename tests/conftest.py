@@ -65,8 +65,6 @@ def make_context(
         eligible = np.arange(n)
     if downlink_gains is None:
         downlink_gains = np.full(n, 1e-7)
-    weights = np.zeros(n)
-    weights[eligible] = sizes[eligible] / sizes[eligible].sum()
     radio = RadioParams(
         bandwidth_hz=15e3,
         noise_w=1.995262314968883e-14,
@@ -80,7 +78,6 @@ def make_context(
         model_dim=model_dim,
         tau=tau,
         eligible=np.asarray(eligible, dtype=int),
-        weights=weights,
         dataset_sizes=np.asarray(sizes),
         channels=ChannelRealization(
             uplink_gains=gains, downlink_gains=np.asarray(downlink_gains, dtype=float)

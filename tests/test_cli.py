@@ -206,7 +206,7 @@ def test_cli_degenerate_budget_exit_code(tmp_path, capsys):
 
 
 def test_cli_noise_too_small_to_account_is_a_privacy_error(tmp_path, capsys):
-    """At sigma_hat 0.001 no client can afford a round, and some moments do not converge."""
+    """At sigma_hat 0.001 no client can afford a round."""
     cfg_path = write_cfg(tmp_path, text=FAST_TEXT.replace("sigma_hat = 1.5", "sigma_hat = 0.001"))
     code = main(["run", "--config", cfg_path, "--policy", "lyapunov"])
     assert code == 1

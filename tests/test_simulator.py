@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsefl import streams
+from sparsefl import simulator, streams
 from sparsefl.accountant import BudgetOverrunError
 from sparsefl.cli import emit_metrics_csv
 from sparsefl.config import ConfigError, ExperimentConfig
@@ -18,7 +18,7 @@ from sparsefl.simulator import (
     run_experiment,
     run_round,
 )
-from sparsefl.wireless import dbm_to_watts
+from sparsefl.wireless import dbm_to_watts, realize_channels
 
 from conftest import clip_per_sample, fast_config
 from test_model_data import write_idx_images, write_idx_labels
@@ -131,6 +131,21 @@ def test_energy_starved_lyapunov_records_empty_rounds():
         assert row.mean_s == 0.0
 
 
+def test_lyapunov_round_without_a_complete_matching_is_empty(monkeypatch):
+    """Channel 1 dead for every client: no matching fills both channels, so nobody uploads."""
+
+    def channel_1_dead(*args):
+        channels = realize_channels(*args)
+        channels.uplink_gains[:, 1] = 0.0
+        return channels
+
+    monkeypatch.setattr(simulator, "realize_channels", channel_1_dead)
+    state = build_state(fast_config(num_clients=3, d_avg_s=1.0), "lyapunov")
+    row = run_round(state)
+    assert (row.participants, row.round_delay_s, row.mean_s) == (0, 0.0, 0.0)
+    assert state.queues.q_de == 0.0 and not state.participation.any()
+
+
 def test_fixed_rate_baselines_report_it():
     cfg = fast_config(rounds=4, s_fixed=0.25)
     trace = run_experiment(cfg, "random")
@@ -169,7 +184,7 @@ def test_matches_hand_rolled_weighted_averaging():
     trace = run_experiment(cfg, "round_robin")
 
     state = build_state(cfg, "round_robin")
-    spec = state.model_spec
+    spec = state.weights.spec
     w = np.zeros(spec.dim)
     sizes = state.sizes
     weights = sizes / sizes.sum()
