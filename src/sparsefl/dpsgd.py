@@ -134,14 +134,18 @@ def clipped_masked_mean(
     n = a0.shape[-2]
     sq_norms = np.zeros(a0.shape[:-1])
     masked_sq_norms = np.zeros(a0.shape[:-1])
+    shared = None
     for (a, b), keep in zip(factors, keep_blocks):
-        a2 = a * a
+        # A weight block and its bias block share their first factor.
+        if a is not shared:
+            shared, a2 = a, a * a
+            a2_sum = a2.sum(axis=-1)
         if b is None:
-            sq_norms += a2.sum(axis=-1)
+            sq_norms += a2_sum
             masked_sq_norms += (a2 @ keep[..., None])[..., 0]
         else:
             b2 = b * b
-            sq_norms += a2.sum(axis=-1) * b2.sum(axis=-1)
+            sq_norms += a2_sum * b2.sum(axis=-1)
             masked_sq_norms += ((a2 @ keep) * b2).sum(axis=-1)
     norms = np.sqrt(masked_sq_norms)
     coef = np.where(norms > 0.0, np.minimum(1.0, threshold / np.maximum(norms, 1e-300)), 1.0) / n
@@ -244,6 +248,11 @@ def _train_group(
     Row j holds client j's model, mask, batch and clipped mean. The retained
     coordinates of all rows form one flat index, so the noise and the update
     of a step are one gather and one scatter for the whole group.
+
+    Each client's tau batches and its [tau, retained] noise block are drawn
+    before the first step. Every stream is the client's own, so these are the
+    values step-by-step draws would give: row t of the block is the normal
+    draw of step t.
     """
     spec = w_init.spec
     clients = len(shards)
@@ -260,15 +269,21 @@ def _train_group(
     w = np.repeat(w_init.values[None, :], clients, axis=0)
     model = ModelWeights(w, spec)
     w_flat, mean_flat = w.reshape(-1), clipped_mean.reshape(-1)
-    features = np.empty((clients, batch, spec.feature_dim))
-    labels = np.empty((clients, batch), dtype=shards[0].labels.dtype)
-    noise_sq: list[list[float]] = [[] for _ in range(clients)]
-    for _ in range(cfg.tau):
-        for j, (data, st) in enumerate(zip(shards, streams)):
-            take = st.batch.choice(data.n, size=batch, replace=False)
-            features[j] = data.features[take]
-            labels[j] = data.labels[take]
-        loss, factors = loss_grad_factors(model, features, labels, validate=False)
+    features = np.empty((cfg.tau, clients, batch, spec.feature_dim))
+    labels = np.empty((cfg.tau, clients, batch), dtype=shards[0].labels.dtype)
+    for j, (data, st) in enumerate(zip(shards, streams)):
+        take = np.array(
+            [st.batch.choice(data.n, size=batch, replace=False) for _ in range(cfg.tau)]
+        )
+        features[:, j] = data.features[take]
+        labels[:, j] = data.labels[take]
+    noise = [
+        st.noise.normal(0.0, std, size=(cfg.tau, size))
+        for st, std, size in zip(streams, stds, retained)
+        if noisy
+    ]
+    for t in range(cfg.tau):
+        loss, factors = loss_grad_factors(model, features[t], labels[t], validate=False)
         sq_norms = clipped_masked_mean(factors, keep_blocks, threshold_col, mean_blocks)
         if not (
             np.isfinite(loss).all()
@@ -286,13 +301,7 @@ def _train_group(
         stats.noise_draws += clients
         step = mean_flat[kept]
         if noisy:
-            draws = [
-                st.noise.normal(0.0, std, size=size)
-                for st, std, size in zip(streams, stds, retained)
-            ]
-            step += np.concatenate(draws)
-            for sums, noise in zip(noise_sq, draws):
-                sums.append(float(noise @ noise))
+            step += np.concatenate([block[t] for block in noise])
         w_flat[kept] -= cfg.eta * step
     deltas = w - w_init.values
     finite = np.isfinite(deltas).all(axis=1)
@@ -300,7 +309,7 @@ def _train_group(
         raise TrainingDivergenceError(
             f"non-finite weight update for {names[int(np.argmin(finite))]}"
         )
-    for sums in noise_sq:
-        for value in sums:
-            stats.noise_sq_sum += value
+    for block in noise:
+        for row in block:
+            stats.noise_sq_sum += float(row @ row)
     return deltas

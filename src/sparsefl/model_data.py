@@ -11,6 +11,7 @@ them into the dense [n, dim] matrix.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import math
 import struct
@@ -139,14 +140,14 @@ def _forward(w: ModelWeights, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
     return hidden @ w2.swapaxes(-1, -2) + b2[..., None, :], hidden
 
 
-def _shifted_logsumexp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Logits less their row max, and the log-sum-exp of those shifted rows."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+def _shifted_logsumexp(logits: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Logits less their row max top [..., 1], and the log-sum-exp of those shifted rows."""
+    shifted = logits - top
     return shifted, np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted, lse = _shifted_logsumexp(logits)
+    shifted, lse = _shifted_logsumexp(logits, logits.max(axis=-1, keepdims=True))
     return shifted - lse
 
 
@@ -218,10 +219,14 @@ def evaluate(w: ModelWeights, test_set: Dataset, train_pool: Dataset) -> tuple[f
     Predictions are the argmax logit, with exact ties resolved to the lowest
     class index. Each train sample's loss is its log-sum-exp less its label's
     shifted logit, the value the full log-softmax matrix would hold there.
+    The row maxima are taken one class column at a time: with few classes a
+    reduction along the short last axis costs far more, and a max is exact in
+    any order.
     """
     logits, _ = _forward(w, test_set.features)
     accuracy = float((logits.argmax(axis=1) == test_set.labels).mean())
-    shifted, lse = _shifted_logsumexp(_forward(w, train_pool.features)[0])
+    logits, _ = _forward(w, train_pool.features)
+    shifted, lse = _shifted_logsumexp(logits, functools.reduce(np.maximum, logits.T)[:, None])
     picked = shifted[np.arange(train_pool.n), train_pool.labels]
     return accuracy, float(-(picked - lse[:, 0]).mean())
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from types import EllipsisType
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -84,11 +85,12 @@ class SchedulerConfig:
 class RoundContext:
     """The round's cost model: every delay and energy the solvers score.
 
-    weights are each eligible client's share p_i of the eligible set's
-    samples (zero for ineligible clients). They, d_down, d_local, and e_comp
-    are fixed per client for the round; only the uplink leg depends on the
-    decision variables, through the [clients, channels] uplink SNR per watt
-    of transmit power. The uplink methods take client and channel index
+    is_eligible is the eligible set as a [clients] mask. weights are each
+    eligible client's share p_i of the eligible set's samples (zero for
+    ineligible clients). They, d_down, d_local, and e_comp are fixed per
+    client for the round; only the uplink leg depends on the decision
+    variables, through the [clients, channels] uplink SNR per watt of
+    transmit power. The uplink methods take client and channel index
     arrays (or scalars) that broadcast against the rates and powers.
 
     Channels and CPU frequencies may carry a leading [rounds] axis, stacking
@@ -105,6 +107,7 @@ class RoundContext:
     channels: ChannelRealization
     radio: RadioParams
     compute: ComputeParams
+    is_eligible: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
     d_down: np.ndarray = field(init=False)
     d_local: np.ndarray = field(init=False)
@@ -120,8 +123,11 @@ class RoundContext:
         compute, freq = self.compute, self.compute.cpu_freq_hz
         work = self.tau * np.asarray(self.dataset_sizes, dtype=np.int64) * compute.cycles_per_sample
         sizes, eligible = self.dataset_sizes, self.eligible
+        is_eligible = np.zeros(self.n_clients, dtype=bool)
+        is_eligible[eligible] = True
         weights = np.zeros(self.n_clients)
         weights[eligible] = sizes[eligible] / sizes[eligible].sum()
+        object.__setattr__(self, "is_eligible", is_eligible)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(
             self, "d_down", wireless.downlink_payload_bits(self.model_dim) / down_rate
@@ -194,7 +200,7 @@ def update_queues(
 
 def _sum_in_order(values: np.ndarray) -> float:
     """Left-to-right sum; np.sum's pairwise order would move the last bits."""
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
 def _check_structure(
@@ -202,11 +208,11 @@ def _check_structure(
 ) -> np.ndarray:
     assigned = np.flatnonzero(assigned_channel >= 0)
     chans = assigned_channel[assigned]
-    if len(np.unique(chans)) != len(chans):
-        raise ValueError("assignment reuses a channel")
-    if np.any(assigned_channel >= ctx.n_channels):
+    if np.any(chans >= ctx.n_channels):
         raise ValueError("assignment names an unknown channel")
-    if not np.isin(assigned, ctx.eligible).all():
+    if np.bincount(chans).max(initial=0) > 1:
+        raise ValueError("assignment reuses a channel")
+    if not ctx.is_eligible[assigned].all():
         raise ValueError("assignment schedules an ineligible client")
     rate_ok = (0.0 < s[assigned]) & (s[assigned] <= 1.0 + 1e-12)
     power_ok = (0.0 < powers[assigned]) & (
@@ -249,9 +255,7 @@ def feasible_edges(ctx: RoundContext, cfg: SchedulerConfig) -> np.ndarray:
     headroom = cfg.e_max_j - ctx.e_comp
     dense_payload = wireless.payload_bits(ctx.model_dim, 1.0) + 1.0
     limit_energy = wireless.zero_power_energy(ctx.radio, dense_payload, ctx.snr_per_w)
-    eligible = np.zeros(ctx.n_clients, dtype=bool)
-    eligible[ctx.eligible] = True
-    return eligible[:, None] & (limit_energy * (1.0 + _ENERGY_MARGIN) < headroom[:, None])
+    return ctx.is_eligible[:, None] & (limit_energy * (1.0 + _ENERGY_MARGIN) < headroom[:, None])
 
 
 def optimal_power(
@@ -282,13 +286,12 @@ def optimal_power(
     return power, wireless.shannon_rate(radio, power * snr_per_w)
 
 
-def _matching(
-    ctx: RoundContext, rows: np.ndarray, cost: np.ndarray
-) -> tuple[float, np.ndarray] | None:
-    """Minimum-cost matching of rows to channels, or None.
+def _matching(cost: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray]] | None:
+    """Minimum-cost matching of cost's rows to its columns, or None.
 
-    Infinite entries are excluded edges. Returns None when no matching of
-    min(channels, len(rows)) clients avoids them all.
+    Returns the matching's cost and its (rows, columns) index pair. Infinite
+    entries are excluded edges; None means no matching of min(rows, columns)
+    rows avoids them all.
     """
     try:
         row_ind, col_ind = linear_sum_assignment(cost)
@@ -296,17 +299,15 @@ def _matching(
         if str(exc) != "cost matrix is infeasible":
             raise
         return None
-    assigned_channel = np.full(ctx.n_clients, -1, dtype=int)
-    assigned_channel[rows[row_ind]] = col_ind
-    return _sum_in_order(cost[row_ind, col_ind]), assigned_channel
+    return _sum_in_order(cost[row_ind, col_ind]), (row_ind, col_ind)
 
 
 def _level_sweep(
     levels: np.ndarray, match_at, q_de: float, d_avg: float
-) -> tuple[list[float], float, np.ndarray | None]:
+) -> tuple[list[float], float, tuple | None]:
     """Branch and bound for the minimum over sorted levels of M(l) + q_de * (l - d_avg).
 
-    match_at(l) returns (M(l), assignment), or None when no full matching
+    match_at(l) returns (M(l), matching), or None when no full matching
     exists at l; M never increases with l, so every level in [a, b] scores at
     least M(b) + q_de * (a - d_avg). An interval is dropped once that bound
     reaches the incumbent and is otherwise split at its middle level. Returns
@@ -346,7 +347,10 @@ def _level_sweep(
 
 
 class _LevelModel:
-    """Every edge's best rate and power as functions of the level, [clients, channels].
+    """Every candidate edge's best rate and power as functions of the level.
+
+    The per-edge arrays are [rows, channels]: row k holds client rows[k], one
+    of the eligible clients with an energy-feasible channel, in eligible order.
 
     At level l an edge has x = l - d_down - d_local seconds to upload. While
     its cap is slack it sends at full power and its rate rises linearly from
@@ -354,31 +358,36 @@ class _LevelModel:
     allows rates up to s_sw at full power, less one bit of rounding slack; a
     cap that binds before s = 1 does so from bp_sw on. The edge then sends at
     the power where the delay and energy constraints meet, and its rate rises
-    concavely until bp_hi. Infeasible edges have bp_lo = inf.
+    concavely until bp_hi. binding says whether any edge has such a branch.
+    Infeasible edges have bp_lo = inf; a dead link's slope is 1, not inf, so
+    its (level - offset) / slope is -inf, not NaN.
     """
 
     def __init__(self, ctx: RoundContext, cfg: SchedulerConfig) -> None:
         self.ctx, self.s_th, p_max = ctx, cfg.s_th, ctx.radio.max_power_w
-        self.edges = feasible_edges(ctx, cfg)
-        self.rows = ctx.eligible[self.edges[ctx.eligible].any(axis=1)]
-        if self.rows.size == 0:
+        edges = feasible_edges(ctx, cfg)
+        rows = self.rows = ctx.eligible[edges[ctx.eligible].any(axis=1)]
+        if rows.size == 0:
             raise EmptyRoundError("no client has an energy-feasible channel")
-        self.headroom = np.broadcast_to((cfg.e_max_j - ctx.e_comp)[:, None], self.edges.shape)
-        self.fixed = np.broadcast_to((ctx.d_down + ctx.d_local)[:, None], self.edges.shape)
+        self.edges, self.snr_per_w = edges[rows], ctx.snr_per_w[rows]
+        shape = self.edges.shape
+        self.headroom = np.repeat((cfg.e_max_j - ctx.e_comp[rows])[:, None], shape[1], axis=1)
+        self.fixed = np.repeat((ctx.d_down[rows] + ctx.d_local[rows])[:, None], shape[1], axis=1)
         dim, width = ctx.model_dim, wireless.VALUE_BITS
-        rate = wireless.shannon_rate(ctx.radio, p_max * ctx.snr_per_w)
+        rate = wireless.shannon_rate(ctx.radio, p_max * self.snr_per_w)
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.slope = width * dim / rate
-            self.offset = dim / rate + ctx.d_down[:, None] + ctx.d_local[:, None]
+            self.slope = np.where(rate > 0.0, width * dim / rate, 1.0)
+            self.offset = dim / rate + ctx.d_down[rows, None] + ctx.d_local[rows, None]
             bits_at_cap = self.headroom * rate / p_max
             s_sw = wireless.smooth_payload_rate(dim, bits_at_cap) - 1.0 / (width * dim)
         self.bp_lo = np.where(self.edges, self.slope * self.s_th + self.offset, np.inf)
         self.bp_hi = self.slope + self.offset
-        self.bp_sw = np.full(self.edges.shape, np.inf)
-        self.p_hi = np.full(self.edges.shape, p_max)
+        self.bp_sw = np.full(shape, np.inf)
+        self.p_hi = np.full(shape, p_max)
         binds = self.edges & (s_sw < 1.0)
         low = binds & (s_sw < self.s_th)
-        if binds.any():
+        self.binding = bool(binds.any())
+        if self.binding:
             self.bp_sw[binds] = self.slope[binds] * s_sw[binds] + self.offset[binds]
             self.bp_hi[binds], self.p_hi[binds] = self._curve_point(binds, 1.0)
         if low.any():
@@ -390,24 +399,28 @@ class _LevelModel:
         """Level and power at which the binding branch of the edges at reaches rate s."""
         payload = wireless.smooth_payload_bits(self.ctx.model_dim, s)
         power, rate = optimal_power(
-            self.ctx.radio, self.ctx.snr_per_w[at], self.headroom[at], 0.0, payload + 1.0
+            self.ctx.radio, self.snr_per_w[at], self.headroom[at], 0.0, payload + 1.0
         )
         return payload / rate + self.fixed[at], power
 
-    def at_level(self, level: float, at: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rates, powers and usability of the edges `at` indexes, at the level.
+    def at_level(
+        self, level: float, at: tuple | EllipsisType = ...
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rates, powers and usability of the edges `at` indexes (all of them by default).
 
         A binding edge's rate is the smaller of its time and energy budgets
         at the solved power, so both constraints hold to rounding.
         """
         usable = level >= self.bp_lo[at]
-        s = np.clip((level - self.offset[at]) / self.slope[at], self.s_th, 1.0)
+        s = ((level - self.offset[at]) / self.slope[at]).clip(self.s_th, 1.0)
+        if not self.binding:
+            return s, self.p_hi[at], usable
         power = np.where(level > self.bp_sw[at], self.p_hi[at], self.ctx.radio.max_power_w)
         bind = usable & (level > self.bp_sw[at]) & (level < self.bp_hi[at])
         if bind.any():
             x = level - self.fixed[at][bind]
             headroom = self.headroom[at][bind]
-            snr_per_w = self.ctx.snr_per_w[at][bind]
+            snr_per_w = self.snr_per_w[at][bind]
             power[bind], rate = optimal_power(self.ctx.radio, snr_per_w, headroom, x, 1.0)
             bits = np.minimum(x * rate, headroom * rate / power[bind] - 1.0)
             dim = self.ctx.model_dim
@@ -423,16 +436,17 @@ def optimal_assignment(
     Returns the incumbents, the winning level and its assignment.
     """
     ctx, rows = model.ctx, model.rows
-    lam_w = cfg.lam * ctx.weights
+    q_fa, lam_w = queues.q_fa[rows, None], cfg.lam * ctx.weights[rows, None]
 
-    def match_at(level: float) -> tuple[float, np.ndarray] | None:
-        s, _, usable = model.at_level(level, (rows,))
-        cost = queues.q_fa[rows, None] - lam_w[rows, None] * s
-        return _matching(ctx, rows, np.where(usable, cost, np.inf))
+    def match_at(level: float) -> tuple[float, tuple[np.ndarray, np.ndarray]] | None:
+        s, _, usable = model.at_level(level)
+        return _matching(np.where(usable, q_fa - lam_w * s, np.inf))
 
-    trace, level, assigned = _level_sweep(model.levels, match_at, queues.q_de, cfg.d_avg)
-    if assigned is None:
+    trace, level, matching = _level_sweep(model.levels, match_at, queues.q_de, cfg.d_avg)
+    if matching is None:
         raise EmptyRoundError("no feasible assignment")
+    assigned = np.full(ctx.n_clients, -1, dtype=int)
+    assigned[rows[matching[0]]] = matching[1]
     return trace, level, assigned
 
 
@@ -453,7 +467,9 @@ def optimal_sparsification(
     ctx = model.ctx
     lam_w = cfg.lam * ctx.weights
     clients = np.flatnonzero(assigned_channel >= 0)
-    at = (clients, assigned_channel[clients])
+    row_of = np.empty(ctx.n_clients, dtype=int)
+    row_of[model.rows] = np.arange(model.rows.size)
+    at = (row_of[clients], assigned_channel[clients])
     if queues.q_de > 0.0 and np.isfinite(model.bp_sw[at]).any():
 
         def value_at(x: float) -> float:
@@ -574,7 +590,7 @@ def baseline_schedule(
         n_groups = math.ceil(ctx.n_clients / ctx.n_channels)
         first = (round_num % n_groups) * ctx.n_channels
         members = np.arange(first, min(first + ctx.n_channels, ctx.n_clients))
-        chosen = members[np.isin(members, ctx.eligible)]
+        chosen = members[ctx.is_eligible[members]]
         assigned_channel[chosen] = np.arange(chosen.size)
     else:
         # A stable sort of each round's client-major delay matrix breaks ties

@@ -23,7 +23,7 @@ from sparsefl.model_data import (
     split_blocks,
 )
 
-from conftest import clip_per_sample
+from conftest import clip_per_sample, stepwise_local_train
 
 
 def train_one(w, data, s, cfg, streams, *, client_id=0, round_num=0, stats=None):
@@ -504,6 +504,42 @@ def test_stacked_round_equals_each_client_alone_bit_for_bit(hidden, d, sizes, ra
     for j, s in enumerate(rates):
         if s < 1e-9:
             assert np.all(alone[j] == 0.0)
+
+
+@settings(max_examples=30)
+@given(
+    hidden=st.sampled_from([None, 3]),
+    clients=st.lists(
+        st.tuples(st.integers(2, 12), st.floats(0.05, 1.0)), min_size=2, max_size=6
+    ),
+    sigma_hat=st.sampled_from([0.0, 0.6]),
+    seed=st.integers(0, 2**16),
+)
+def test_draws_before_the_steps_match_step_by_step_draws(hidden, clients, sigma_hat, seed):
+    """Batch 6 on shards of 2 to 12 samples: groups of several effective batches.
+
+    Each client's streams end where the step-by-step reference leaves them,
+    and its delta and the round's stats are bit-equal to the reference's.
+    """
+    sizes, rates = zip(*clients)
+    w, shards, rates, cfg, _ = stacked_round(hidden, 4, sizes, rates, sigma_hat, seed=seed)
+    count = len(shards)
+    want_stats, want, want_states = TrainStats(), [], []
+    for j in range(count):
+        streams = make_streams(seed + j)
+        want.append(stepwise_local_train(w, shards[j], rates[j], cfg, streams, want_stats))
+        want_states.append((streams.batch.bit_generator.state, streams.noise.bit_generator.state))
+    for j in range(count):
+        streams = [make_streams(seed + i) for i in range(count)]
+        stats = TrainStats()
+        got = local_train(
+            w, shards, rates, cfg, streams, np.eye(count)[j], client_ids=range(count),
+            round_num=0, stats=stats,
+        )
+        assert np.array_equal(got, want[j])
+        assert stats == want_stats
+        states = [(st.batch.bit_generator.state, st.noise.bit_generator.state) for st in streams]
+        assert states == want_states
 
 
 def test_non_finite_shard_names_its_client_in_a_stacked_round():

@@ -19,6 +19,7 @@ from sparsefl.model_data import (
     per_sample_loss_grads,
     read_idx_images,
     read_idx_labels,
+    split_blocks,
     synthesize_classification,
 )
 
@@ -95,17 +96,24 @@ def test_zero_weights_give_uniform_loss():
 
 @pytest.mark.parametrize("hidden_units", [None, 7])
 def test_evaluate_matches_full_log_softmax_bits(hidden_units):
+    """Bit-equal to the row-max log-softmax, with classes 1 and 3 tied on every row."""
     rng = np.random.default_rng(8)
     spec = ModelSpec(feature_dim=6, num_classes=5, hidden_units=hidden_units)
     w = ModelWeights(rng.standard_normal(spec.dim), spec)
+    *_, w_out, b_out = split_blocks(w.values, spec)
+    w_out[3], b_out[3] = w_out[1], b_out[1]
     test = Dataset(rng.standard_normal((30, 6)), rng.integers(0, 5, size=30))
     train = Dataset(3.0 * rng.standard_normal((70, 6)), rng.integers(0, 5, size=70))
     test_logits, _ = _forward(w, test.features)
     train_logits, _ = _forward(w, train.features)
-    logp = _log_softmax(train_logits)
+    assert np.array_equal(train_logits[:, 1], train_logits[:, 3])
+    assert (train_logits.argmax(axis=1) == 1).sum() > 5
+    shifted = train_logits - train_logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     accuracy, loss = evaluate(w, test, train)
     assert accuracy == float((test_logits.argmax(axis=1) == test.labels).mean())
     assert loss == float(-logp[np.arange(train.n), train.labels].mean())
+    assert np.array_equal(logp, _log_softmax(train_logits))
 
 
 def test_gradient_descent_reduces_loss():

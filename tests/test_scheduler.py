@@ -92,7 +92,8 @@ def test_round_context_link_snrs_keep_their_float_order():
 
 
 def test_round_context_derives_weights_over_the_eligible_set():
-    """p_i is an eligible client's share of the eligible samples, [clients] even when stacked."""
+    """p_i is an eligible client's share of the eligible samples, and is_eligible the
+    eligible set's mask, both [clients] even when stacked."""
     rng = np.random.default_rng(8)
     n, m = 6, 2
     sizes, eligible = rng.integers(20, 200, n), np.array([0, 2, 3, 5])
@@ -114,6 +115,7 @@ def test_round_context_derives_weights_over_the_eligible_set():
             ),
         )
         assert ctx.d_down.shape == rounds + (n,)
+        assert np.array_equal(ctx.is_eligible, np.isin(np.arange(n), eligible))
         assert np.array_equal(ctx.weights, want)
         assert not ctx.weights[[1, 4]].any()
 
@@ -431,6 +433,34 @@ def test_schedule_round_finds_a_binding_optimum_inside_an_interval():
     assert decision.v_trace[-1] <= brute_force_joint_energy(ctx, cfg, queues) + 1e-9
 
 
+def test_schedule_round_on_an_unsorted_gapped_eligible_set_matches_the_energy_oracle():
+    """Eligible [6, 3, 0, 5, 4] of 7: client 5's links are dead, client 3's channel 1 is
+    dead, and the cap sits between the two costliest live edges' dense energies, so
+    exactly one edge binds. The level sweep sees rows [6, 3, 0, 4], not client ids."""
+    below_full_power = 0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        ctx, cfg, queues = random_round_context(
+            rng, 7, 2, model_dim=500, q_de=float(rng.uniform(5.0, 50.0))
+        )
+        gains = ctx.channels.uplink_gains.copy()
+        gains[5] = 0.0
+        gains[3, 1] = 0.0
+        channels = ChannelRealization(gains, ctx.channels.downlink_gains)
+        ctx = replace(ctx, eligible=np.array([6, 3, 0, 5, 4]), channels=channels)
+        live = np.array([[6, 0], [6, 1], [3, 0], [0, 0], [0, 1], [4, 0], [4, 1]]).T
+        energy = (33 * ctx.model_dim + 1) / ctx.uplink_rate(*live, 1.0) + ctx.e_comp[live[0]]
+        second, first = np.sort(energy)[-2:]
+        cfg = replace(cfg, e_max_j=float(second + first) / 2.0)
+        decision = schedule_round(ctx, cfg, queues)
+        validate_decision(ctx, cfg, decision, optimized=True)
+        assert decision.assigned_channel[[1, 2, 5]].tolist() == [-1, -1, -1]
+        below_full_power += bool(np.any(decision.powers[decision.participants] < 1.0))
+        oracle = brute_force_joint_energy(ctx, cfg, queues)
+        assert decision.v_trace[-1] == pytest.approx(oracle, abs=1e-9)
+    assert below_full_power >= 1
+
+
 def test_energy_oracle_agrees_with_full_power_oracle_under_loose_caps():
     rng = np.random.default_rng(13)
     for _ in range(4):
@@ -606,8 +636,17 @@ def test_validate_decision_catches_duplicate_channels():
     decision.assigned_channel[decision.participants[0]] = decision.assigned_channel[
         decision.participants[1]
     ]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="assignment reuses a channel"):
         validate_decision(ctx, cfg, decision, optimized=False)
+    gapped = make_context(np.full((3, 2), 1e-9), eligible=np.array([2, 0]))
+    for assigned, message in (
+        ([0, -1, 2], "assignment names an unknown channel"),
+        ([1, 0, -1], "assignment schedules an ineligible client"),
+    ):
+        zeros = np.zeros(3)
+        decision = ScheduleDecision(np.array(assigned), np.ones(3), np.ones(3), zeros, zeros, 0.0)
+        with pytest.raises(ValueError, match=message):
+            validate_decision(gapped, cfg, decision, optimized=False)
 
 
 def test_validate_decision_holds_only_the_optimizing_policy_to_its_limits():
