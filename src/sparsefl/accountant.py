@@ -8,7 +8,7 @@ multiplier ``sigma_hat``. The moment of order ``alpha`` accumulated per step is
 
 where mu0 and mu1 are the N(0, sigma_hat) and N(1, sigma_hat) densities. The
 total budget after ``t_bar`` rounds converts to an (epsilon, delta) guarantee
-by minimizing over a grid of orders.
+by minimizing over one fixed grid of orders, DEFAULT_ALPHA_GRID.
 
 At an integer order the moment has the exact binomial closed form
 
@@ -56,14 +56,12 @@ class RdpParams:
 
     q: per-step subsampling fraction, in [0, 1].
     sigma_hat: noise multiplier, > 0.
-    alpha_grid: orders over which conversions are minimized, all > 1.
     delta: target failure probability, in (0, 1).
     tau: local steps per participated round.
     """
 
     q: float
     sigma_hat: float
-    alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
     delta: float = 1e-3
     tau: int = 1
 
@@ -72,16 +70,10 @@ class RdpParams:
             raise ValueError(f"q must be in [0, 1], got {self.q}")
         if not self.sigma_hat > 0.0:
             raise ValueError(f"sigma_hat must be positive, got {self.sigma_hat}")
-        if len(self.alpha_grid) == 0:
-            raise ValueError("alpha_grid must not be empty")
-        if any(a <= 1.0 for a in self.alpha_grid):
-            raise ValueError("every order in alpha_grid must exceed 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.tau < 1:
             raise ValueError(f"tau must be at least 1, got {self.tau}")
-        # One hashable float tuple, so log_moments' cache key needs no copy.
-        object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
 
 
 def _integer_moments(q: float, sigma_hat: float, alphas: np.ndarray) -> np.ndarray:
@@ -171,16 +163,16 @@ def log_moments(q: float, sigma_hat: float, alphas: tuple[float, ...]) -> tuple[
 
 
 @functools.lru_cache(maxsize=64)
-def _conversion_offsets(alphas: tuple[float, ...], delta: float) -> tuple[float, ...]:
-    """Additive terms converting an RDP bound at each order to epsilon at delta.
+def _conversion_offsets(delta: float) -> tuple[float, ...]:
+    """Additive terms converting an RDP bound at each default order to epsilon at delta.
 
-    Cached per (orders, delta): every accumulate_privacy call reads them.
+    Cached per delta: every accumulate_privacy call reads them.
     """
     log_inv_delta = math.log(1.0 / delta)
     return tuple(
         (log_inv_delta + (alpha - 1.0) * math.log1p(-1.0 / alpha) - math.log(alpha))
         / (alpha - 1.0)
-        for alpha in alphas
+        for alpha in DEFAULT_ALPHA_GRID
     )
 
 
@@ -194,10 +186,10 @@ def accumulate_privacy(t_bar: int, params: RdpParams) -> tuple[float, float]:
     if t_bar < 0:
         raise ValueError(f"t_bar must be nonnegative, got {t_bar}")
     best_eps = math.inf
-    best_alpha = params.alpha_grid[0]
-    moments = log_moments(params.q, params.sigma_hat, params.alpha_grid)
-    offsets = _conversion_offsets(params.alpha_grid, params.delta)
-    for alpha, rdp, offset in zip(params.alpha_grid, moments, offsets):
+    best_alpha = DEFAULT_ALPHA_GRID[0]
+    moments = log_moments(params.q, params.sigma_hat, DEFAULT_ALPHA_GRID)
+    offsets = _conversion_offsets(params.delta)
+    for alpha, rdp, offset in zip(DEFAULT_ALPHA_GRID, moments, offsets):
         eps = t_bar * params.tau * rdp / (alpha - 1.0) + offset
         if eps < best_eps:
             best_eps = eps
@@ -216,9 +208,9 @@ def max_participation_rounds(eps_budget: float, params: RdpParams) -> int:
     if not eps_budget > 0.0:
         raise ValueError(f"eps_budget must be positive, got {eps_budget}")
     best = 0
-    moments = log_moments(params.q, params.sigma_hat, params.alpha_grid)
-    offsets = _conversion_offsets(params.alpha_grid, params.delta)
-    for alpha, rdp, offset in zip(params.alpha_grid, moments, offsets):
+    moments = log_moments(params.q, params.sigma_hat, DEFAULT_ALPHA_GRID)
+    offsets = _conversion_offsets(params.delta)
+    for alpha, rdp, offset in zip(DEFAULT_ALPHA_GRID, moments, offsets):
         numerator = (alpha - 1.0) * (eps_budget - offset)
         if numerator <= 0.0:
             continue

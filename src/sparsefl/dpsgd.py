@@ -84,6 +84,10 @@ class DpConfig:
     def clip_threshold(self, s: float) -> float:
         return math.sqrt(s) * self.clip_c if self.adaptive_clip else self.clip_c
 
+    def effective_batch(self, n: int) -> int:
+        """Examples a step draws from a shard of n, so the accountant's q is this / n."""
+        return min(self.batch_size, n)
+
 
 @dataclass(frozen=True)
 class TrainStreams:
@@ -208,7 +212,7 @@ def local_train(
     for data in shards:
         check_examples(spec, data.features, data.labels)
     names = [f"client {int(i)} in round {round_num}" for i in client_ids]
-    batches = [min(cfg.batch_size, data.n) for data in shards]
+    batches = [cfg.effective_batch(data.n) for data in shards]
     cap = max(1, _STACK_PARAMS // spec.dim)
     total = np.zeros(spec.dim)
     start = 0
@@ -283,7 +287,7 @@ def _train_group(
         if noisy
     ]
     for t in range(cfg.tau):
-        loss, factors = loss_grad_factors(model, features[t], labels[t], validate=False)
+        loss, factors = loss_grad_factors(model, features[t], labels[t])
         sq_norms = clipped_masked_mean(factors, keep_blocks, threshold_col, mean_blocks)
         if not (
             np.isfinite(loss).all()

@@ -169,7 +169,7 @@ def check_examples(spec: ModelSpec, features: np.ndarray, labels: np.ndarray) ->
 
 
 def loss_grad_factors(
-    w: ModelWeights, features: np.ndarray, labels: np.ndarray, *, validate: bool = True
+    w: ModelWeights, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float | np.ndarray, GradFactors]:
     """Mean cross-entropy loss and the per-sample gradients as per-block factors.
 
@@ -179,11 +179,9 @@ def loss_grad_factors(
     (dpre, features), (dpre, None), (dlogits, hidden) and (dlogits, None).
 
     Stacked weights [clients, dim] take stacked batches [clients, n, ...] and
-    give one loss per client. validate=False skips check_examples, for a
-    caller that has checked the rows' source once already.
+    give one loss per client. The rows are not checked here: callers pass
+    rows of data they have put through check_examples.
     """
-    if validate:
-        check_examples(w.spec, features, labels)
     num_classes = w.spec.num_classes
     rows = np.arange(labels.size)
     flat_labels = labels.reshape(-1)
@@ -206,7 +204,9 @@ def per_sample_loss_grads(
 
     The rows are the outer products of loss_grad_factors, concatenated in
     flat-parameter order; their mean equals the gradient of the mean loss.
+    Raises ValueError if the rows do not fit the model (check_examples).
     """
+    check_examples(w.spec, features, labels)
     loss, factors = loss_grad_factors(w, features, labels)
     n = features.shape[0]
     blocks = [a if b is None else np.einsum("na,nb->nab", a, b).reshape(n, -1) for a, b in factors]

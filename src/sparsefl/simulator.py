@@ -310,13 +310,21 @@ def build_state(config: ExperimentConfig, policy: str) -> SimState:
     eps = privacy_rng.uniform(config.eps_min, config.eps_max, config.num_clients)
 
     sizes = np.array([p.n for p in parts], dtype=int)
+    dp_cfg = DpConfig(
+        clip_c=config.clip_c,
+        sigma_hat=config.sigma_hat,
+        batch_size=config.batch_size,
+        tau=config.tau,
+        eta=config.eta,
+        adaptive_clip=config.adaptive_clip,
+    )
 
     if config.sigma_hat > 0:
         ledgers = []
         for i in range(config.num_clients):
-            batch = min(config.batch_size, int(sizes[i]))
+            n = int(sizes[i])
             params = RdpParams(
-                q=batch / int(sizes[i]),
+                q=dp_cfg.effective_batch(n) / n,
                 sigma_hat=config.sigma_hat,
                 delta=config.delta,
                 tau=config.tau,
@@ -327,9 +335,7 @@ def build_state(config: ExperimentConfig, policy: str) -> SimState:
     else:
         ledgers = None
         t_hats = np.full(config.num_clients, -1, dtype=int)
-        betas = np.full(
-            config.num_clients, min(config.num_channels / config.num_clients, 1.0)
-        )
+        betas = participation_fraction(np.ones(config.num_clients), config.num_channels)
 
     state = SimState(
         config=config,
@@ -347,14 +353,7 @@ def build_state(config: ExperimentConfig, policy: str) -> SimState:
             e_max_j=config.e_max_j,
             s_th=config.s_th,
         ),
-        dp_cfg=DpConfig(
-            clip_c=config.clip_c,
-            sigma_hat=config.sigma_hat,
-            batch_size=config.batch_size,
-            tau=config.tau,
-            eta=config.eta,
-            adaptive_clip=config.adaptive_clip,
-        ),
+        dp_cfg=dp_cfg,
         ledgers=ledgers,
         betas=betas,
         t_hats=t_hats,
@@ -407,7 +406,7 @@ def run_round(state: SimState) -> MetricsRow | None:
         ctx, state.sched_cfg, decision, optimized=state.policy == OPTIMIZED_POLICY
     )
 
-    participants = np.sort(decision.participants)
+    participants = decision.participants
     spars_deficit = 0.0
     if participants.size:
         selected_weights = state.sizes[participants] / state.sizes[participants].sum()

@@ -17,8 +17,6 @@ from sparsefl.accountant import (
 )
 from sparsefl.oracles import analytic_full_batch_log_moment, log_moment_trapezoid
 
-FULL_GRID = tuple(float(a) for a in range(2, 65))
-
 
 def log_moment(q, sigma, alpha):
     return log_moments(q, sigma, (alpha,))[0]
@@ -118,55 +116,75 @@ def test_nonincreasing_in_noise(q, alpha):
 
 
 def test_offset_example_at_zero_exposures():
-    params = RdpParams(q=0.25, sigma_hat=0.6, alpha_grid=FULL_GRID, delta=1e-3, tau=60)
+    params = RdpParams(q=0.25, sigma_hat=0.6, delta=1e-3, tau=60)
     eps, alpha = accumulate_privacy(0, params)
     assert eps == pytest.approx(0.027884535025868212, rel=1e-12)
     assert alpha == 64.0
 
 
 def test_accumulation_linear_in_exposures():
-    params = RdpParams(q=0.3, sigma_hat=1.0, alpha_grid=(4.0,), delta=1e-3, tau=7)
-    offset = accumulate_privacy(0, params)[0]
-    one = accumulate_privacy(1, params)[0] - offset
-    two = accumulate_privacy(2, params)[0] - offset
-    assert two == pytest.approx(2.0 * one, rel=1e-12)
+    # Each order's bound is a line in the exposure count t: its RDP
+    # t * tau * moment / (alpha - 1) plus log((alpha - 1) / alpha)
+    # - (log delta + log alpha) / (alpha - 1). The guarantee is the lowest
+    # line at t, so it is concave in t, not linear.
+    params = RdpParams(q=0.3, sigma_hat=1.0, delta=1e-3, tau=7)
+    moments = log_moments(0.3, 1.0, DEFAULT_ALPHA_GRID)
+    for t in (0, 1, 2, 5, 40, 1000):
+        lines = [
+            (
+                t * 7 * rdp / (alpha - 1.0)
+                + math.log((alpha - 1.0) / alpha)
+                - (math.log(1e-3) + math.log(alpha)) / (alpha - 1.0),
+                alpha,
+            )
+            for alpha, rdp in zip(DEFAULT_ALPHA_GRID, moments)
+        ]
+        want_eps, want_alpha = min(lines)
+        eps, alpha = accumulate_privacy(t, params)
+        assert eps == pytest.approx(want_eps, rel=1e-12)
+        assert alpha == want_alpha
 
 
 def test_accumulate_example_order_two():
-    params = RdpParams(q=1.0, sigma_hat=1.0, alpha_grid=(2.0,), delta=1e-3, tau=1)
+    # At q = 1 every order has the closed form alpha (alpha - 1) / (2 sigma^2),
+    # so one round at sigma 1 costs alpha / 2 plus the conversion offset;
+    # order 4 gives the least.
+    params = RdpParams(q=1.0, sigma_hat=1.0, delta=1e-3, tau=1)
     eps, alpha = accumulate_privacy(1, params)
-    assert alpha == 2.0
-    want = 1.0 + math.log(1000.0) + math.log(0.5) - math.log(2.0)
+    assert alpha == 4.0
+    want = 2.0 + (math.log(1000.0) + 3.0 * math.log(0.75) - math.log(4.0)) / 3.0
     assert eps == pytest.approx(want, rel=1e-9)
-    assert eps == pytest.approx(6.521460917862246, rel=1e-12)
+    assert eps == pytest.approx(3.552804900168968, rel=1e-12)
 
 
 def test_accumulate_monotone_in_exposures():
-    params = RdpParams(q=0.2, sigma_hat=0.8, alpha_grid=FULL_GRID, delta=1e-3, tau=10)
+    params = RdpParams(q=0.2, sigma_hat=0.8, delta=1e-3, tau=10)
     values = [accumulate_privacy(t, params)[0] for t in range(0, 40, 5)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_accumulate_rejects_negative_exposures():
-    params = RdpParams(q=0.2, sigma_hat=0.8, alpha_grid=(2.0,))
+    params = RdpParams(q=0.2, sigma_hat=0.8)
     with pytest.raises(ValueError):
         accumulate_privacy(-1, params)
 
 
 def test_inversion_examples():
-    params = RdpParams(q=1.0, sigma_hat=1.0, alpha_grid=(2.0,), delta=1e-3, tau=1)
-    assert max_participation_rounds(10.0, params) == 4
+    # By the closed form above, 5 rounds cost 9.9991 at order 3 and 6 cost
+    # 11.4991; 14 rounds cost 19.5215 at order 2 and 15 cost 20.5215.
+    params = RdpParams(q=1.0, sigma_hat=1.0, delta=1e-3, tau=1)
+    assert max_participation_rounds(10.0, params) == 5
     assert max_participation_rounds(20.0, params) == 14
 
 
 def test_inversion_zero_when_budget_below_offset():
-    params = RdpParams(q=1.0, sigma_hat=1.0, alpha_grid=(2.0,), delta=1e-3, tau=1)
+    params = RdpParams(q=1.0, sigma_hat=1.0, delta=1e-3, tau=1)
     offset = accumulate_privacy(0, params)[0]
     assert max_participation_rounds(offset * 0.9, params) == 0
 
 
 def test_inversion_unbounded_when_sampling_never_happens():
-    params = RdpParams(q=0.0, sigma_hat=1.0, alpha_grid=(2.0,), delta=1e-3, tau=1)
+    params = RdpParams(q=0.0, sigma_hat=1.0, delta=1e-3, tau=1)
     assert max_participation_rounds(8.0, params) > 10**12
 
 
@@ -177,7 +195,7 @@ def test_inversion_unbounded_when_sampling_never_happens():
     eps=st.floats(1.0, 20.0),
 )
 def test_inversion_brackets_the_budget(q, sigma, eps):
-    params = RdpParams(q=q, sigma_hat=sigma, alpha_grid=DEFAULT_ALPHA_GRID, delta=1e-3, tau=60)
+    params = RdpParams(q=q, sigma_hat=sigma, delta=1e-3, tau=60)
     t_hat = max_participation_rounds(eps, params)
     assert accumulate_privacy(t_hat, params)[0] <= eps
     assert accumulate_privacy(t_hat + 1, params)[0] > eps
@@ -248,9 +266,6 @@ def test_params_validation():
         dict(q=1.1, sigma_hat=1.0),
         dict(q=1.2, sigma_hat=1.0),
         dict(q=0.5, sigma_hat=0.0),
-        dict(q=0.5, sigma_hat=1.0, alpha_grid=()),
-        dict(q=0.5, sigma_hat=1.0, alpha_grid=(1.0,)),
-        dict(q=0.5, sigma_hat=1.0, alpha_grid=(1.0, 2.0)),
         dict(q=0.5, sigma_hat=1.0, delta=0.0),
         dict(q=0.5, sigma_hat=1.0, tau=0),
     ]
@@ -260,7 +275,7 @@ def test_params_validation():
 
 
 def test_ledger_matches_standalone_accounting():
-    params = RdpParams(q=0.1, sigma_hat=1.0, alpha_grid=DEFAULT_ALPHA_GRID, delta=1e-3, tau=60)
+    params = RdpParams(q=0.1, sigma_hat=1.0, delta=1e-3, tau=60)
     ledger = make_ledger(6.0, params)
     assert ledger.t_hat == max_participation_rounds(6.0, params)
     assert ledger.t_hat > 0
@@ -272,7 +287,7 @@ def test_ledger_matches_standalone_accounting():
 
 
 def test_ledger_exhausted_at_birth_when_budget_tiny():
-    params = RdpParams(q=0.5, sigma_hat=0.6, alpha_grid=DEFAULT_ALPHA_GRID, delta=1e-3, tau=60)
+    params = RdpParams(q=0.5, sigma_hat=0.6, delta=1e-3, tau=60)
     ledger = make_ledger(0.5, params)
     assert ledger.t_hat == 0
     assert ledger.spent(1) > 0.5

@@ -1,8 +1,8 @@
 """The link model is written once, in sparsefl.wireless; the oracles re-derive it on purpose.
 
 These checks parse the package source, so a Shannon formula or a noise-floor sum
-restated elsewhere, or a function that only tests still call, fails the suite
-rather than waiting for a reader to spot it.
+restated elsewhere, a function that only tests still call, or a default that
+only tests override, fails the suite rather than waiting for a reader to spot it.
 """
 
 import ast
@@ -103,3 +103,106 @@ def test_every_top_level_definition_has_a_production_caller():
             if not used and f"{module}.{node.name}" not in TEST_REFERENCES:
                 unused.append(f"{module}.{node.name}")
     assert not unused, f"referenced by no production module: {unused}"
+
+
+
+# Defaulted values that only an entry point outside the package sets: the
+# console script calls cli.main() and main reads sys.argv.
+EXTERNAL_SETTINGS = {"cli.main(argv)"}
+
+
+def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Call)
+        and getattr(d.func, "id", None) == "dataclass"
+        and any(k.arg == "frozen" and getattr(k.value, "value", False) for k in d.keywords)
+        for d in node.decorator_list
+    )
+
+
+def _is_init_field(stmt: ast.stmt) -> bool:
+    """An annotated class-body name that the dataclass constructor takes."""
+    if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+        return False
+    value = stmt.value
+    return not (
+        isinstance(value, ast.Call)
+        and getattr(value.func, "id", None) == "field"
+        and any(k.arg == "init" and getattr(k.value, "value", True) is False for k in value.keywords)
+    )
+
+
+def _defaulted_settings(module: str, tree: ast.Module) -> list[tuple[str, str, str, int | None]]:
+    """(callee name, label, parameter, positional index) of every defaulted value.
+
+    The callee name is what a call spells: a function's or method's own name,
+    or the class name for a constructor. The index counts a call's positional
+    arguments, so a method's self is not one; a keyword-only parameter has none.
+    """
+    found = []
+
+    def function(node: ast.FunctionDef, callee: str, first: int) -> None:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        for index in range(len(positional) - len(args.defaults), len(positional)):
+            name = positional[index].arg
+            found.append((callee, f"{module}.{node.name}({name})", name, index - first))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((callee, f"{module}.{node.name}({arg.arg})", arg.arg, None))
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            function(node, node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    function(item, node.name if item.name == "__init__" else item.name, 1)
+            if _is_frozen_dataclass(node):
+                fields = [stmt for stmt in node.body if _is_init_field(stmt)]
+                for index, stmt in enumerate(fields):
+                    if stmt.value is not None:
+                        name = stmt.target.id
+                        found.append((node.name, f"{module}.{node.name}({name})", name, index))
+    return found
+
+
+def _calls(trees) -> dict[str, list[tuple[int, set[str], bool]]]:
+    """Per callee name, each call's (positional count, keyword names, passes * or **)."""
+    calls: dict[str, list[tuple[int, set[str], bool]]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            spread = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            )
+            keywords = {k.arg for k in node.keywords if k.arg}
+            calls.setdefault(name, []).append((len(node.args), keywords, spread))
+    return calls
+
+
+def test_every_defaulted_value_is_set_by_production_code():
+    """A default that no production call overrides is a setting only tests turn.
+
+    Covers every defaulted parameter of a function or method, and every
+    defaulted field of a frozen dataclass, outside oracles.py. As in the
+    guard above, calls are matched by the callee's bare name.
+    """
+    trees = {
+        p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES if p.name != "oracles.py"
+    }
+    calls = _calls(trees.values())
+    unset = [
+        label
+        for module, tree in trees.items()
+        for callee, label, name, index in _defaulted_settings(module, tree)
+        if label not in EXTERNAL_SETTINGS
+        and not any(
+            spread or name in keywords or (index is not None and count > index)
+            for count, keywords, spread in calls.get(callee, [])
+        )
+    ]
+    assert not unset, f"defaults that no production call sets: {unset}"

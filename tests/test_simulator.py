@@ -113,6 +113,20 @@ def test_disabled_accounting_keeps_everyone_eligible():
     assert trace.truncated_at is None
 
 
+def test_shards_below_the_batch_are_charged_whole():
+    # A shard smaller than batch_size trains on all its rows every step, so
+    # its accountant samples with q = 1, not batch_size / n.
+    cfg = fast_config(
+        num_clients=3, partition="sizes", partition_sizes=(3, 5, 40), batch_size=5, rounds=3
+    )
+    state = build_state(cfg, "round_robin")
+    assert state.sizes.tolist() == [3, 5, 40]
+    assert [ledger.params.q for ledger in state.ledgers] == [1.0, 1.0, 0.125]
+    trace = run_experiment(cfg, "round_robin")
+    assert trace.t_hats.tolist() == [ledger.t_hat for ledger in state.ledgers]
+    assert trace.participation[0] > 0
+
+
 def test_degenerate_budgets_raise_at_setup():
     from sparsefl.accountant import DegenerateBudgetError
 
