@@ -176,25 +176,20 @@ def _conversion_offsets(delta: float) -> tuple[float, ...]:
     )
 
 
-def accumulate_privacy(t_bar: int, params: RdpParams) -> tuple[float, float]:
-    """Tightest (epsilon, order) after t_bar participated rounds.
+def accumulate_privacy(t_bar: int, params: RdpParams) -> float:
+    """Tightest epsilon after t_bar participated rounds.
 
     For each order the accumulated RDP is t_bar * tau * log_moment / (alpha - 1);
-    the returned epsilon is the minimum over the grid of the converted guarantee,
-    along with the minimizing order.
+    the returned epsilon is the minimum over the grid of the converted guarantee.
     """
     if t_bar < 0:
         raise ValueError(f"t_bar must be nonnegative, got {t_bar}")
-    best_eps = math.inf
-    best_alpha = DEFAULT_ALPHA_GRID[0]
     moments = log_moments(params.q, params.sigma_hat, DEFAULT_ALPHA_GRID)
     offsets = _conversion_offsets(params.delta)
-    for alpha, rdp, offset in zip(DEFAULT_ALPHA_GRID, moments, offsets):
-        eps = t_bar * params.tau * rdp / (alpha - 1.0) + offset
-        if eps < best_eps:
-            best_eps = eps
-            best_alpha = alpha
-    return best_eps, best_alpha
+    return min(
+        t_bar * params.tau * rdp / (alpha - 1.0) + offset
+        for alpha, rdp, offset in zip(DEFAULT_ALPHA_GRID, moments, offsets)
+    )
 
 
 def max_participation_rounds(eps_budget: float, params: RdpParams) -> int:
@@ -219,9 +214,9 @@ def max_participation_rounds(eps_budget: float, params: RdpParams) -> int:
             continue
         t = int(min(numerator / (params.tau * rdp), float(_MAX_T_HAT)))
         best = max(best, t)
-    while best > 0 and accumulate_privacy(best, params)[0] > eps_budget:
+    while best > 0 and accumulate_privacy(best, params) > eps_budget:
         best -= 1
-    while best < _MAX_T_HAT and accumulate_privacy(best + 1, params)[0] <= eps_budget:
+    while best < _MAX_T_HAT and accumulate_privacy(best + 1, params) <= eps_budget:
         best += 1
     return best
 
@@ -255,7 +250,7 @@ class PrivacyLedger:
 
     def spent(self, t_bar: int) -> float:
         """Tightest epsilon after t_bar participated rounds."""
-        return accumulate_privacy(t_bar, self.params)[0]
+        return accumulate_privacy(t_bar, self.params)
 
 
 def make_ledger(eps_budget: float, params: RdpParams) -> PrivacyLedger:

@@ -3,6 +3,9 @@
 Subcommands:
   run     --config FILE [--seed N] [--policy NAME] [--out FILE]
   verify  (no arguments; prints one PASS/FAIL line per oracle group)
+
+Exit codes: 0 success, 1 a privacy error or training that diverged, 2 a
+config error, 3 an output I/O error.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import replace
 
 from .accountant import AccountantOverflowError, DegenerateBudgetError
 from .config import ConfigError, parse_config, validate_config
+from .dpsgd import TrainingDivergenceError
 from .simulator import CSV_COLUMNS, MetricsTrace, run_experiment
 
 
@@ -105,6 +109,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (DegenerateBudgetError, AccountantOverflowError) as exc:
         print(f"privacy error: {exc}", file=sys.stderr)
+        return 1
+    except TrainingDivergenceError as exc:
+        print(f"training error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

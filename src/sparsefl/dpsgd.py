@@ -104,7 +104,6 @@ class TrainStats:
 
     max_grad_norm: float = 0.0
     noise_sq_sum: float = 0.0
-    noise_draws: int = 0
 
 
 def generate_mask(dim: int, s: float, rng: np.random.Generator) -> np.ndarray:
@@ -302,7 +301,6 @@ def _train_group(
             bad = int(np.argmin(finite))
             raise TrainingDivergenceError(f"non-finite loss or gradient for {names[bad]}")
         stats.max_grad_norm = max(stats.max_grad_norm, math.sqrt(float(sq_norms.max())))
-        stats.noise_draws += clients
         step = mean_flat[kept]
         if noisy:
             step += np.concatenate([block[t] for block in noise])

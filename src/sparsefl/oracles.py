@@ -73,8 +73,8 @@ def check_inversion(q: float, sigma_hat: float, eps_budget: float, tau: int = 1)
     """accumulate(T) <= budget < accumulate(T + 1) for the inverted round count."""
     params = RdpParams(q=q, sigma_hat=sigma_hat, tau=tau)
     t_hat = max_participation_rounds(eps_budget, params)
-    below, _ = accumulate_privacy(t_hat, params)
-    above, _ = accumulate_privacy(t_hat + 1, params)
+    below = accumulate_privacy(t_hat, params)
+    above = accumulate_privacy(t_hat + 1, params)
     return below <= eps_budget < above
 
 

@@ -174,7 +174,6 @@ class ScheduleDecision:
     assigned_channel: np.ndarray
     rates: np.ndarray
     powers: np.ndarray
-    d_up: np.ndarray
     e_comm: np.ndarray
     round_delay: float | np.ndarray
     v_trace: tuple[float, ...] = ()
@@ -522,9 +521,8 @@ def build_decision(
     up_rate = wireless.shannon_rate(ctx.radio, p_at * ctx.snr_per_w[edges])
     if not np.all(up_rate > 0):
         raise ValueError("link rates must be positive for a scheduled client")
-    out = {name: np.zeros(shape) for name in ("d_up", "e_comm", "rates", "powers")}
+    out = {name: np.zeros(shape) for name in ("e_comm", "rates", "powers")}
     d_up = wireless.payload_bits(ctx.model_dim, s_at) / up_rate
-    out["d_up"][at] = d_up
     out["e_comm"][at] = p_at * d_up
     out["rates"][at] = s_at
     out["powers"][at] = p_at

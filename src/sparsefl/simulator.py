@@ -111,15 +111,9 @@ class MetricsTrace:
     None if the run went the full distance.
     """
 
-    policy: str
     rows: list[MetricsRow]
-    betas: np.ndarray
     t_hats: np.ndarray
     participation: np.ndarray
-    final_q_fa: np.ndarray
-    final_q_de: float
-    grad_norm_max: float
-    noise_sq_mean: float
     d_avg_s: float
     truncated_at: int | None = None
 
@@ -492,9 +486,9 @@ def run_experiment(config: ExperimentConfig, policy: str) -> MetricsTrace:
             break
         rows.append(row)
 
-    noise_sq_mean = (
-        state.stats.noise_sq_sum / state.stats.noise_draws if state.stats.noise_draws else 0.0
-    )
+    # Every participation runs tau steps, and each step draws one noise vector.
+    noise_draws = config.tau * int(state.participation.sum())
+    noise_sq_mean = state.stats.noise_sq_sum / noise_draws if noise_draws else 0.0
     bound_diagnostics(
         rows,
         grad_norm_bound=state.stats.max_grad_norm,
@@ -504,15 +498,9 @@ def run_experiment(config: ExperimentConfig, policy: str) -> MetricsTrace:
         tau=config.tau,
     )
     return MetricsTrace(
-        policy=policy,
         rows=rows,
-        betas=state.betas,
         t_hats=state.t_hats,
         participation=state.participation,
-        final_q_fa=state.queues.q_fa.copy(),
-        final_q_de=state.queues.q_de,
-        grad_norm_max=state.stats.max_grad_norm,
-        noise_sq_mean=noise_sq_mean,
         d_avg_s=state.sched_cfg.d_avg,
         truncated_at=truncated_at,
     )

@@ -136,7 +136,6 @@ def stepwise_local_train(w_init, data, s, cfg, streams, stats):
         _, factors = loss_grad_factors(model, data.features[take], data.labels[take])
         sq_norms = clipped_masked_mean(factors, keep_blocks, threshold, mean_blocks)
         stats.max_grad_norm = max(stats.max_grad_norm, math.sqrt(float(sq_norms.max())))
-        stats.noise_draws += 1
         step = mean[kept]
         if cfg.sigma_hat > 0.0:
             noise = streams.noise.normal(0.0, std, size=kept.size)

@@ -28,7 +28,7 @@ from sparsefl.scheduler import (
     feasible_edges,
     schedule_round,
 )
-from sparsefl.simulator import run_experiment
+from sparsefl.simulator import build_state, run_experiment, run_round
 from sparsefl import streams
 
 from conftest import ACCEPTANCE_LINES, fast_config
@@ -230,13 +230,16 @@ def test_criterion_08_queue_feasibility():
         d_avg_margin=1.5,
     )
     t0 = time.perf_counter()
-    trace = run_experiment(cfg, "lyapunov")
+    state = build_state(cfg, "lyapunov")
+    rows = []
+    while len(rows) < cfg.rounds and (row := run_round(state)) is not None:
+        rows.append(row)
     elapsed = time.perf_counter() - t0
-    rounds = len(trace.rows)
-    backlog = float(trace.final_q_fa.sum() + trace.final_q_de) / rounds
-    shortfall = float((trace.participation / rounds - trace.betas).min())
-    delays = np.array([row.round_delay_s for row in trace.rows])
-    delay_ratio = float(delays.mean() / trace.d_avg_s)
+    rounds = len(rows)
+    backlog = float(state.queues.q_fa.sum() + state.queues.q_de) / rounds
+    shortfall = float((state.participation / rounds - state.betas).min())
+    delays = np.array([row.round_delay_s for row in rows])
+    delay_ratio = float(delays.mean() / state.sched_cfg.d_avg)
     ok = (
         rounds == 500
         and backlog < 0.05

@@ -117,9 +117,8 @@ def test_nonincreasing_in_noise(q, alpha):
 
 def test_offset_example_at_zero_exposures():
     params = RdpParams(q=0.25, sigma_hat=0.6, delta=1e-3, tau=60)
-    eps, alpha = accumulate_privacy(0, params)
+    eps = accumulate_privacy(0, params)
     assert eps == pytest.approx(0.027884535025868212, rel=1e-12)
-    assert alpha == 64.0
 
 
 def test_accumulation_linear_in_exposures():
@@ -131,18 +130,12 @@ def test_accumulation_linear_in_exposures():
     moments = log_moments(0.3, 1.0, DEFAULT_ALPHA_GRID)
     for t in (0, 1, 2, 5, 40, 1000):
         lines = [
-            (
-                t * 7 * rdp / (alpha - 1.0)
-                + math.log((alpha - 1.0) / alpha)
-                - (math.log(1e-3) + math.log(alpha)) / (alpha - 1.0),
-                alpha,
-            )
+            t * 7 * rdp / (alpha - 1.0)
+            + math.log((alpha - 1.0) / alpha)
+            - (math.log(1e-3) + math.log(alpha)) / (alpha - 1.0)
             for alpha, rdp in zip(DEFAULT_ALPHA_GRID, moments)
         ]
-        want_eps, want_alpha = min(lines)
-        eps, alpha = accumulate_privacy(t, params)
-        assert eps == pytest.approx(want_eps, rel=1e-12)
-        assert alpha == want_alpha
+        assert accumulate_privacy(t, params) == pytest.approx(min(lines), rel=1e-12)
 
 
 def test_accumulate_example_order_two():
@@ -150,8 +143,7 @@ def test_accumulate_example_order_two():
     # so one round at sigma 1 costs alpha / 2 plus the conversion offset;
     # order 4 gives the least.
     params = RdpParams(q=1.0, sigma_hat=1.0, delta=1e-3, tau=1)
-    eps, alpha = accumulate_privacy(1, params)
-    assert alpha == 4.0
+    eps = accumulate_privacy(1, params)
     want = 2.0 + (math.log(1000.0) + 3.0 * math.log(0.75) - math.log(4.0)) / 3.0
     assert eps == pytest.approx(want, rel=1e-9)
     assert eps == pytest.approx(3.552804900168968, rel=1e-12)
@@ -159,7 +151,7 @@ def test_accumulate_example_order_two():
 
 def test_accumulate_monotone_in_exposures():
     params = RdpParams(q=0.2, sigma_hat=0.8, delta=1e-3, tau=10)
-    values = [accumulate_privacy(t, params)[0] for t in range(0, 40, 5)]
+    values = [accumulate_privacy(t, params) for t in range(0, 40, 5)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -179,7 +171,7 @@ def test_inversion_examples():
 
 def test_inversion_zero_when_budget_below_offset():
     params = RdpParams(q=1.0, sigma_hat=1.0, delta=1e-3, tau=1)
-    offset = accumulate_privacy(0, params)[0]
+    offset = accumulate_privacy(0, params)
     assert max_participation_rounds(offset * 0.9, params) == 0
 
 
@@ -197,8 +189,8 @@ def test_inversion_unbounded_when_sampling_never_happens():
 def test_inversion_brackets_the_budget(q, sigma, eps):
     params = RdpParams(q=q, sigma_hat=sigma, delta=1e-3, tau=60)
     t_hat = max_participation_rounds(eps, params)
-    assert accumulate_privacy(t_hat, params)[0] <= eps
-    assert accumulate_privacy(t_hat + 1, params)[0] > eps
+    assert accumulate_privacy(t_hat, params) <= eps
+    assert accumulate_privacy(t_hat + 1, params) > eps
 
 
 # (q, sigma_hat, eps_budget, tau, t_hat) on the default grid and delta; the
@@ -281,7 +273,7 @@ def test_ledger_matches_standalone_accounting():
     assert ledger.t_hat > 0
     assert ledger.spent(1) <= 6.0
     for t in (0, 1, ledger.t_hat):
-        assert ledger.spent(t) == accumulate_privacy(t, params)[0]
+        assert ledger.spent(t) == accumulate_privacy(t, params)
     assert ledger.spent(ledger.t_hat) <= 6.0
     assert ledger.spent(ledger.t_hat + 1) > 6.0
 

@@ -199,7 +199,7 @@ def _round_of(stacked, r):
 
 
 def _assert_same_round(stacked_decision, r, reference):
-    for name in ("assigned_channel", "rates", "powers", "d_up", "e_comm"):
+    for name in ("assigned_channel", "rates", "powers", "e_comm"):
         assert np.array_equal(getattr(stacked_decision, name)[r], getattr(reference, name)), name
     assert stacked_decision.round_delay[r] == reference.round_delay
 

@@ -213,6 +213,22 @@ def test_cli_noise_too_small_to_account_is_a_privacy_error(tmp_path, capsys):
     assert "privacy error" in capsys.readouterr().err
 
 
+def test_cli_diverging_training_is_a_training_error(tmp_path, capsys):
+    """A step so large the loss overflows ends the run with one line, not a traceback."""
+    text = (
+        "hidden_units = 4\neta = 1e308\nsigma_hat = 0\nnum_clients = 4\n"
+        "num_channels = 2\nrounds = 5\n"
+    )
+    out = tmp_path / "m.csv"
+    with np.errstate(over="ignore"):
+        code = main(["run", "--config", write_cfg(tmp_path, text=text), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "training error: non-finite loss or gradient for client 0 in round 0\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("policy", BASELINE_POLICIES)
 def test_cli_baseline_rate_below_the_lyapunov_floor_runs(tmp_path, policy):
     """s_th is the optimizing policy's floor; s_fixed below it is a valid baseline rate."""

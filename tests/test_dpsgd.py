@@ -157,7 +157,6 @@ def dense_local_train(w_init, data, s, cfg, streams, stats=None):
                 stats.max_grad_norm, float(np.linalg.norm(grads, axis=1).max())
             )
             stats.noise_sq_sum += float(draw @ draw)
-            stats.noise_draws += 1
         w -= cfg.eta * (clipped_mean + noise)
     return w - w_init.values, bits
 
@@ -245,7 +244,6 @@ def test_local_train_matches_dense_reference_loop(hidden, s, n, adaptive):
     assert max_rel_diff(update, delta) <= 1e-12
     assert stats.max_grad_norm == pytest.approx(dense_stats.max_grad_norm, rel=1e-12)
     assert stats.noise_sq_sum == dense_stats.noise_sq_sum
-    assert stats.noise_draws == dense_stats.noise_draws == cfg.tau
 
 
 @pytest.mark.parametrize("hidden", [None, 3])
@@ -416,7 +414,6 @@ def test_stats_accumulate_grad_norms_and_noise():
     stats = TrainStats()
     train_one(w, data, 0.5, cfg, make_streams(13), stats=stats)
     assert stats.max_grad_norm > 0.0
-    assert stats.noise_draws == 3
     assert stats.noise_sq_sum > 0.0
 
 
@@ -488,7 +485,6 @@ def test_stacked_round_equals_each_client_alone_bit_for_bit(hidden, d, sizes, ra
     )
     assert np.array_equal(got, want)
     assert stats == alone_stats
-    assert stats.noise_draws == count * cfg.tau
     if sigma_hat == 0.0:
         assert [st.noise.bit_generator.state for st in streams] == noise_states
         assert stats.noise_sq_sum == 0.0

@@ -1,8 +1,9 @@
 """The link model is written once, in sparsefl.wireless; the oracles re-derive it on purpose.
 
 These checks parse the package source, so a Shannon formula or a noise-floor sum
-restated elsewhere, a function that only tests still call, or a default that
-only tests override, fails the suite rather than waiting for a reader to spot it.
+restated elsewhere, a function that only tests still call, a default that only
+tests override, or a dataclass field that only tests read, fails the suite
+rather than waiting for a reader to spot it.
 """
 
 import ast
@@ -206,3 +207,57 @@ def test_every_defaulted_value_is_set_by_production_code():
         )
     ]
     assert not unset, f"defaults that no production call sets: {unset}"
+
+
+# The benchmark reads run results too, so its scripts count as production readers.
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _field_reads(trees) -> tuple[set[str], set[str]]:
+    """(names read, classes read whole) across trees.
+
+    A name is read when it is loaded as an attribute or spelled as an exact
+    string constant (a getattr key); a class passed to fields() is read whole.
+    """
+    names, whole = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "fields":
+                whole.update(arg.id for arg in node.args if isinstance(arg, ast.Name))
+    return names, whole
+
+
+def test_every_dataclass_field_is_read_by_production_code():
+    """A result field that only tests read is a value the run need not keep.
+
+    Covers every annotated field of a dataclass outside oracles.py. Reads are
+    matched by the field's bare name, so a field is missed when another
+    class's field of the same name is read.
+    """
+    trees = {
+        p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES if p.name != "oracles.py"
+    }
+    bench = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(PERFBENCH.glob("*.py"))]
+    names, whole = _field_reads([*trees.values(), *bench])
+    unread = [
+        f"{module}.{node.name}.{stmt.target.id}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node) and node.name not in whole
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in names
+    ]
+    assert not unread, f"dataclass fields that no production code reads: {unread}"

@@ -45,7 +45,6 @@ def test_update_queues_recursion():
         assigned_channel=np.array([0, -1, 1]),
         rates=np.zeros(3),
         powers=np.zeros(3),
-        d_up=np.zeros(3),
         e_comm=np.zeros(3),
         round_delay=0.7,
     )
@@ -544,7 +543,7 @@ def test_delay_min_ranks_dead_links_last():
         decision = baseline_schedule(ctx, "delay_min", 0, np.random.default_rng(0))
     assert decision.participants.size == 2
     assert decision.assigned_channel[0] != 1
-    assert np.all(decision.d_up[decision.participants] > 0)
+    assert np.all(decision.e_comm[decision.participants] > 0)
 
 
 def test_delay_min_forced_onto_a_dead_link_raises():
@@ -578,8 +577,7 @@ def test_build_decision_matches_scalar_round_costs(shape, policy):
     for i in range(ctx.n_clients):
         j = int(decision.assigned_channel[i])
         if j < 0:
-            for name in ("d_up", "e_comm"):
-                assert getattr(decision, name)[i] == 0.0
+            assert decision.e_comm[i] == 0.0
             continue
         ref = round_costs(
             ctx.model_dim,
@@ -592,9 +590,8 @@ def test_build_decision_matches_scalar_round_costs(shape, policy):
             ctx.radio,
             replace(ctx.compute, cpu_freq_hz=float(ctx.compute.cpu_freq_hz[i])),
         )
-        for name in ("d_up", "e_comm"):
-            assert getattr(decision, name)[i] == pytest.approx(getattr(ref, name), rel=1e-12)
-            assert getattr(rebuilt, name)[i] == getattr(decision, name)[i]
+        assert decision.e_comm[i] == pytest.approx(ref.e_comm, rel=1e-12)
+        assert rebuilt.e_comm[i] == decision.e_comm[i]
         for name in ("d_down", "d_local", "e_comp"):
             assert getattr(ctx, name)[i] == pytest.approx(getattr(ref, name), rel=1e-12)
         worst = max(worst, ref.total_delay)
@@ -643,8 +640,7 @@ def test_validate_decision_catches_duplicate_channels():
         ([0, -1, 2], "assignment names an unknown channel"),
         ([1, 0, -1], "assignment schedules an ineligible client"),
     ):
-        zeros = np.zeros(3)
-        decision = ScheduleDecision(np.array(assigned), np.ones(3), np.ones(3), zeros, zeros, 0.0)
+        decision = ScheduleDecision(np.array(assigned), np.ones(3), np.ones(3), np.zeros(3), 0.0)
         with pytest.raises(ValueError, match=message):
             validate_decision(gapped, cfg, decision, optimized=False)
 
