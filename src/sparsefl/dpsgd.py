@@ -6,11 +6,13 @@ batch average is perturbed with Gaussian noise on the retained coordinates
 only. Masking before clipping shrinks the clipping threshold to
 sqrt(s) * clip_c, and the noise scale shrinks with it.
 
-Only the retained coordinates are drawn: each step takes one normal per
-retained coordinate from the round's noise stream, in coordinate order, and
-updates only those coordinates. Off the mask the delta is exactly zero, as
-after zeroing a dense draw, so the mechanism and its accounting are unchanged
-by drawing less. With sigma_hat = 0 the noise stream is not read at all.
+A client round draws all its randomness from one generator, in a fixed
+order: the mask (dim uniforms), then the tau batches, then a [tau, retained]
+block of normals whose row t is step t's noise (no normals when sigma_hat = 0).
+Only the retained coordinates get noise, in coordinate order, and only those
+coordinates are updated. Off the mask the delta is exactly zero, as after
+zeroing a dense draw, so the mechanism and its accounting are unchanged by
+drawing less.
 
 The [batch, dim] per-sample gradient matrix is never built. Every parameter
 block's per-sample gradient is an outer product A_i B_i^T (a bias block is
@@ -89,15 +91,6 @@ class DpConfig:
         return min(self.batch_size, n)
 
 
-@dataclass(frozen=True)
-class TrainStreams:
-    """Random generators for one client round, one per purpose."""
-
-    mask: np.random.Generator
-    batch: np.random.Generator
-    noise: np.random.Generator
-
-
 @dataclass
 class TrainStats:
     """Running estimates the simulator collects across client rounds."""
@@ -172,7 +165,7 @@ def local_train(
     shards: Sequence[Dataset],
     rates: Sequence[float],
     cfg: DpConfig,
-    streams: Sequence[TrainStreams],
+    rngs: Sequence[np.random.Generator],
     weights: Sequence[float],
     *,
     client_ids: Sequence[int],
@@ -181,11 +174,11 @@ def local_train(
 ) -> np.ndarray:
     """Train every client of a round from w_init; return sum_i weights[i] * delta_i.
 
-    Client i trains on shards[i] at rate rates[i] with its own streams[i]: it
-    draws one mask, reused for all tau steps, so its delta's support is a
-    subset of the mask. Batches are sampled without replacement per step; a
-    shard smaller than the configured batch is used whole. Each step draws
-    the mask's retained count of normals from the client's noise stream (none
+    Client i trains on shards[i] at rate rates[i] and draws from its own
+    generator rngs[i], in this order: one mask, reused for all tau steps, so
+    its delta's support is a subset of the mask; tau batches, each sampled
+    without replacement (a shard smaller than the configured batch is used
+    whole); then a [tau, retained] block of normals, row t for step t (none
     when sigma_hat = 0). Every client's draws are the calls a lone client
     would make, in the same order, so its delta does not depend on who else
     trains.
@@ -202,8 +195,8 @@ def local_train(
     and the round; within a step, the first such client in order.
     """
     count = len(shards)
-    if not len(rates) == len(streams) == len(weights) == count:
-        raise ValueError("shards, rates, streams and weights must have one entry per client")
+    if not len(rates) == len(rngs) == len(weights) == count:
+        raise ValueError("shards, rates, rngs and weights must have one entry per client")
     for s in rates:
         if not 0.0 < s <= 1.0:
             raise ValueError(f"rate must be in (0, 1], got {s}")
@@ -225,7 +218,7 @@ def local_train(
             shards[group],
             rates[group],
             cfg,
-            streams[group],
+            rngs[group],
             batches[start],
             names[group],
             stats,
@@ -241,7 +234,7 @@ def _train_group(
     shards: Sequence[Dataset],
     rates: Sequence[float],
     cfg: DpConfig,
-    streams: Sequence[TrainStreams],
+    rngs: Sequence[np.random.Generator],
     batch: int,
     names: list[str],
     stats: TrainStats,
@@ -252,14 +245,12 @@ def _train_group(
     coordinates of all rows form one flat index, so the noise and the update
     of a step are one gather and one scatter for the whole group.
 
-    Each client's tau batches and its [tau, retained] noise block are drawn
-    before the first step. Every stream is the client's own, so these are the
-    values step-by-step draws would give: row t of the block is the normal
-    draw of step t.
+    Each client's mask, tau batches and [tau, retained] noise block are
+    drawn from its generator, in that order, before the first step.
     """
     spec = w_init.spec
     clients = len(shards)
-    masks = np.stack([generate_mask(spec.dim, s, st.mask) for s, st in zip(rates, streams)])
+    masks = np.stack([generate_mask(spec.dim, s, rng) for s, rng in zip(rates, rngs)])
     retained = masks.sum(axis=1).tolist()
     kept = np.flatnonzero(masks)
     keep_blocks = split_blocks(masks.astype(np.float64), spec)
@@ -274,38 +265,36 @@ def _train_group(
     w_flat, mean_flat = w.reshape(-1), clipped_mean.reshape(-1)
     features = np.empty((cfg.tau, clients, batch, spec.feature_dim))
     labels = np.empty((cfg.tau, clients, batch), dtype=shards[0].labels.dtype)
-    for j, (data, st) in enumerate(zip(shards, streams)):
-        take = np.array(
-            [st.batch.choice(data.n, size=batch, replace=False) for _ in range(cfg.tau)]
-        )
+    noise = []
+    for j, (data, rng) in enumerate(zip(shards, rngs)):
+        take = np.array([rng.choice(data.n, size=batch, replace=False) for _ in range(cfg.tau)])
         features[:, j] = data.features[take]
         labels[:, j] = data.labels[take]
-    noise = [
-        st.noise.normal(0.0, std, size=(cfg.tau, size))
-        for st, std, size in zip(streams, stds, retained)
-        if noisy
-    ]
-    for t in range(cfg.tau):
-        loss, factors = loss_grad_factors(model, features[t], labels[t])
-        sq_norms = clipped_masked_mean(factors, keep_blocks, threshold_col, mean_blocks)
-        if not (
-            np.isfinite(loss).all()
-            and np.isfinite(sq_norms).all()
-            and np.isfinite(clipped_mean).all()
-        ):
-            finite = (
-                np.isfinite(loss)
-                & np.isfinite(sq_norms).all(axis=1)
-                & np.isfinite(clipped_mean).all(axis=1)
-            )
-            bad = int(np.argmin(finite))
-            raise TrainingDivergenceError(f"non-finite loss or gradient for {names[bad]}")
-        stats.max_grad_norm = max(stats.max_grad_norm, math.sqrt(float(sq_norms.max())))
-        step = mean_flat[kept]
         if noisy:
-            step += np.concatenate([block[t] for block in noise])
-        w_flat[kept] -= cfg.eta * step
-    deltas = w - w_init.values
+            noise.append(rng.normal(0.0, stds[j], size=(cfg.tau, retained[j])))
+    # A diverging step overflows; the isfinite checks raise for it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(cfg.tau):
+            loss, factors = loss_grad_factors(model, features[t], labels[t])
+            sq_norms = clipped_masked_mean(factors, keep_blocks, threshold_col, mean_blocks)
+            if not (
+                np.isfinite(loss).all()
+                and np.isfinite(sq_norms).all()
+                and np.isfinite(clipped_mean).all()
+            ):
+                finite = (
+                    np.isfinite(loss)
+                    & np.isfinite(sq_norms).all(axis=1)
+                    & np.isfinite(clipped_mean).all(axis=1)
+                )
+                bad = int(np.argmin(finite))
+                raise TrainingDivergenceError(f"non-finite loss or gradient for {names[bad]}")
+            stats.max_grad_norm = max(stats.max_grad_norm, math.sqrt(float(sq_norms.max())))
+            step = mean_flat[kept]
+            if noisy:
+                step += np.concatenate([block[t] for block in noise])
+            w_flat[kept] -= cfg.eta * step
+        deltas = w - w_init.values
     finite = np.isfinite(deltas).all(axis=1)
     if not finite.all():
         raise TrainingDivergenceError(

@@ -29,7 +29,7 @@ from .accountant import (
     participation_fraction,
 )
 from .config import ConfigError, ExperimentConfig, validate_config
-from .dpsgd import DpConfig, TrainStats, TrainStreams, local_train
+from .dpsgd import DpConfig, TrainStats, local_train
 from .model_data import (
     Dataset,
     IdxFormatError,
@@ -367,16 +367,6 @@ def _eligible_clients(state: SimState) -> np.ndarray:
     return np.flatnonzero(state.participation < state.t_hats)
 
 
-def _train_streams(seed: int, round_num: int, client: int) -> TrainStreams:
-    """One client's mask, batch and noise streams for a round."""
-    return TrainStreams(
-        *(
-            streams.substream(seed, streams.TRAIN, round_num, client, purpose)
-            for purpose in (streams.MASK, streams.BATCH, streams.NOISE)
-        )
-    )
-
-
 def run_round(state: SimState) -> MetricsRow | None:
     """Advance one round; None means no eligible client remained."""
     config = state.config
@@ -410,7 +400,7 @@ def run_round(state: SimState) -> MetricsRow | None:
             [state.shards[i] for i in participants],
             rates,
             state.dp_cfg,
-            [_train_streams(config.seed, t, int(i)) for i in participants],
+            [streams.substream(config.seed, streams.TRAIN, t, int(i)) for i in participants],
             selected_weights,
             client_ids=participants,
             round_num=t,

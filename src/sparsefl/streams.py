@@ -1,7 +1,8 @@
 """Deterministic random stream derivation.
 
 Every random draw in a run is tied to the root seed through a fixed integer
-path (domain, then domain-specific indices such as round, client, purpose).
+path (domain, then domain-specific indices such as round and client; a
+client's local training in a round is the one stream (TRAIN, round, client)).
 Repeated runs with the same root seed therefore reproduce every draw exactly,
 and streams for different clients or rounds never interact.
 """
@@ -20,11 +21,6 @@ BASELINE = 5
 TRAIN = 6
 PRIVACY = 7
 MODEL = 8
-
-# Purposes within the TRAIN domain, addressed as (TRAIN, round, client, purpose).
-MASK = 1
-BATCH = 2
-NOISE = 3
 
 
 def substream(root_seed: int, *path: int) -> np.random.Generator:

@@ -113,32 +113,33 @@ def loose_scheduler_config(**overrides) -> SchedulerConfig:
     return SchedulerConfig(**base)
 
 
-def stepwise_local_train(w_init, data, s, cfg, streams, stats):
-    """One client's local training with every draw made inside its step.
+def stepwise_local_train(w_init, data, s, cfg, rng, stats):
+    """One client's local training with each noise draw made inside its step.
 
-    The reference for dpsgd.local_train's draws: the mask, then per step a
-    batch choice, a normal(0, std, retained) noise draw (none when sigma_hat
-    is 0) and noise @ noise into stats. Returns the client's weight delta.
+    The reference for dpsgd.local_train's draws from the client's one
+    generator: the mask, then the tau batch choices, then per step a
+    normal(0, std, retained) noise draw (none when sigma_hat is 0) and
+    noise @ noise into stats. Returns the client's weight delta.
     """
     spec = w_init.spec
-    mask = generate_mask(spec.dim, s, streams.mask)
+    mask = generate_mask(spec.dim, s, rng)
     kept = np.flatnonzero(mask)
     keep_blocks = split_blocks(mask.astype(np.float64), spec)
     threshold = cfg.clip_threshold(s)
     batch = min(cfg.batch_size, data.n)
     std = cfg.sigma_hat * threshold / batch
+    takes = [rng.choice(data.n, size=batch, replace=False) for _ in range(cfg.tau)]
     w = w_init.values.copy()
     mean = np.empty(spec.dim)
     mean_blocks = split_blocks(mean, spec)
-    for _ in range(cfg.tau):
-        take = streams.batch.choice(data.n, size=batch, replace=False)
+    for take in takes:
         model = ModelWeights(w, spec)
         _, factors = loss_grad_factors(model, data.features[take], data.labels[take])
         sq_norms = clipped_masked_mean(factors, keep_blocks, threshold, mean_blocks)
         stats.max_grad_norm = max(stats.max_grad_norm, math.sqrt(float(sq_norms.max())))
         step = mean[kept]
         if cfg.sigma_hat > 0.0:
-            noise = streams.noise.normal(0.0, std, size=kept.size)
+            noise = rng.normal(0.0, std, size=kept.size)
             step += noise
             stats.noise_sq_sum += float(noise @ noise)
         w[kept] -= cfg.eta * step

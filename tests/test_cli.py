@@ -220,8 +220,7 @@ def test_cli_diverging_training_is_a_training_error(tmp_path, capsys):
         "num_channels = 2\nrounds = 5\n"
     )
     out = tmp_path / "m.csv"
-    with np.errstate(over="ignore"):
-        code = main(["run", "--config", write_cfg(tmp_path, text=text), "--out", str(out)])
+    code = main(["run", "--config", write_cfg(tmp_path, text=text), "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == (
         "training error: non-finite loss or gradient for client 0 in round 0\n"

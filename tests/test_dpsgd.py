@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import default_rng
 
 from sparsefl.dpsgd import (
     DpConfig,
     TrainingDivergenceError,
-    TrainStreams,
     TrainStats,
     clipped_masked_mean,
     generate_mask,
@@ -26,22 +26,12 @@ from sparsefl.model_data import (
 from conftest import clip_per_sample, stepwise_local_train
 
 
-def train_one(w, data, s, cfg, streams, *, client_id=0, round_num=0, stats=None):
+def train_one(w, data, s, cfg, rng, *, client_id=0, round_num=0, stats=None):
     """One client's own delta: local_train on a round of one client at weight 1."""
     stats = TrainStats() if stats is None else stats
     ids = [client_id]
     return local_train(
-        w, [data], [s], cfg, [streams], [1.0], client_ids=ids, round_num=round_num, stats=stats
-    )
-
-
-def make_streams(seed: int) -> TrainStreams:
-    root = np.random.default_rng(seed)
-    seeds = root.integers(0, 2**63, size=3)
-    return TrainStreams(
-        mask=np.random.default_rng(int(seeds[0])),
-        batch=np.random.default_rng(int(seeds[1])),
-        noise=np.random.default_rng(int(seeds[2])),
+        w, [data], [s], cfg, [rng], [1.0], client_ids=ids, round_num=round_num, stats=stats
     )
 
 
@@ -128,28 +118,28 @@ def small_problem(n=12, d=6, k=3, seed=0, hidden=None, scale=0.1):
     return data, w
 
 
-def dense_local_train(w_init, data, s, cfg, streams, stats=None):
+def dense_local_train(w_init, data, s, cfg, rng, stats=None):
     """Reference local training on the dense [batch, dim] gradient matrix.
 
-    Same draws on the same streams as local_train: mask, then per step a
-    batch and one normal per retained coordinate, scattered onto the mask.
-    Returns the weight delta and the mask bits.
+    Same draws from the same generator as local_train: the mask, the tau
+    batches, then per step one normal per retained coordinate, scattered
+    onto the mask. Returns the weight delta and the mask bits.
     """
     dim = w_init.spec.dim
-    bits = generate_mask(dim, s, streams.mask)
+    bits = generate_mask(dim, s, rng)
     threshold = cfg.clip_threshold(s)
     batch = min(cfg.batch_size, data.n)
     std = cfg.sigma_hat * threshold / batch
+    takes = [rng.choice(data.n, size=batch, replace=False) for _ in range(cfg.tau)]
     w = w_init.values.copy()
-    for _ in range(cfg.tau):
-        take = streams.batch.choice(data.n, size=batch, replace=False)
+    for take in takes:
         loss, grads = per_sample_loss_grads(
             ModelWeights(w, w_init.spec), data.features[take], data.labels[take]
         )
         if not np.isfinite(loss) or not np.all(np.isfinite(grads)):
             raise TrainingDivergenceError("non-finite loss or gradient")
         clipped_mean = clip_per_sample(grads * bits, threshold).mean(axis=0)
-        draw = streams.noise.normal(0.0, std, size=bits.sum())
+        draw = rng.normal(0.0, std, size=bits.sum())
         noise = np.zeros(dim)
         noise[bits] = draw
         if stats is not None:
@@ -232,14 +222,14 @@ def test_clipped_masked_mean_passes_zero_masked_rows(hidden):
     [(0.05, 20, True), (0.3, 20, True), (1.0, 20, True), (0.3, 20, False), (0.3, 3, True)],
 )
 def test_local_train_matches_dense_reference_loop(hidden, s, n, adaptive):
-    """Whole local_train against the dense loop on the same streams, n < batch included."""
+    """Whole local_train against the dense loop on the same generator, n < batch included."""
     data, w = small_problem(n=n, d=7, k=3, seed=34, hidden=hidden, scale=0.5)
     cfg = DpConfig(
         clip_c=0.4, sigma_hat=0.7, batch_size=6, tau=5, eta=0.3, adaptive_clip=adaptive
     )
     stats, dense_stats = TrainStats(), TrainStats()
-    update = train_one(w, data, s, cfg, make_streams(35), stats=stats)
-    delta, bits = dense_local_train(w, data, s, cfg, make_streams(35), stats=dense_stats)
+    update = train_one(w, data, s, cfg, default_rng(35), stats=stats)
+    delta, bits = dense_local_train(w, data, s, cfg, default_rng(35), stats=dense_stats)
     assert np.all(update[~bits] == 0.0)
     assert max_rel_diff(update, delta) <= 1e-12
     assert stats.max_grad_norm == pytest.approx(dense_stats.max_grad_norm, rel=1e-12)
@@ -263,10 +253,10 @@ def test_non_finite_inputs_raise_divergence_naming_client_and_round(hidden, targ
                 data_bad = Dataset(features, data.labels)
                 with pytest.raises(TrainingDivergenceError, match="client 7 in round 3"):
                     train_one(
-                        w_bad, data_bad, 0.5, cfg, make_streams(37), client_id=7, round_num=3
+                        w_bad, data_bad, 0.5, cfg, default_rng(37), client_id=7, round_num=3
                     )
                 try:
-                    dense_local_train(w_bad, data_bad, 0.5, cfg, make_streams(37))
+                    dense_local_train(w_bad, data_bad, 0.5, cfg, default_rng(37))
                 except TrainingDivergenceError:
                     dense_raised += 1
     # The dense loop raises on a subset: an inf first-layer weight saturates
@@ -275,76 +265,110 @@ def test_non_finite_inputs_raise_divergence_naming_client_and_round(hidden, targ
     assert dense_raised > 0
 
 
+class OtherNormals:
+    """A generator whose normals come from a second, unrelated generator."""
+
+    def __init__(self, rng, normals):
+        self._rng, self._normals = rng, normals
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def normal(self, *args, **kwargs):
+        return self._normals.normal(*args, **kwargs)
+
+
 def test_local_train_noiseless_passthrough():
-    """With sigma_hat = 0 the added noise is exactly zero, whatever the noise stream."""
+    """With sigma_hat = 0 the added noise is exactly zero, whatever the normal draws."""
     data, w = small_problem(n=10, d=5, k=3, seed=38)
-    cfg = DpConfig(clip_c=1.0, sigma_hat=0.0, batch_size=4, tau=3, eta=0.1)
-    base = make_streams(39)
-    other = TrainStreams(
-        mask=make_streams(39).mask, batch=make_streams(39).batch, noise=np.random.default_rng(40)
+    noisy = DpConfig(clip_c=1.0, sigma_hat=0.7, batch_size=4, tau=3, eta=0.1)
+    moved = OtherNormals(default_rng(39), default_rng(40))
+    assert not np.array_equal(
+        train_one(w, data, 0.66, noisy, default_rng(39)), train_one(w, data, 0.66, noisy, moved)
     )
-    a = train_one(w, data, 0.66, cfg, base)
-    b = train_one(w, data, 0.66, cfg, other)
+    cfg = replace(noisy, sigma_hat=0.0)
+    a = train_one(w, data, 0.66, cfg, default_rng(39))
+    b = train_one(w, data, 0.66, cfg, OtherNormals(default_rng(39), default_rng(40)))
     assert np.array_equal(a, b)
 
 
+def draws_without_training(data, dim, s, cfg, seed):
+    """A generator that made the mask and tau batch draws of one client, and no normal."""
+    rng = default_rng(seed)
+    retained = int(generate_mask(dim, s, rng).sum())
+    for _ in range(cfg.tau):
+        rng.choice(data.n, size=cfg.batch_size, replace=False)
+    return rng, retained
+
+
+def test_local_train_draws_follow_the_stream_contract():
+    """A client's generator ends where the mask, tau batches and one noise block leave it."""
+    data, w = small_problem(n=10, d=5, k=3, seed=38)
+    cfg = DpConfig(clip_c=1.0, sigma_hat=0.7, batch_size=4, tau=3, eta=0.1)
+    s = 0.66
+    rng = default_rng(39)
+    train_one(w, data, s, cfg, rng)
+    want, retained = draws_without_training(data, w.spec.dim, s, cfg, 39)
+    std = cfg.sigma_hat * cfg.clip_threshold(s) / cfg.batch_size
+    want.normal(0.0, std, size=(cfg.tau, retained))
+    assert rng.bit_generator.state == want.bit_generator.state
+
+
 def test_local_train_noiseless_reads_no_noise():
-    """With sigma_hat = 0 local_train leaves the noise stream untouched."""
+    """With sigma_hat = 0 local_train draws no normal: the mask and batches only."""
     data, w = small_problem(n=10, d=5, k=3, seed=38)
     cfg = DpConfig(clip_c=1.0, sigma_hat=0.0, batch_size=4, tau=3, eta=0.1)
-    streams = make_streams(39)
-    before = streams.noise.bit_generator.state
-    train_one(w, data, 0.66, cfg, streams)
-    assert streams.noise.bit_generator.state == before
+    rng = default_rng(39)
+    train_one(w, data, 0.66, cfg, rng)
+    want, _ = draws_without_training(data, w.spec.dim, 0.66, cfg, 39)
+    assert rng.bit_generator.state == want.bit_generator.state
 
 
 @pytest.mark.parametrize("hidden", [None, 4])
 def test_step_noise_is_one_retained_draw_per_step(hidden):
-    """Step t adds the t-th normal(0, std, size=retained) draw on the mask, 0 elsewhere."""
+    """Step t adds row t of the [tau, retained] normal block on the mask, 0 elsewhere."""
     data, w = small_problem(n=20, d=7, k=3, seed=41, hidden=hidden, scale=0.5)
     cfg = DpConfig(clip_c=0.4, sigma_hat=0.7, batch_size=6, tau=4, eta=1.0)
     s = 0.3
-    deltas = [np.zeros(w.spec.dim)] + [
-        train_one(w, data, s, replace(cfg, tau=t), make_streams(42))
-        for t in range(1, cfg.tau + 1)
-    ]
-    copy = make_streams(42)
-    bits = generate_mask(w.spec.dim, s, copy.mask)
+    update = train_one(w, data, s, cfg, default_rng(42))
+    copy = default_rng(42)
+    bits = generate_mask(w.spec.dim, s, copy)
     assert 0 < bits.sum() < bits.size
+    takes = [copy.choice(data.n, size=cfg.batch_size, replace=False) for _ in range(cfg.tau)]
     threshold = cfg.clip_threshold(s)
     std = cfg.sigma_hat * threshold / cfg.batch_size
-    for t in range(cfg.tau):
-        take = copy.batch.choice(data.n, size=cfg.batch_size, replace=False)
-        w_t = ModelWeights(w.values + deltas[t], w.spec)
+    block = copy.normal(0.0, std, size=(cfg.tau, bits.sum()))
+    v = w.values.copy()
+    for take, row in zip(takes, block):
         (mean, _), _ = ghost_and_dense_step(
-            w_t, data.features[take], data.labels[take], bits, threshold
+            ModelWeights(v, w.spec), data.features[take], data.labels[take], bits, threshold
         )
-        noise = (deltas[t] - deltas[t + 1]) / cfg.eta - mean
-        assert np.all(noise[~bits] == 0.0)
-        want = copy.noise.normal(0.0, std, size=bits.sum())
-        np.testing.assert_allclose(noise[bits], want, rtol=0.0, atol=1e-12)
+        noise = np.zeros(w.spec.dim)
+        noise[bits] = row
+        v -= cfg.eta * (mean + noise)
+    np.testing.assert_allclose(update, v - w.values, rtol=0.0, atol=1e-12)
 
 
 def test_full_rate_delta_is_the_dense_draw_formula_bit_for_bit():
     """At s = 1 every coordinate is kept: w -= eta * (mean + normal(0, std, size=dim))."""
     data, w = small_problem(n=20, d=7, k=3, seed=43, hidden=4, scale=0.5)
     cfg = DpConfig(clip_c=0.4, sigma_hat=0.7, batch_size=6, tau=5, eta=0.3)
-    update = train_one(w, data, 1.0, cfg, make_streams(44))
+    update = train_one(w, data, 1.0, cfg, default_rng(44))
     spec, dim = w.spec, w.spec.dim
-    streams = make_streams(44)
-    assert generate_mask(dim, 1.0, streams.mask).sum() == dim
+    rng = default_rng(44)
+    assert generate_mask(dim, 1.0, rng).sum() == dim
+    takes = [rng.choice(data.n, size=cfg.batch_size, replace=False) for _ in range(cfg.tau)]
     threshold = cfg.clip_threshold(1.0)
     std = cfg.sigma_hat * threshold / cfg.batch_size
     keep_blocks = split_blocks(np.ones(dim), spec)
     mean = np.empty(dim)
     v = w.values.copy()
-    for _ in range(cfg.tau):
-        take = streams.batch.choice(data.n, size=cfg.batch_size, replace=False)
+    for take in takes:
         _, factors = loss_grad_factors(
             ModelWeights(v, spec), data.features[take], data.labels[take]
         )
         clipped_masked_mean(factors, keep_blocks, threshold, split_blocks(mean, spec))
-        v -= cfg.eta * (mean + streams.noise.normal(0.0, std, size=dim))
+        v -= cfg.eta * (mean + rng.normal(0.0, std, size=dim))
     assert np.array_equal(update, v - w.values)
 
 
@@ -353,11 +377,11 @@ def test_local_train_noise_respects_mask_and_scale():
     cfg = DpConfig(clip_c=2.0, sigma_hat=1.5, batch_size=10, tau=1, eta=1.0)
     data, w = small_problem(n=10, d=999, k=4, seed=8)
     assert w.spec.dim == 4000
-    streams = make_streams(99)
-    update = train_one(w, data, 0.5, cfg, streams)
-    take = make_streams(99).batch.choice(10, size=10, replace=False)
+    update = train_one(w, data, 0.5, cfg, default_rng(99))
+    copy = default_rng(99)
+    bits = generate_mask(w.spec.dim, 0.5, copy)
+    take = copy.choice(10, size=10, replace=False)
     _, grads = per_sample_loss_grads(w, data.features[take], data.labels[take])
-    bits = generate_mask(w.spec.dim, 0.5, make_streams(99).mask)
     clipped = clip_per_sample(grads * bits, cfg.clip_threshold(0.5)).mean(axis=0)
     noise = -update / cfg.eta - clipped
     assert np.all(noise[~bits] == 0.0)
@@ -369,7 +393,7 @@ def test_plain_sgd_reduction():
     """tau=1, sigma=0, s=1, batch covering one sample reduces to one SGD step."""
     data, w = small_problem(n=1)
     cfg = DpConfig(clip_c=1e6, sigma_hat=0.0, batch_size=1, tau=1, eta=0.05)
-    update = train_one(w, data, 1.0, cfg, make_streams(5))
+    update = train_one(w, data, 1.0, cfg, default_rng(5))
     _, grads = per_sample_loss_grads(w, data.features, data.labels)
     assert np.allclose(update, -0.05 * grads[0], atol=1e-12)
 
@@ -377,8 +401,8 @@ def test_plain_sgd_reduction():
 def test_delta_support_contained_in_mask():
     data, w = small_problem(n=30, d=10, k=4, seed=2)
     cfg = DpConfig(clip_c=1.0, sigma_hat=0.8, batch_size=6, tau=4, eta=0.1)
-    update = train_one(w, data, 0.3, cfg, make_streams(9))
-    off = ~generate_mask(w.spec.dim, 0.3, make_streams(9).mask)
+    update = train_one(w, data, 0.3, cfg, default_rng(9))
+    off = ~generate_mask(w.spec.dim, 0.3, default_rng(9))
     assert off.any() and not off.all()
     assert np.all(update[off] == 0.0)
 
@@ -390,10 +414,11 @@ def test_small_dataset_uses_effective_batch_for_noise():
     dim = w.spec.dim
     draws = np.empty((400, dim))
     for k in range(400):
-        streams = make_streams(1000 + k)
-        upd = train_one(w, data, 1.0, cfg, streams)
+        upd = train_one(w, data, 1.0, cfg, default_rng(1000 + k))
         # recompute the clipped mean along the same batch path to isolate noise
-        take = make_streams(1000 + k).batch.choice(3, size=3, replace=False)
+        copy = default_rng(1000 + k)
+        generate_mask(dim, 1.0, copy)
+        take = copy.choice(3, size=3, replace=False)
         _, grads = per_sample_loss_grads(w, data.features[take], data.labels[take])
         clipped = clip_per_sample(grads, 1.0).mean(axis=0)
         draws[k] = -upd / cfg.eta - clipped
@@ -403,8 +428,8 @@ def test_small_dataset_uses_effective_batch_for_noise():
 def test_local_train_deterministic_given_streams():
     data, w = small_problem(n=25, d=7, k=3, seed=8)
     cfg = DpConfig(clip_c=1.0, sigma_hat=1.0, batch_size=5, tau=3, eta=0.05)
-    a = train_one(w, data, 0.5, cfg, make_streams(21))
-    b = train_one(w, data, 0.5, cfg, make_streams(21))
+    a = train_one(w, data, 0.5, cfg, default_rng(21))
+    b = train_one(w, data, 0.5, cfg, default_rng(21))
     assert np.array_equal(a, b)
 
 
@@ -412,7 +437,7 @@ def test_stats_accumulate_grad_norms_and_noise():
     data, w = small_problem(n=25, d=7, k=3, seed=8)
     cfg = DpConfig(clip_c=1.0, sigma_hat=1.0, batch_size=5, tau=3, eta=0.05)
     stats = TrainStats()
-    train_one(w, data, 0.5, cfg, make_streams(13), stats=stats)
+    train_one(w, data, 0.5, cfg, default_rng(13), stats=stats)
     assert stats.max_grad_norm > 0.0
     assert stats.noise_sq_sum > 0.0
 
@@ -421,7 +446,7 @@ def test_local_train_rejects_zero_rate():
     data, w = small_problem()
     cfg = DpConfig(clip_c=1.0, sigma_hat=1.0, batch_size=5, tau=1, eta=0.05)
     with pytest.raises(ValueError):
-        train_one(w, data, 0.0, cfg, make_streams(1))
+        train_one(w, data, 0.0, cfg, default_rng(1))
 
 
 def test_config_validation():
@@ -436,7 +461,7 @@ def test_config_validation():
 
 
 def stacked_round(hidden, d, sizes, rates, sigma_hat, seed, k=3):
-    """A round of clients on shards of the given sizes, each with its own streams."""
+    """A round of clients on shards of the given sizes, each with its own generator."""
     rng = np.random.default_rng(seed)
     spec = ModelSpec(feature_dim=d, num_classes=k, hidden_units=hidden)
     w = ModelWeights(rng.standard_normal(spec.dim) * 0.3, spec)
@@ -465,35 +490,30 @@ def stacked_round(hidden, d, sizes, rates, sigma_hat, seed, k=3):
 def test_stacked_round_equals_each_client_alone_bit_for_bit(hidden, d, sizes, rates, sigma_hat):
     w, shards, rates, cfg, weights = stacked_round(hidden, d, sizes, rates, sigma_hat, seed=50)
     count = len(shards)
-    alone_stats, alone = TrainStats(), []
-    noise_states = []
+    alone_stats, alone, states = TrainStats(), [], []
     for j in range(count):
-        streams = make_streams(60 + j)
-        noise_states.append(streams.noise.bit_generator.state)
-        alone.append(train_one(w, shards[j], rates[j], cfg, streams, stats=alone_stats))
-        if sigma_hat == 0.0:
-            assert streams.noise.bit_generator.state == noise_states[j]
+        rng = default_rng(60 + j)
+        alone.append(train_one(w, shards[j], rates[j], cfg, rng, stats=alone_stats))
+        states.append(rng.bit_generator.state)
     want = np.zeros(w.spec.dim)
     for weight, delta in zip(weights, alone):
         want += weight * delta
 
     stats = TrainStats()
-    streams = [make_streams(60 + j) for j in range(count)]
+    rngs = [default_rng(60 + j) for j in range(count)]
     ids = range(count)
-    got = local_train(
-        w, shards, rates, cfg, streams, weights, client_ids=ids, round_num=0, stats=stats
-    )
+    got = local_train(w, shards, rates, cfg, rngs, weights, client_ids=ids, round_num=0, stats=stats)
     assert np.array_equal(got, want)
     assert stats == alone_stats
+    assert [rng.bit_generator.state for rng in rngs] == states
     if sigma_hat == 0.0:
-        assert [st.noise.bit_generator.state for st in streams] == noise_states
         assert stats.noise_sq_sum == 0.0
     # One-hot weights pick out each client's own delta from a stacked round.
     for j in range(count):
         one_hot = np.eye(count)[j]
-        streams = [make_streams(60 + i) for i in range(count)]
+        rngs = [default_rng(60 + i) for i in range(count)]
         got = local_train(
-            w, shards, rates, cfg, streams, one_hot, client_ids=ids, round_num=0, stats=TrainStats()
+            w, shards, rates, cfg, rngs, one_hot, client_ids=ids, round_num=0, stats=TrainStats()
         )
         assert np.array_equal(got, alone[j])
     # the tiny rate leaves an empty mask: that client's delta is exactly zero
@@ -514,7 +534,7 @@ def test_stacked_round_equals_each_client_alone_bit_for_bit(hidden, d, sizes, ra
 def test_draws_before_the_steps_match_step_by_step_draws(hidden, clients, sigma_hat, seed):
     """Batch 6 on shards of 2 to 12 samples: groups of several effective batches.
 
-    Each client's streams end where the step-by-step reference leaves them,
+    Each client's generator ends where the step-by-step reference leaves it,
     and its delta and the round's stats are bit-equal to the reference's.
     """
     sizes, rates = zip(*clients)
@@ -522,20 +542,19 @@ def test_draws_before_the_steps_match_step_by_step_draws(hidden, clients, sigma_
     count = len(shards)
     want_stats, want, want_states = TrainStats(), [], []
     for j in range(count):
-        streams = make_streams(seed + j)
-        want.append(stepwise_local_train(w, shards[j], rates[j], cfg, streams, want_stats))
-        want_states.append((streams.batch.bit_generator.state, streams.noise.bit_generator.state))
+        rng = default_rng(seed + j)
+        want.append(stepwise_local_train(w, shards[j], rates[j], cfg, rng, want_stats))
+        want_states.append(rng.bit_generator.state)
     for j in range(count):
-        streams = [make_streams(seed + i) for i in range(count)]
+        rngs = [default_rng(seed + i) for i in range(count)]
         stats = TrainStats()
         got = local_train(
-            w, shards, rates, cfg, streams, np.eye(count)[j], client_ids=range(count),
+            w, shards, rates, cfg, rngs, np.eye(count)[j], client_ids=range(count),
             round_num=0, stats=stats,
         )
         assert np.array_equal(got, want[j])
         assert stats == want_stats
-        states = [(st.batch.bit_generator.state, st.noise.bit_generator.state) for st in streams]
-        assert states == want_states
+        assert [rng.bit_generator.state for rng in rngs] == want_states
 
 
 def test_non_finite_shard_names_its_client_in_a_stacked_round():
@@ -546,11 +565,11 @@ def test_non_finite_shard_names_its_client_in_a_stacked_round():
     features = shards[1].features.copy()
     features[:] = np.nan
     shards[1] = Dataset(features, shards[1].labels)
-    streams = [make_streams(70 + j) for j in range(3)]
+    rngs = [default_rng(70 + j) for j in range(3)]
     with np.errstate(invalid="ignore"):
         with pytest.raises(TrainingDivergenceError, match="client 9 in round 4$"):
             local_train(
-                w, shards, rates, cfg, streams, weights, client_ids=[4, 9, 11], round_num=4,
+                w, shards, rates, cfg, rngs, weights, client_ids=[4, 9, 11], round_num=4,
                 stats=TrainStats(),
             )
 
@@ -558,9 +577,9 @@ def test_non_finite_shard_names_its_client_in_a_stacked_round():
 def test_local_train_checks_each_shard_against_the_model():
     w, shards, rates, cfg, weights = stacked_round(None, 5, (12, 12), (0.5, 0.5), 0.5, seed=52)
     bad = Dataset(shards[1].features, np.full(12, 3))
-    streams = [make_streams(80 + j) for j in range(2)]
+    rngs = [default_rng(80 + j) for j in range(2)]
     kwargs = dict(client_ids=[0, 1], round_num=0, stats=TrainStats())
     with pytest.raises(ValueError, match="labels out of range"):
-        local_train(w, [shards[0], bad], rates, cfg, streams, weights, **kwargs)
+        local_train(w, [shards[0], bad], rates, cfg, rngs, weights, **kwargs)
     with pytest.raises(ValueError, match="one entry per client"):
-        local_train(w, shards, rates[:1], cfg, streams, weights, **kwargs)
+        local_train(w, shards, rates[:1], cfg, rngs, weights, **kwargs)

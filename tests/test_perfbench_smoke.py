@@ -20,9 +20,9 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # Seed 1, smoke size; tracing does not change the bytes.
 SMOKE_CSV_SHA256 = {
-    "privacy_hetero": "05510116d187f42e341f9077c7f264674e9d0eccb2c6bffc9ff18910cefb3dda",
-    "sched_wide": "a01210324bacf9f65b821effed3bee406f36b126be81791c0edb898e50832cfe",
-    "train_mlp": "85e8befdb350bba0ac50381acd3bdabff8e33812840703b2b44846b87cdf73b7",
+    "privacy_hetero": "44c10f7dd5065e7d9e855fb5f1fc15e850bbebea8a246443cb5213c017f78b1b",
+    "sched_wide": "8d314fc9ec72bce3bc0358239705f67208cb343491c76f531608051fdf4f4609",
+    "train_mlp": "8d5f13f55c7d48c092078ee56dd5a3b0f084b8d72507ec97a1304e5f3d87956a",
 }
 
 

@@ -205,11 +205,12 @@ def test_matches_hand_rolled_weighted_averaging():
     for t in range(3):
         delta = np.zeros(spec.dim)
         for i in range(cfg.num_clients):
-            batch_rng = streams.substream(cfg.seed, streams.TRAIN, t, i, streams.BATCH)
+            rng = streams.substream(cfg.seed, streams.TRAIN, t, i)
+            rng.random(spec.dim)  # the mask's uniforms, all kept at s = 1
             local = w.copy()
             data = state.shards[i]
             for _ in range(cfg.tau):
-                take = batch_rng.choice(data.n, size=4, replace=False)
+                take = rng.choice(data.n, size=4, replace=False)
                 _, grads = per_sample_loss_grads(
                     ModelWeights(local, spec), data.features[take], data.labels[take]
                 )
@@ -337,11 +338,43 @@ def test_mnist_pipeline(tmp_path):
         build_state(bad, "random")
 
 
+SCHEDULE_COLUMNS = (
+    "round",
+    "policy",
+    "round_delay_s",
+    "cum_delay_s",
+    "participants",
+    "mean_s",
+    "q_de",
+    "max_q_fa",
+    "eligible",
+)
+
+
+def test_schedule_reads_no_training_draw(monkeypatch):
+    """Re-keying only the TRAIN streams moves accuracy but not one schedule column."""
+    cfg = fast_config(rounds=12, sigma_hat=1.0, eps_min=0.5, eps_max=1.5)
+    base = run_experiment(cfg, "lyapunov")
+    substream = streams.substream
+
+    def rekeyed(seed, *path):
+        return substream(seed, *path, 1) if path[0] == streams.TRAIN else substream(seed, *path)
+
+    monkeypatch.setattr(simulator.streams, "substream", rekeyed)
+    moved = run_experiment(cfg, "lyapunov")
+    assert base.truncated_at == moved.truncated_at is not None
+    assert [[getattr(r, c) for c in SCHEDULE_COLUMNS] for r in base.rows] == [
+        [getattr(r, c) for c in SCHEDULE_COLUMNS] for r in moved.rows
+    ]
+    assert [r.accuracy for r in base.rows] != [r.accuracy for r in moved.rows]
+    assert np.array_equal(base.participation, moved.participation)
+
+
 def test_substream_independence_and_reproducibility():
-    a = streams.substream(7, streams.TRAIN, 3, 1, streams.MASK)
-    b = streams.substream(7, streams.TRAIN, 3, 1, streams.MASK)
-    c = streams.substream(7, streams.TRAIN, 3, 1, streams.NOISE)
-    d = streams.substream(8, streams.TRAIN, 3, 1, streams.MASK)
+    a = streams.substream(7, streams.TRAIN, 3, 1)
+    b = streams.substream(7, streams.TRAIN, 3, 1)
+    c = streams.substream(7, streams.TRAIN, 3, 2)
+    d = streams.substream(8, streams.TRAIN, 3, 1)
     xa, xb, xc, xd = (g.random(8) for g in (a, b, c, d))
     assert np.array_equal(xa, xb)
     assert not np.array_equal(xa, xc)
