@@ -35,6 +35,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
 DEFAULT_ALPHA_GRID: tuple[float, ...] = (1.5,) + tuple(float(a) for a in range(2, 65))
+_ORDERS = np.array(DEFAULT_ALPHA_GRID)
 _MAX_T_HAT = 10**15
 
 
@@ -129,12 +130,13 @@ def _quadrature_moment(q: float, sigma_hat: float, alpha: float) -> float:
 
 
 @functools.lru_cache(maxsize=4096)
-def log_moments(q: float, sigma_hat: float, alphas: tuple[float, ...]) -> tuple[float, ...]:
+def log_moments(q: float, sigma_hat: float, alphas: tuple[float, ...]) -> np.ndarray:
     """Log moment of one subsampled noisy step at every order (nats), cached.
 
     alphas is a tuple of floats, each above 1. Integer orders use the exact
     binomial sum; any other order uses the adaptive quadrature. Accumulation
-    and inversion share one call per (q, sigma) pair.
+    and inversion share one call per (q, sigma) pair, so the result is
+    read-only.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
@@ -142,38 +144,41 @@ def log_moments(q: float, sigma_hat: float, alphas: tuple[float, ...]) -> tuple[
         raise ValueError(f"sigma_hat must be positive, got {sigma_hat}")
     if any(alpha <= 1.0 for alpha in alphas):
         raise ValueError(f"every order must exceed 1, got {alphas}")
-    if q == 0.0:
-        return tuple(0.0 for _ in alphas)
-    exact = iter(_integer_moments(q, sigma_hat, np.array([a for a in alphas if a.is_integer()])))
-    out: list[float] = []
-    for alpha in alphas:
-        if alpha.is_integer():
-            result = float(next(exact))
-        else:
-            result = _quadrature_moment(q, sigma_hat, alpha)
-        if not math.isfinite(result):
-            raise AccountantOverflowError(
-                f"accountant overflow: non-finite moment for q={q}, "
-                f"sigma_hat={sigma_hat}, alpha={alpha}"
-            )
-        # The true moment is >= 1 by Jensen, so its log is >= 0; rounding in
-        # the log-space sums can leave a tiny negative residue.
-        out.append(max(result, 0.0))
-    return tuple(out)
+    orders = np.array(alphas, dtype=float)
+    out = np.zeros(orders.size)
+    if q > 0.0:
+        exact = orders == np.floor(orders)
+        out[exact] = _integer_moments(q, sigma_hat, orders[exact])
+        out[~exact] = [_quadrature_moment(q, sigma_hat, a) for a in orders[~exact].tolist()]
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise AccountantOverflowError(
+            f"accountant overflow: non-finite moment for q={q}, "
+            f"sigma_hat={sigma_hat}, alpha={orders[bad[0]]}"
+        )
+    # The true moment is >= 1 by Jensen, so its log is >= 0; rounding in the
+    # log-space sums can leave a tiny negative residue.
+    out = np.maximum(out, 0.0)
+    out.setflags(write=False)
+    return out
 
 
 @functools.lru_cache(maxsize=64)
-def _conversion_offsets(delta: float) -> tuple[float, ...]:
+def _conversion_offsets(delta: float) -> np.ndarray:
     """Additive terms converting an RDP bound at each default order to epsilon at delta.
 
-    Cached per delta: every accumulate_privacy call reads them.
+    Cached per delta, read-only: every accumulate_privacy call reads them.
     """
     log_inv_delta = math.log(1.0 / delta)
-    return tuple(
-        (log_inv_delta + (alpha - 1.0) * math.log1p(-1.0 / alpha) - math.log(alpha))
-        / (alpha - 1.0)
-        for alpha in DEFAULT_ALPHA_GRID
+    out = np.array(
+        [
+            (log_inv_delta + (alpha - 1.0) * math.log1p(-1.0 / alpha) - math.log(alpha))
+            / (alpha - 1.0)
+            for alpha in DEFAULT_ALPHA_GRID
+        ]
     )
+    out.setflags(write=False)
+    return out
 
 
 def accumulate_privacy(t_bar: int, params: RdpParams) -> float:
@@ -185,35 +190,26 @@ def accumulate_privacy(t_bar: int, params: RdpParams) -> float:
     if t_bar < 0:
         raise ValueError(f"t_bar must be nonnegative, got {t_bar}")
     moments = log_moments(params.q, params.sigma_hat, DEFAULT_ALPHA_GRID)
-    offsets = _conversion_offsets(params.delta)
-    return min(
-        t_bar * params.tau * rdp / (alpha - 1.0) + offset
-        for alpha, rdp, offset in zip(DEFAULT_ALPHA_GRID, moments, offsets)
-    )
+    rdp = t_bar * params.tau * moments / (_ORDERS - 1.0)
+    return float((rdp + _conversion_offsets(params.delta)).min())
 
 
 def max_participation_rounds(eps_budget: float, params: RdpParams) -> int:
     """Largest round count whose accumulated guarantee stays within eps_budget.
 
     Inverts the accumulation per order (floor of the budget headroom over the
-    per-round cost), takes the best order, then nudges by at most one round so
-    that accumulate_privacy(t) <= eps_budget < accumulate_privacy(t + 1) holds
+    per-round cost; a zero cost allows every round), takes the best order,
+    then nudges by at most one round so that
+    accumulate_privacy(t) <= eps_budget < accumulate_privacy(t + 1) holds
     exactly under floating point.
     """
     if not eps_budget > 0.0:
         raise ValueError(f"eps_budget must be positive, got {eps_budget}")
-    best = 0
     moments = log_moments(params.q, params.sigma_hat, DEFAULT_ALPHA_GRID)
-    offsets = _conversion_offsets(params.delta)
-    for alpha, rdp, offset in zip(DEFAULT_ALPHA_GRID, moments, offsets):
-        numerator = (alpha - 1.0) * (eps_budget - offset)
-        if numerator <= 0.0:
-            continue
-        if rdp == 0.0:
-            best = _MAX_T_HAT
-            continue
-        t = int(min(numerator / (params.tau * rdp), float(_MAX_T_HAT)))
-        best = max(best, t)
+    numerator = (_ORDERS - 1.0) * (eps_budget - _conversion_offsets(params.delta))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rounds = np.minimum(numerator / (params.tau * moments), float(_MAX_T_HAT))
+    best = int(rounds.max(where=numerator > 0.0, initial=0.0))
     while best > 0 and accumulate_privacy(best, params) > eps_budget:
         best -= 1
     while best < _MAX_T_HAT and accumulate_privacy(best + 1, params) <= eps_budget:

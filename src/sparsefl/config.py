@@ -165,6 +165,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(len(cfg.policies) >= 1, "policies", "must name at least one policy")
     for p in cfg.policies:
         _require(p in POLICIES, "policies", f"unknown policy {p!r}; choose from {POLICIES}")
+    _require(len(set(cfg.policies)) == len(cfg.policies), "policies", "names a policy twice")
     _require(cfg.num_clients >= 1, "num_clients", "must be at least 1")
     _require(cfg.num_channels >= 1, "num_channels", "must be at least 1")
 

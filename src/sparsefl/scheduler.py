@@ -570,7 +570,7 @@ def baseline_schedule(
     never read; round_robin walks fixed client groups of channel size in
     cyclic order, skipping ineligible members; delay_min greedily takes the
     lowest-delay client-channel pairs at the given rate. delay_min also takes
-    a stacked context and decides each of its rounds.
+    a stacked context and decides all of its rounds at once.
     """
     if policy not in BASELINE_POLICIES:
         raise ValueError(f"unknown baseline policy {policy!r}")
@@ -591,23 +591,21 @@ def baseline_schedule(
         chosen = members[ctx.is_eligible[members]]
         assigned_channel[chosen] = np.arange(chosen.size)
     else:
-        # A stable sort of each round's client-major delay matrix breaks ties
-        # by (client, channel); dead links have infinite delay and rank last.
-        clients = np.sort(ctx.eligible)
-        delays = ctx.smooth_delay(clients[:, None], np.arange(ctx.n_channels), s_value, p_max)
-        order = np.argsort(delays.reshape(*delays.shape[:-2], -1), axis=-1, kind="stable")
-        rows, cols = np.divmod(order, ctx.n_channels)
-        ranked, wanted = clients[rows], min(ctx.n_channels, ctx.eligible.size)
-        for r in np.ndindex(order.shape[:-1]):
-            chosen = assigned_channel[r]
-            used_clients: set[int] = set()
-            used_channels: set[int] = set()
-            for i, j in zip(ranked[r].tolist(), cols[r].tolist()):
-                if i in used_clients or j in used_channels:
-                    continue
-                chosen[i] = j
-                used_clients.add(i)
-                used_channels.add(j)
-                if len(used_clients) == wanted:
-                    break
+        # Each step takes every round's least delay in its client-major matrix,
+        # so ties go to the lower client, then the lower channel, and retires
+        # that row and column. Dead links rank after every live one but can
+        # still be taken; ineligible clients never are.
+        delays = ctx.smooth_delay(
+            np.arange(ctx.n_clients)[:, None], np.arange(ctx.n_channels), s_value, p_max
+        )
+        delays = np.where(
+            ctx.is_eligible[:, None], np.minimum(delays, np.finfo(float).max), np.inf
+        )
+        lead = delays.shape[:-2]
+        r = np.indices(lead, sparse=True)
+        for _ in range(min(ctx.n_channels, ctx.eligible.size)):
+            i, j = np.divmod(delays.reshape(*lead, -1).argmin(axis=-1), ctx.n_channels)
+            assigned_channel[(*r, i)] = j
+            delays[(*r, i)] = np.inf
+            delays[(*r, slice(None), j)] = np.inf
     return build_decision(ctx, assigned_channel, s_value, p_max)

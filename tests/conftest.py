@@ -60,15 +60,19 @@ def make_context(
     downlink_gains: np.ndarray | None = None,
     max_power_w: float = 1.0,
 ) -> RoundContext:
-    """RoundContext with hand-picked uplink gains for targeted scheduler tests."""
+    """RoundContext with hand-picked uplink gains for targeted scheduler tests.
+
+    gains is [clients, channels], or [rounds, clients, channels] for a
+    stacked context; downlink_gains then carries the same leading axis.
+    """
     gains = np.asarray(gains, dtype=float)
-    n = gains.shape[0]
+    n = gains.shape[-2]
     if sizes is None:
         sizes = np.full(n, 40)
     if eligible is None:
         eligible = np.arange(n)
     if downlink_gains is None:
-        downlink_gains = np.full(n, 1e-7)
+        downlink_gains = np.full(gains.shape[:-1], 1e-7)
     radio = RadioParams(
         bandwidth_hz=15e3,
         noise_w=1.995262314968883e-14,
@@ -76,7 +80,7 @@ def make_context(
         max_power_w=max_power_w,
     )
     compute = ComputeParams(
-        cycles_per_sample=1e4, cpu_freq_hz=np.full(n, 2.4e9), capacitance=1e-28
+        cycles_per_sample=1e4, cpu_freq_hz=np.full(gains.shape[:-1], 2.4e9), capacitance=1e-28
     )
     return RoundContext(
         model_dim=model_dim,
@@ -89,6 +93,38 @@ def make_context(
         radio=radio,
         compute=compute,
     )
+
+
+def sorted_greedy_assignment(ctx: RoundContext, s_value: float) -> np.ndarray:
+    """delay_min's assignment by a sort-and-skip walk: the reference.
+
+    A stable sort of each round's client-major matrix of eligible smooth
+    delays at maximum power breaks ties by (client, channel); dead links have
+    infinite delay and rank last. The walk takes each pair whose client and
+    channel are both free until min(channels, eligible) pairs are taken.
+    Returns the [..., clients] assigned channels, -1 for clients left out.
+    """
+    assigned_channel = np.full(ctx.d_down.shape, -1, dtype=int)
+    clients = np.sort(ctx.eligible)
+    delays = ctx.smooth_delay(
+        clients[:, None], np.arange(ctx.n_channels), s_value, ctx.radio.max_power_w
+    )
+    order = np.argsort(delays.reshape(*delays.shape[:-2], -1), axis=-1, kind="stable")
+    rows, cols = np.divmod(order, ctx.n_channels)
+    ranked, wanted = clients[rows], min(ctx.n_channels, ctx.eligible.size)
+    for r in np.ndindex(order.shape[:-1]):
+        chosen = assigned_channel[r]
+        used_clients: set[int] = set()
+        used_channels: set[int] = set()
+        for i, j in zip(ranked[r].tolist(), cols[r].tolist()):
+            if i in used_clients or j in used_channels:
+                continue
+            chosen[i] = j
+            used_clients.add(i)
+            used_channels.add(j)
+            if len(used_clients) == wanted:
+                break
+    return assigned_channel
 
 
 def clip_per_sample(grads: np.ndarray, threshold: float) -> np.ndarray:

@@ -9,6 +9,7 @@ from sparsefl.accountant import (
     DEFAULT_ALPHA_GRID,
     DegenerateBudgetError,
     RdpParams,
+    _conversion_offsets,
     accumulate_privacy,
     log_moments,
     make_ledger,
@@ -191,6 +192,63 @@ def test_inversion_brackets_the_budget(q, sigma, eps):
     t_hat = max_participation_rounds(eps, params)
     assert accumulate_privacy(t_hat, params) <= eps
     assert accumulate_privacy(t_hat + 1, params) > eps
+
+
+def _loop_accumulate(t_bar, params):
+    """accumulate_privacy as a Python loop over the orders: the reference."""
+    moments = log_moments(params.q, params.sigma_hat, DEFAULT_ALPHA_GRID).tolist()
+    offsets = _conversion_offsets(params.delta).tolist()
+    return min(
+        t_bar * params.tau * rdp / (alpha - 1.0) + offset
+        for alpha, rdp, offset in zip(DEFAULT_ALPHA_GRID, moments, offsets)
+    )
+
+
+def _loop_max_rounds(eps_budget, params):
+    """max_participation_rounds as a Python loop over the orders: the reference."""
+    best = 0
+    moments = log_moments(params.q, params.sigma_hat, DEFAULT_ALPHA_GRID).tolist()
+    offsets = _conversion_offsets(params.delta).tolist()
+    for alpha, rdp, offset in zip(DEFAULT_ALPHA_GRID, moments, offsets):
+        numerator = (alpha - 1.0) * (eps_budget - offset)
+        if numerator <= 0.0:
+            continue
+        if rdp == 0.0:
+            best = 10**15
+            continue
+        best = max(best, int(min(numerator / (params.tau * rdp), 1e15)))
+    while best > 0 and _loop_accumulate(best, params) > eps_budget:
+        best -= 1
+    while best < 10**15 and _loop_accumulate(best + 1, params) <= eps_budget:
+        best += 1
+    return best
+
+
+def test_array_accounting_matches_the_order_loops():
+    rng = np.random.default_rng(24)
+    for _ in range(2000):
+        q = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-4.0, 0.0)]))
+        params = RdpParams(
+            q=q,
+            sigma_hat=float(10.0 ** rng.uniform(-0.5, 1.0)),
+            delta=float(10.0 ** rng.uniform(-8.0, -1.0)),
+            tau=int(rng.integers(1, 11)),
+        )
+        eps = float(10.0 ** rng.uniform(-1.0, 2.0))
+        t_hat = max_participation_rounds(eps, params)
+        assert t_hat == _loop_max_rounds(eps, params), (params, eps)
+        for t in (t_hat, t_hat + 1):
+            got, want = accumulate_privacy(t, params), _loop_accumulate(t, params)
+            assert float.hex(got) == float.hex(want), (params, t)
+
+
+def test_log_moments_are_read_only():
+    for q in (0.0, 0.3):
+        moments = log_moments(q, 1.0, DEFAULT_ALPHA_GRID)
+        with pytest.raises(ValueError, match="read-only"):
+            moments[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        _conversion_offsets(1e-3)[0] = 1.0
 
 
 # (q, sigma_hat, eps_budget, tau, t_hat) on the default grid and delta; the

@@ -197,6 +197,15 @@ def test_cli_bad_policy_exits_nonzero(tmp_path, capsys):
     assert "policies" in capsys.readouterr().err
 
 
+def test_cli_repeated_policy_is_config_error(tmp_path, capsys):
+    """A policy named twice would run twice and write duplicate (round, policy) rows."""
+    cfg_path = write_cfg(tmp_path, FAST_TEXT + "policies = round_robin, round_robin\n")
+    out = tmp_path / "m.csv"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "policies: names a policy twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_degenerate_budget_exit_code(tmp_path, capsys):
     text = FAST_TEXT + "eps_min = 0.1\neps_max = 0.1\n"
     cfg_path = write_cfg(tmp_path, text=text)

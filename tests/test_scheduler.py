@@ -1,8 +1,11 @@
+import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsefl.oracles import (
     brute_force_assignment,
@@ -36,7 +39,7 @@ from sparsefl.wireless import (
     round_costs,
 )
 
-from conftest import loose_scheduler_config, make_context
+from conftest import loose_scheduler_config, make_context, sorted_greedy_assignment
 
 
 def test_update_queues_recursion():
@@ -552,6 +555,45 @@ def test_delay_min_forced_onto_a_dead_link_raises():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="link rates must be positive"):
             baseline_schedule(ctx, "delay_min", 0, np.random.default_rng(0))
+
+
+@st.composite
+def greedy_contexts(draw):
+    """One-round or stacked contexts whose quantized gains tie and may be dead.
+
+    Equal sizes, CPU speeds and downlink gains tie the fixed delay legs too;
+    the eligible set is a shuffled, possibly gapped subset of the clients.
+    """
+    n_clients, n_channels = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    lead = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+
+    def array(values, shape):
+        size = math.prod(shape)
+        return np.reshape(draw(st.lists(values, min_size=size, max_size=size)), shape)
+
+    gains = array(st.sampled_from([0.0, 1e-10, 1e-9, 1e-9, 1e-8]), lead + (n_clients, n_channels))
+    return make_context(
+        gains,
+        sizes=array(st.sampled_from([20, 40]), (n_clients,)),
+        eligible=draw(st.lists(st.integers(0, n_clients - 1), min_size=1, unique=True)),
+        downlink_gains=array(st.sampled_from([1e-8, 1e-7]), lead + (n_clients,)),
+    )
+
+
+@settings(max_examples=300)
+@given(ctx=greedy_contexts(), s_value=st.sampled_from([0.05, 0.4, 1.0]))
+def test_delay_min_matches_the_sorted_greedy(ctx, s_value):
+    assigned = sorted_greedy_assignment(ctx, s_value)
+    try:
+        expected = build_decision(ctx, assigned, s_value, ctx.radio.max_power_w)
+    except ValueError as exc:
+        # The reference took a dead link.
+        with pytest.raises(ValueError, match=str(exc)):
+            baseline_schedule(ctx, "delay_min", 0, None, s_value=s_value)
+        return
+    decision = baseline_schedule(ctx, "delay_min", 0, None, s_value=s_value)
+    assert np.array_equal(decision.assigned_channel, expected.assigned_channel)
+    assert np.array_equal(decision.round_delay, expected.round_delay)
 
 
 def test_round_context_rejects_dead_downlink():
