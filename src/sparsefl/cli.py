@@ -4,8 +4,8 @@ Subcommands:
   run     --config FILE [--seed N] [--policy NAME] [--out FILE]
   verify  (no arguments; prints one PASS/FAIL line per oracle group)
 
-Exit codes: 0 success, 1 a privacy error or training that diverged, 2 a
-config error, 3 an output I/O error.
+Exit codes: 0 success, 1 a privacy error, training that diverged or a link
+whose Shannon rate rounds to zero, 2 a config error, 3 an output I/O error.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .accountant import AccountantOverflowError, DegenerateBudgetError
 from .config import ConfigError, parse_config, validate_config
 from .dpsgd import TrainingDivergenceError
 from .simulator import CSV_COLUMNS, MetricsTrace, run_experiment
+from .wireless import DeadLinkError
 
 
 def _format_value(value: object) -> str:
@@ -112,6 +113,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except TrainingDivergenceError as exc:
         print(f"training error: {exc}", file=sys.stderr)
+        return 1
+    except DeadLinkError as exc:
+        print(f"link error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -4,7 +4,8 @@ The on-disk format is one `key = value` pair per line, `#` comments, blank
 lines ignored. Keys are typed and validated; unknown or repeated keys are
 rejected with the offending line number. Power-like quantities are given in
 dBm and converted to Watts once, when the simulator builds its radio
-(simulator._radio_params), so everything downstream is linear.
+(simulator._radio_params), so everything downstream is linear; validation
+only checks that each converts to a positive, finite wattage.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import typing
 from dataclasses import dataclass
 
 from .scheduler import POLICIES
+from .wireless import dbm_to_watts
 
 
 class ConfigError(ValueError):
@@ -153,6 +155,14 @@ def parse_config(path: str) -> ExperimentConfig:
     return parse_config_text(text, source=path)
 
 
+def _watts(dbm: float) -> float:
+    """dbm_to_watts, with an overflow read as +inf."""
+    try:
+        return dbm_to_watts(dbm)
+    except OverflowError:
+        return math.inf
+
+
 def _require(ok: bool, key: str, message: str) -> None:
     if not ok:
         raise ConfigError(f"{key}: {message}")
@@ -202,11 +212,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
             _require(bool(getattr(cfg, key)), key, "required when dataset = mnist")
 
     _require(cfg.bandwidth_hz > 0, "bandwidth_hz", "must be positive")
-    _require(math.isfinite(cfg.noise_dbm), "noise_dbm", "must be finite")
-    _require(math.isfinite(cfg.downlink_power_dbm), "downlink_power_dbm", "must be finite")
-    _require(math.isfinite(cfg.max_power_dbm), "max_power_dbm", "must be finite")
-    _require(not math.isnan(cfg.interference_dbm), "interference_dbm", "must not be NaN")
-    _require(cfg.interference_dbm < math.inf, "interference_dbm", "must be below +inf")
+    for key in ("noise_dbm", "downlink_power_dbm", "max_power_dbm"):
+        dbm = getattr(cfg, key)
+        _require(0 < _watts(dbm) < math.inf, key, f"{dbm} dBm is not a positive, finite wattage")
+    dbm = cfg.interference_dbm
+    _require(_watts(dbm) < math.inf, "interference_dbm", f"{dbm} dBm is not a finite wattage")
     _require(cfg.area_side_m > 0, "area_side_m", "must be positive")
 
     _require(cfg.cpu_freq_max_hz > 0, "cpu_freq_max_hz", "must be positive")

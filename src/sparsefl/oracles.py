@@ -21,7 +21,6 @@ from .scheduler import (
     RoundContext,
     SchedulerConfig,
     VirtualQueues,
-    drift_penalty_value,
     feasible_edges,
     schedule_round,
     validate_decision,
@@ -135,6 +134,43 @@ def _smooth_delay(ctx: RoundContext, i: int, j: int, s: float, power_w: float) -
     )
 
 
+def drift_penalty_value(
+    ctx: RoundContext,
+    cfg: SchedulerConfig,
+    queues: VirtualQueues,
+    assigned_channel: np.ndarray,
+    s: np.ndarray,
+    powers: np.ndarray,
+) -> float:
+    """Drift-plus-penalty objective of a decision, summed client by client.
+
+    Uses the smooth payload model. Raises ValueError on an unknown or reused
+    channel, an ineligible client, or a rate outside (0, 1] or a power outside
+    (0, max]; the energy cap is not checked. An empty assignment scores
+    q_de * (0 - d_avg).
+    """
+    value = 0.0
+    worst = 0.0
+    used: set[int] = set()
+    for i in np.flatnonzero(assigned_channel >= 0).tolist():
+        j = int(assigned_channel[i])
+        if j >= ctx.n_channels:
+            raise ValueError("assignment names an unknown channel")
+        if j in used:
+            raise ValueError("assignment reuses a channel")
+        if i not in ctx.eligible:
+            raise ValueError("assignment schedules an ineligible client")
+        if not 0.0 < s[i] <= 1.0 + 1e-12:
+            raise ValueError(f"rate out of range for client {i}")
+        if not 0.0 < powers[i] <= ctx.radio.max_power_w * (1.0 + 1e-12):
+            raise ValueError(f"power out of range for client {i}")
+        used.add(j)
+        value += queues.q_fa[i] - cfg.lam * ctx.weights[i] * float(s[i])
+        delay = _smooth_delay(ctx, i, j, float(s[i]), float(powers[i]))
+        worst = max(worst, delay)
+    return value + queues.q_de * (worst - cfg.d_avg)
+
+
 def brute_force_assignment(
     ctx: RoundContext,
     cfg: SchedulerConfig,
@@ -158,17 +194,11 @@ def brute_force_assignment(
         for perm in itertools.permutations(range(ctx.n_channels), required):
             if not all(edges[i, j] for i, j in zip(subset, perm)):
                 continue
-            value = 0.0
-            worst = 0.0
-            for i, j in zip(subset, perm):
-                value += queues.q_fa[i] - cfg.lam * ctx.weights[i] * float(s[i])
-                worst = max(worst, _smooth_delay(ctx, i, j, float(s[i]), float(powers[i])))
-            value += queues.q_de * (worst - cfg.d_avg)
+            candidate = np.full(ctx.n_clients, -1, dtype=int)
+            candidate[list(subset)] = perm
+            value = drift_penalty_value(ctx, cfg, queues, candidate, s, powers)
             if value < best_value - 1e-15:
-                best_value = value
-                best = np.full(ctx.n_clients, -1, dtype=int)
-                for i, j in zip(subset, perm):
-                    best[i] = j
+                best_value, best = value, candidate
     if best is None:
         return None
     return best_value, best
@@ -527,7 +557,8 @@ def run_verify() -> tuple[int, list[str]]:
         ctx, cfg, queues = random_round_context(rng, 2, 2)
         decision = schedule_round(ctx, cfg, queues)
         oracle_v = brute_force_joint(ctx, cfg, queues, step=1e-3)
-        if decision.v_trace[-1] > oracle_v + 1e-6:
+        assigned, s, powers = decision.assigned_channel, decision.rates, decision.powers
+        if drift_penalty_value(ctx, cfg, queues, assigned, s, powers) > oracle_v + 1e-6:
             bad += 1
     record("joint-round", bad == 0, f"{bad} of 5 instances above the oracle")
 
@@ -542,7 +573,9 @@ def run_verify() -> tuple[int, list[str]]:
         except AssertionError:
             bad += 1
             continue
-        if decision.v_trace[-1] > brute_force_joint_energy(ctx, cfg, queues) + 1e-6:
+        assigned, s, powers = decision.assigned_channel, decision.rates, decision.powers
+        value = drift_penalty_value(ctx, cfg, queues, assigned, s, powers)
+        if value > brute_force_joint_energy(ctx, cfg, queues) + 1e-6:
             bad += 1
     record(
         "joint-round-energy",

@@ -19,10 +19,11 @@ a cap binds the winning matching's own objective is convex in l and is then
 minimized by bounded Brent search.
 
 schedule_round runs three named steps: optimal_assignment (the level sweep
-and its matchings), optimal_sparsification (the winner's level, rates and
-powers) and optimal_power (the Newton solve for a binding edge's power).
-Each is called through its module global, so a wrapper bound to the name
-sees every call.
+and its matchings), optimal_sparsification (the winner's assignment, level,
+rates and powers) and optimal_power (the Newton solve for a binding edge's
+power). Each is called through its module global, so a wrapper bound to the
+name sees every call. oracles.drift_penalty_value scores a decision
+independently.
 
 The objective's uplink payload is the smooth 32 * s * dim + dim bits; the
 energy constraint keeps one bit of slack for the realized, rounded payload.
@@ -40,7 +41,7 @@ from numpy.typing import ArrayLike
 from scipy.optimize import linear_sum_assignment, minimize_scalar
 
 from . import wireless
-from .wireless import ChannelRealization, ComputeParams, RadioParams
+from .wireless import ChannelRealization, ComputeParams, DeadLinkError, RadioParams
 
 _ENERGY_MARGIN = 1e-6
 # Cap on Newton steps for a binding-branch power; it converges in far fewer.
@@ -119,7 +120,7 @@ class RoundContext:
         down_snr = radio.downlink_power_w * self.channels.downlink_gains / radio.noise_w
         down_rate = wireless.shannon_rate(radio, down_snr)
         if not np.all(down_rate > 0):
-            raise ValueError("downlink rates must be positive for every client")
+            raise DeadLinkError("downlink rates must be positive for every client")
         compute, freq = self.compute, self.compute.cpu_freq_hz
         work = self.tau * np.asarray(self.dataset_sizes, dtype=np.int64) * compute.cycles_per_sample
         sizes, eligible = self.dataset_sizes, self.eligible
@@ -166,9 +167,10 @@ class ScheduleDecision:
     assigned_channel holds -1 for clients left out. Rates, powers and uplink
     costs are zero for unscheduled clients; the fixed per-client delays and
     compute energy stay in the RoundContext. v_trace holds the optimizing
-    policy's branch-and-bound incumbents, non-increasing, ending with the
-    emitted decision's objective (empty for baselines). A decision on a
-    stacked RoundContext has one row per round and a [rounds] round_delay.
+    policy's incumbents, non-increasing: the level sweep's, then Brent's
+    refinement if it improved on them (empty for baselines). Its last entry
+    is the emitted decision's objective as the solver scored it. A decision
+    on a stacked RoundContext has one row per round and a [rounds] round_delay.
     """
 
     assigned_channel: np.ndarray
@@ -202,59 +204,20 @@ def _sum_in_order(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
-def _check_structure(
-    ctx: RoundContext, assigned_channel: np.ndarray, s: np.ndarray, powers: np.ndarray
-) -> np.ndarray:
-    assigned = np.flatnonzero(assigned_channel >= 0)
-    chans = assigned_channel[assigned]
-    if np.any(chans >= ctx.n_channels):
-        raise ValueError("assignment names an unknown channel")
-    if np.bincount(chans).max(initial=0) > 1:
-        raise ValueError("assignment reuses a channel")
-    if not ctx.is_eligible[assigned].all():
-        raise ValueError("assignment schedules an ineligible client")
-    rate_ok = (0.0 < s[assigned]) & (s[assigned] <= 1.0 + 1e-12)
-    power_ok = (0.0 < powers[assigned]) & (
-        powers[assigned] <= ctx.radio.max_power_w * (1.0 + 1e-12)
-    )
-    bad = np.flatnonzero(~(rate_ok & power_ok))
-    if bad.size:
-        what = "power" if rate_ok[bad[0]] else "rate"
-        raise ValueError(f"{what} out of range for client {assigned[bad[0]]}")
-    return assigned
-
-
-def drift_penalty_value(
-    ctx: RoundContext,
-    cfg: SchedulerConfig,
-    queues: VirtualQueues,
-    assigned_channel: np.ndarray,
-    s: np.ndarray,
-    powers: np.ndarray,
-) -> float:
-    """Drift-plus-penalty objective of a candidate decision.
-
-    Uses the smooth payload model; energy feasibility is the callers'
-    responsibility. An empty assignment scores q_de * (0 - d_avg).
-    """
-    assigned = _check_structure(ctx, assigned_channel, s, powers)
-    value = _sum_in_order(queues.q_fa[assigned] - cfg.lam * ctx.weights[assigned] * s[assigned])
-    delays = ctx.smooth_delay(assigned, assigned_channel[assigned], s[assigned], powers[assigned])
-    worst = float(np.max(delays, initial=0.0))
-    return value + queues.q_de * (worst - cfg.d_avg)
-
-
 def feasible_edges(ctx: RoundContext, cfg: SchedulerConfig) -> np.ndarray:
     """Boolean [clients, channels] map of edges that can meet the energy cap.
 
     An edge is kept when the transmit energy of the dense payload plus one bit
     of rounding slack, in the zero-power limit, stays below the cap's
-    headroom, so any rate in (0, 1] admits a feasible power on a kept edge.
+    headroom, so any rate in (0, 1] admits a feasible power on a kept edge,
+    and its full-power rate is positive, so a payload can cross it.
     """
     headroom = cfg.e_max_j - ctx.e_comp
     dense_payload = wireless.payload_bits(ctx.model_dim, 1.0) + 1.0
     limit_energy = wireless.zero_power_energy(ctx.radio, dense_payload, ctx.snr_per_w)
-    return ctx.is_eligible[:, None] & (limit_energy * (1.0 + _ENERGY_MARGIN) < headroom[:, None])
+    live = wireless.shannon_rate(ctx.radio, ctx.radio.max_power_w * ctx.snr_per_w) > 0.0
+    fits = limit_energy * (1.0 + _ENERGY_MARGIN) < headroom[:, None]
+    return ctx.is_eligible[:, None] & live & fits
 
 
 def optimal_power(
@@ -367,18 +330,18 @@ class _LevelModel:
         edges = feasible_edges(ctx, cfg)
         rows = self.rows = ctx.eligible[edges[ctx.eligible].any(axis=1)]
         if rows.size == 0:
-            raise EmptyRoundError("no client has an energy-feasible channel")
+            raise EmptyRoundError("no eligible client has an energy-feasible channel")
         self.edges, self.snr_per_w = edges[rows], ctx.snr_per_w[rows]
         shape = self.edges.shape
         self.headroom = np.repeat((cfg.e_max_j - ctx.e_comp[rows])[:, None], shape[1], axis=1)
         self.fixed = np.repeat((ctx.d_down[rows] + ctx.d_local[rows])[:, None], shape[1], axis=1)
-        dim, width = ctx.model_dim, wireless.VALUE_BITS
+        mask, values = wireless.smooth_payload_pieces(ctx.model_dim)
         rate = wireless.shannon_rate(ctx.radio, p_max * self.snr_per_w)
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.slope = np.where(rate > 0.0, width * dim / rate, 1.0)
-            self.offset = dim / rate + ctx.d_down[rows, None] + ctx.d_local[rows, None]
+            self.slope = np.where(rate > 0.0, values / rate, 1.0)
+            self.offset = mask / rate + ctx.d_down[rows, None] + ctx.d_local[rows, None]
             bits_at_cap = self.headroom * rate / p_max
-            s_sw = wireless.smooth_payload_rate(dim, bits_at_cap) - 1.0 / (width * dim)
+            s_sw = wireless.smooth_payload_rate(ctx.model_dim, bits_at_cap) - 1.0 / values
         self.bp_lo = np.where(self.edges, self.slope * self.s_th + self.offset, np.inf)
         self.bp_hi = self.slope + self.offset
         self.bp_sw = np.full(shape, np.inf)
@@ -429,13 +392,14 @@ class _LevelModel:
 
 def optimal_assignment(
     model: _LevelModel, cfg: SchedulerConfig, queues: VirtualQueues
-) -> tuple[list[float], float, np.ndarray]:
+) -> tuple[list[float], float, tuple[np.ndarray, np.ndarray]]:
     """Branch and bound over the straggler level, one Hungarian matching per visited level.
 
-    Returns the incumbents, the winning level and its assignment.
+    Returns the incumbents, the winning level and its matching as (model
+    rows, channels).
     """
-    ctx, rows = model.ctx, model.rows
-    q_fa, lam_w = queues.q_fa[rows, None], cfg.lam * ctx.weights[rows, None]
+    rows = model.rows
+    q_fa, lam_w = queues.q_fa[rows, None], cfg.lam * model.ctx.weights[rows, None]
 
     def match_at(level: float) -> tuple[float, tuple[np.ndarray, np.ndarray]] | None:
         s, _, usable = model.at_level(level)
@@ -444,59 +408,52 @@ def optimal_assignment(
     trace, level, matching = _level_sweep(model.levels, match_at, queues.q_de, cfg.d_avg)
     if matching is None:
         raise EmptyRoundError("no feasible assignment")
-    assigned = np.full(ctx.n_clients, -1, dtype=int)
-    assigned[rows[matching[0]]] = matching[1]
-    return trace, level, assigned
+    return trace, level, matching
 
 
 def optimal_sparsification(
     model: _LevelModel,
     cfg: SchedulerConfig,
     queues: VirtualQueues,
-    assigned_channel: np.ndarray,
+    matching: tuple[np.ndarray, np.ndarray],
     level: float,
     trace: list[float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rates and powers of the winning assignment at its level.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Assignment vector, rates and powers of the winning matching at its level.
 
     When one of its edges' caps binds, the level is first refined by Brent's
     method between the levels at which all its edges are usable and all have
     reached s = 1; an improved objective is appended to trace.
     """
     ctx = model.ctx
-    lam_w = cfg.lam * ctx.weights
-    clients = np.flatnonzero(assigned_channel >= 0)
-    row_of = np.empty(ctx.n_clients, dtype=int)
-    row_of[model.rows] = np.arange(model.rows.size)
-    at = (row_of[clients], assigned_channel[clients])
-    if queues.q_de > 0.0 and np.isfinite(model.bp_sw[at]).any():
+    clients = model.rows[matching[0]]
+    q_fa, lam_w = queues.q_fa[clients], cfg.lam * ctx.weights[clients]
+    if queues.q_de > 0.0 and np.isfinite(model.bp_sw[matching]).any():
 
         def value_at(x: float) -> float:
-            linear = _sum_in_order(queues.q_fa[clients] - lam_w[clients] * model.at_level(x, at)[0])
+            linear = _sum_in_order(q_fa - lam_w * model.at_level(x, matching)[0])
             return linear + queues.q_de * (x - cfg.d_avg)
 
-        bounds = (float(model.bp_lo[at].max()), float(model.bp_hi[at].max()))
+        bounds = (float(model.bp_lo[matching].max()), float(model.bp_hi[matching].max()))
         polished = minimize_scalar(value_at, bounds=bounds, method="bounded", options={"xatol": 0})
         if polished.fun < trace[-1]:
             level = float(polished.x)
             trace.append(float(polished.fun))
+    assigned = np.full(ctx.n_clients, -1, dtype=int)
+    assigned[clients] = matching[1]
     s = np.ones(ctx.n_clients)
     powers = np.full(ctx.n_clients, ctx.radio.max_power_w)
-    s[clients], powers[clients], _ = model.at_level(level, at)
-    return s, powers
+    s[clients], powers[clients], _ = model.at_level(level, matching)
+    return assigned, s, powers
 
 
 def schedule_round(
     ctx: RoundContext, cfg: SchedulerConfig, queues: VirtualQueues
 ) -> ScheduleDecision:
-    """Drift-plus-penalty decision: the assignment and level, then its rates and powers."""
-    if ctx.eligible.size == 0:
-        raise EmptyRoundError("no eligible clients")
+    """Drift-plus-penalty decision: the matching and level, then its rates and powers."""
     model = _LevelModel(ctx, cfg)
-    trace, level, assigned = optimal_assignment(model, cfg, queues)
-    s, powers = optimal_sparsification(model, cfg, queues, assigned, level, trace)
-    final = drift_penalty_value(ctx, cfg, queues, assigned, s, powers)
-    trace.append(min(final, trace[-1]))
+    trace, level, matching = optimal_assignment(model, cfg, queues)
+    assigned, s, powers = optimal_sparsification(model, cfg, queues, matching, level, trace)
     return build_decision(ctx, assigned, s, powers, tuple(trace))
 
 
@@ -520,7 +477,7 @@ def build_decision(
     edges = at + (assigned_channel[at],)
     up_rate = wireless.shannon_rate(ctx.radio, p_at * ctx.snr_per_w[edges])
     if not np.all(up_rate > 0):
-        raise ValueError("link rates must be positive for a scheduled client")
+        raise DeadLinkError("link rates must be positive for a scheduled client")
     out = {name: np.zeros(shape) for name in ("e_comm", "rates", "powers")}
     d_up = wireless.payload_bits(ctx.model_dim, s_at) / up_rate
     out["e_comm"][at] = p_at * d_up
@@ -545,10 +502,24 @@ def validate_decision(
     Every policy keeps rates in (0, 1] and powers in (0, max]; only the
     optimizing policy is held to the rate floor s_th and the energy cap.
     """
-    clients = _check_structure(ctx, decision.assigned_channel, decision.rates, decision.powers)
+    clients = decision.participants
+    chans = decision.assigned_channel[clients]
+    if np.any(chans >= ctx.n_channels):
+        raise ValueError("assignment names an unknown channel")
+    if np.bincount(chans).max(initial=0) > 1:
+        raise ValueError("assignment reuses a channel")
+    if not ctx.is_eligible[clients].all():
+        raise ValueError("assignment schedules an ineligible client")
+    s, powers = decision.rates[clients], decision.powers[clients]
+    rate_ok = (0.0 < s) & (s <= 1.0 + 1e-12)
+    power_ok = (0.0 < powers) & (powers <= ctx.radio.max_power_w * (1.0 + 1e-12))
+    bad = np.flatnonzero(~(rate_ok & power_ok))
+    if bad.size:
+        what = "power" if rate_ok[bad[0]] else "rate"
+        raise ValueError(f"{what} out of range for client {clients[bad[0]]}")
     if not optimized:
         return
-    low = clients[decision.rates[clients] < cfg.s_th - 1e-12]
+    low = clients[s < cfg.s_th - 1e-12]
     if low.size:
         raise AssertionError(f"client {low[0]} below the rate floor")
     total = decision.e_comm[clients] + ctx.e_comp[clients]

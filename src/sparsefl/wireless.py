@@ -25,6 +25,10 @@ _PATHLOSS_SLOPE_DB = 37.6
 VALUE_BITS = 32
 
 
+class DeadLinkError(ValueError):
+    """A link's Shannon rate rounds to zero, so no payload can cross it."""
+
+
 def pathloss_db(distance_m: float) -> float:
     """Path loss in dB at the given distance, clamped below at one meter."""
     distance_m = max(distance_m, _MIN_DISTANCE_M)
@@ -135,14 +139,21 @@ def payload_bits(model_dim: int, s: ArrayLike) -> np.ndarray:
     return np.ceil(VALUE_BITS * s * model_dim) + model_dim
 
 
+def smooth_payload_pieces(model_dim: int) -> tuple[int, int]:
+    """(mask bits, value bits at s = 1): the smooth payload is mask + s * values."""
+    return model_dim, VALUE_BITS * model_dim
+
+
 def smooth_payload_bits(model_dim: int, s: ArrayLike) -> ArrayLike:
     """payload_bits without the rounding up, the scheduler's smooth payload model."""
-    return VALUE_BITS * s * model_dim + model_dim
+    mask, values = smooth_payload_pieces(model_dim)
+    return s * values + mask
 
 
 def smooth_payload_rate(model_dim: int, bits: ArrayLike) -> ArrayLike:
     """The rate whose smooth payload is `bits`: the inverse of smooth_payload_bits."""
-    return (bits - model_dim) / (VALUE_BITS * model_dim)
+    mask, values = smooth_payload_pieces(model_dim)
+    return (bits - mask) / values
 
 
 def downlink_payload_bits(model_dim: int) -> int:
@@ -188,7 +199,7 @@ def round_costs(
     down_rate = shannon_rate(radio, radio.downlink_power_w * downlink_gain / radio.noise_w)
     up_rate = shannon_rate(radio, power_w * uplink_gain / radio.noise_w)
     if not (down_rate > 0 and up_rate > 0):
-        raise ValueError("link rates must be positive for a scheduled client")
+        raise DeadLinkError("link rates must be positive for a scheduled client")
     d_down = downlink_payload_bits(model_dim) / down_rate
     d_up = payload_bits(model_dim, s) / up_rate
     work = tau * dataset_size * compute.cycles_per_sample

@@ -19,15 +19,12 @@ from sparsefl.oracles import (
     brute_force_assignment,
     brute_force_joint,
     check_inversion,
+    drift_penalty_value,
     grid_search_sparsification,
     random_round_context,
 )
 from sparsefl.accountant import log_moments
-from sparsefl.scheduler import (
-    drift_penalty_value,
-    feasible_edges,
-    schedule_round,
-)
+from sparsefl.scheduler import feasible_edges, schedule_round
 from sparsefl.simulator import build_state, run_experiment, run_round
 from sparsefl import streams
 
@@ -205,8 +202,11 @@ def test_criterion_07_joint_round_oracle():
                 q_de=float(rng.uniform(30.0, 150.0)),
             )
         decision = schedule_round(ctx, cfg, queues)
+        value = drift_penalty_value(
+            ctx, cfg, queues, decision.assigned_channel, decision.rates, decision.powers
+        )
         reference = brute_force_joint(ctx, cfg, queues, step=2e-3)
-        worst = max(worst, abs(decision.v_trace[-1] - reference))
+        worst = max(worst, abs(value - reference))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 60.0
     _verdict(7, "joint round vs brute force", ok, f"max |diff| {worst:.2e}, {elapsed:.1f}s < 60s")

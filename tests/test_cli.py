@@ -93,6 +93,14 @@ def test_range_error_names_the_key():
 def test_bad_value_reports_source_and_line():
     with pytest.raises(ConfigError, match=r"exp\.cfg:2.*rounds"):
         parse_config_text("seed = 1\nrounds = oops\n", source="exp.cfg")
+    with pytest.raises(ConfigError, match=r"exp\.cfg:2: bad value for 'adaptive_clip'"):
+        parse_config_text("seed = 1\nadaptive_clip = maybe\n", source="exp.cfg")
+
+
+def test_boolean_values_parse():
+    for raw, want in (("true", True), ("false", False), ("yes", True), ("no", False),
+                      ("1", True), ("0", False)):
+        assert parse_config_text(f"adaptive_clip = {raw}\n").adaptive_clip is want
 
 
 def test_duplicate_key_rejected():
@@ -237,6 +245,42 @@ def test_cli_diverging_training_is_a_training_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("noise_dbm = 4000", "config error: noise_dbm: "),
+        ("max_power_dbm = -4000", "config error: max_power_dbm: "),
+        ("interference_dbm = 4000", "config error: interference_dbm: "),
+        ("downlink_power_dbm = -300", "link error: downlink rates must be positive"),
+        ("area_side_m = 1e12", "link error: downlink rates must be positive"),
+        ("max_power_dbm = -300\npolicies = round_robin", "link error: link rates must be positive"),
+    ],
+    ids=["noise", "max_power", "interference", "downlink_power", "area_side", "uplink_power"],
+)
+def test_cli_radio_values_that_leave_no_link_end_in_one_line(tmp_path, capsys, extra, message):
+    """A dBm value without a positive, finite wattage is a config error (exit 2); a link
+    whose rate rounds to zero is a link error (exit 1). Neither ends in a traceback."""
+    text = FAST_TEXT.replace("rounds = 4", "rounds = 2") + extra + "\n"
+    out = tmp_path / "m.csv"
+    code = main(["run", "--config", write_cfg(tmp_path, text=text), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == (2 if message.startswith("config") else 1)
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_lyapunov_rounds_without_a_live_uplink_are_empty(tmp_path, capsys):
+    """An uplink whose full-power rate rounds to zero is no edge, so each round is empty."""
+    text = FAST_TEXT.replace("rounds = 4", "rounds = 2") + (
+        "max_power_dbm = -300\npolicies = lyapunov\nd_avg_s = 1.0\ninterference_dbm = -4000\n"
+    )
+    out = tmp_path / "m.csv"
+    code = main(["run", "--config", write_cfg(tmp_path, text=text), "--out", str(out)])
+    assert code == 0 and capsys.readouterr().err == ""
+    with open(out) as f:
+        assert [row["participants"] for row in csv.DictReader(f)] == ["0", "0"]
+
+
 @pytest.mark.parametrize("policy", BASELINE_POLICIES)
 def test_cli_baseline_rate_below_the_lyapunov_floor_runs(tmp_path, policy):
     """s_th is the optimizing policy's floor; s_fixed below it is a valid baseline rate."""
@@ -317,10 +361,12 @@ def write_mnist_cfg(tmp_path, image_shapes):
         ("mnist_train_images", "corrupt_gzip"),
         ("mnist_test_labels", "count"),
         ("mnist_train_images", "missing"),
+        ("mnist_test_labels", "label_range"),
     ],
 )
 def test_cli_malformed_mnist_file_is_config_error(tmp_path, capsys, key, damage):
-    """A malformed or missing IDX file, or a label count unlike the image count, exits 2."""
+    """A malformed or missing IDX file, a label count unlike the image count, or a
+    label at or above num_classes exits 2; the last names num_classes, not the file."""
     cfg_path = write_mnist_cfg(tmp_path, {"train": (40, 4, 4), "test": (10, 4, 4)})
     bad = tmp_path / (key.removeprefix("mnist_") + ".idx")
     raw = bad.read_bytes()
@@ -335,6 +381,9 @@ def test_cli_malformed_mnist_file_is_config_error(tmp_path, capsys, key, damage)
         bad.write_bytes(packed[:10] + b"\xff" * 10 + packed[20:])
     elif damage == "count":
         write_idx_labels(bad, np.zeros(7, dtype=int))
+    elif damage == "label_range":
+        write_idx_labels(bad, np.full(10, 4))
+        key = "num_classes"
     else:
         bad.unlink()
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "m.csv")]) == 2

@@ -55,6 +55,9 @@ def test_link_formulas_live_in_wireless(path):
     if path.name == "scheduler.py":
         logs = _called_names(tree) & LOGARITHMS
         assert not logs, f"scheduler.py calls {sorted(logs)}; price links through wireless"
+        assert "VALUE_BITS" not in _identifiers(tree), (
+            "scheduler.py names VALUE_BITS; take the payload form from wireless.smooth_payload_pieces"
+        )
 
 
 def test_guard_sees_the_whole_package():

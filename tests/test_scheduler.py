@@ -11,6 +11,7 @@ from sparsefl.oracles import (
     brute_force_assignment,
     brute_force_joint,
     brute_force_joint_energy,
+    drift_penalty_value,
     grid_search_sparsification,
     random_round_context,
 )
@@ -24,7 +25,6 @@ from sparsefl.scheduler import (
     VirtualQueues,
     baseline_schedule,
     build_decision,
-    drift_penalty_value,
     feasible_edges,
     optimal_power,
     schedule_round,
@@ -231,13 +231,18 @@ def test_optimal_sparsification_respects_floor():
     assert np.min(s) == pytest.approx(0.2)
 
 
+def _decision_value(ctx, cfg, queues, decision):
+    """The oracle's objective of an emitted decision."""
+    return drift_penalty_value(
+        ctx, cfg, queues, decision.assigned_channel, decision.rates, decision.powers
+    )
+
+
 def _assignment_value(ctx, cfg, queues):
     """schedule_round's objective at s_th = 1, where every rate is 1."""
     decision = schedule_round(ctx, cfg, queues)
     assert np.all(decision.rates[decision.participants] == 1.0)
-    return drift_penalty_value(
-        ctx, cfg, queues, decision.assigned_channel, decision.rates, decision.powers
-    )
+    return _decision_value(ctx, cfg, queues, decision)
 
 
 def test_optimal_assignment_matches_brute_force():
@@ -335,13 +340,53 @@ def test_schedule_round_trace_never_increases():
         validate_decision(ctx, cfg, decision, optimized=True)
 
 
-def test_schedule_round_reports_drift_penalty_of_emitted_decision():
-    ctx, cfg, queues = random_round_context(np.random.default_rng(8), 6, 2)
-    decision = schedule_round(ctx, cfg, queues)
-    value = drift_penalty_value(
-        ctx, cfg, queues, decision.assigned_channel, decision.rates, decision.powers
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_clients=st.integers(1, 6),
+    n_channels=st.integers(1, 3),
+    binding=st.booleans(),
+    debt=st.booleans(),
+)
+def test_schedule_round_reports_drift_penalty_of_emitted_decision(
+    seed, n_clients, n_channels, binding, debt
+):
+    """v_trace ends with the oracle's score of the emitted decision, under loose and
+    binding caps, with and without delay debt."""
+    rng = np.random.default_rng(seed)
+    caps = dict(model_dim=500, e_max_j=float(np.exp(rng.uniform(np.log(0.02), np.log(2.0)))))
+    ctx, cfg, queues = random_round_context(
+        rng,
+        n_clients,
+        n_channels,
+        q_de=float(rng.uniform(0.5, 150.0)) if debt else 0.0,
+        **(caps if binding else {}),
     )
-    assert value == pytest.approx(decision.v_trace[-1], abs=1e-9)
+    try:
+        decision = schedule_round(ctx, cfg, queues)
+    except EmptyRoundError:
+        return
+    value = _decision_value(ctx, cfg, queues, decision)
+    assert abs(decision.v_trace[-1] - value) <= 1e-9 * max(1.0, abs(value))
+
+
+def test_brent_refinement_lowers_the_best_breakpoint():
+    """On this binding instance the winner's optimum lies between its breakpoints:
+    Brent's search improves on the level sweep and lands on the energy oracle."""
+    rng = np.random.default_rng(150)
+    e_max_j = float(np.exp(rng.uniform(np.log(0.01), np.log(0.5))))
+    model_dim = int(rng.integers(200, 3000))
+    q_de = float(np.exp(rng.uniform(np.log(0.5), np.log(300.0))))
+    ctx, cfg, queues = random_round_context(
+        rng, 2, 1, model_dim=model_dim, e_max_j=e_max_j, q_de=q_de
+    )
+    decision = schedule_round(ctx, cfg, queues)
+    validate_decision(ctx, cfg, decision, optimized=True)
+    assert decision.v_trace[-2] - decision.v_trace[-1] == pytest.approx(0.7146, abs=1e-4)
+    value = _decision_value(ctx, cfg, queues, decision)
+    oracle = brute_force_joint_energy(ctx, cfg, queues)
+    assert oracle == pytest.approx(-52.42093, abs=1e-5)
+    assert abs(value - oracle) <= 1e-13
 
 
 def test_schedule_round_matches_joint_brute_force_two_by_two():
@@ -351,7 +396,7 @@ def test_schedule_round_matches_joint_brute_force_two_by_two():
         ctx, cfg, queues = random_round_context(rng, 2, 2)
         decision = schedule_round(ctx, cfg, queues)
         oracle_value = brute_force_joint(ctx, cfg, queues, step=2e-3)
-        assert decision.v_trace[-1] <= oracle_value + 1e-6
+        assert _decision_value(ctx, cfg, queues, decision) <= oracle_value + 1e-6
         hits += 1
     assert hits == 6
 
@@ -376,9 +421,7 @@ def test_schedule_round_matches_energy_oracle_when_caps_bind():
         decision = schedule_round(ctx, cfg, queues)
         validate_decision(ctx, cfg, decision, optimized=True)
         below_full_power += bool(np.any(decision.powers[decision.participants] < 1.0))
-        value = drift_penalty_value(
-            ctx, cfg, queues, decision.assigned_channel, decision.rates, decision.powers
-        )
+        value = _decision_value(ctx, cfg, queues, decision)
         assert value == pytest.approx(decision.v_trace[-1], abs=1e-9)
         assert value <= brute_force_joint_energy(ctx, cfg, queues) + 1e-9
     assert 0.1 < capped_edges / edges_seen < 0.5
@@ -407,7 +450,8 @@ def test_schedule_round_no_worse_than_energy_oracle_at_larger_sizes(shape, bindi
         decision = schedule_round(ctx, cfg, queues)
         validate_decision(ctx, cfg, decision, optimized=True)
         below_full_power += bool(np.any(decision.powers[decision.participants] < 1.0))
-        assert decision.v_trace[-1] <= brute_force_joint_energy(ctx, cfg, queues) + 1e-9
+        value = _decision_value(ctx, cfg, queues, decision)
+        assert value <= brute_force_joint_energy(ctx, cfg, queues) + 1e-9
     assert below_full_power >= 2 if binding else below_full_power == 0
 
 
@@ -432,7 +476,8 @@ def test_schedule_round_finds_a_binding_optimum_inside_an_interval():
     solo = schedule_round(ctx, cfg, replace(queues, q_fa=alone)).v_trace[-1]
     queues.q_fa[0] += -30.93 - solo
     decision = schedule_round(ctx, cfg, queues)
-    assert decision.v_trace[-1] <= brute_force_joint_energy(ctx, cfg, queues) + 1e-9
+    value = _decision_value(ctx, cfg, queues, decision)
+    assert value <= brute_force_joint_energy(ctx, cfg, queues) + 1e-9
 
 
 def test_schedule_round_on_an_unsorted_gapped_eligible_set_matches_the_energy_oracle():
@@ -459,7 +504,7 @@ def test_schedule_round_on_an_unsorted_gapped_eligible_set_matches_the_energy_or
         assert decision.assigned_channel[[1, 2, 5]].tolist() == [-1, -1, -1]
         below_full_power += bool(np.any(decision.powers[decision.participants] < 1.0))
         oracle = brute_force_joint_energy(ctx, cfg, queues)
-        assert decision.v_trace[-1] == pytest.approx(oracle, abs=1e-9)
+        assert _decision_value(ctx, cfg, queues, decision) == pytest.approx(oracle, abs=1e-9)
     assert below_full_power >= 1
 
 
@@ -677,14 +722,26 @@ def test_validate_decision_catches_duplicate_channels():
     ]
     with pytest.raises(ValueError, match="assignment reuses a channel"):
         validate_decision(ctx, cfg, decision, optimized=False)
+    # The oracle scorer checks structure on its own, so grading with it cannot
+    # pass a decision validate_decision refuses.
     gapped = make_context(np.full((3, 2), 1e-9), eligible=np.array([2, 0]))
-    for assigned, message in (
-        ([0, -1, 2], "assignment names an unknown channel"),
-        ([1, 0, -1], "assignment schedules an ineligible client"),
+    for assigned, rates, powers, message in (
+        ([0, -1, 0], [1, 1, 1], [1, 1, 1], "assignment reuses a channel"),
+        ([0, -1, 2], [1, 1, 1], [1, 1, 1], "assignment names an unknown channel"),
+        ([1, 0, -1], [1, 1, 1], [1, 1, 1], "assignment schedules an ineligible client"),
+        ([0, -1, 1], [1, 1, 1.5], [1, 1, 1], "rate out of range for client 2"),
+        ([0, -1, 1], [1, 1, 1], [0, 1, 1], "power out of range for client 0"),
     ):
-        decision = ScheduleDecision(np.array(assigned), np.ones(3), np.ones(3), np.zeros(3), 0.0)
+        decision = ScheduleDecision(
+            np.array(assigned), np.array(rates, float), np.array(powers, float), np.zeros(3), 0.0
+        )
         with pytest.raises(ValueError, match=message):
             validate_decision(gapped, cfg, decision, optimized=False)
+        with pytest.raises(ValueError, match=message):
+            drift_penalty_value(
+                gapped, cfg, VirtualQueues.zeros(3), decision.assigned_channel, decision.rates,
+                decision.powers,
+            )
 
 
 def test_validate_decision_holds_only_the_optimizing_policy_to_its_limits():
