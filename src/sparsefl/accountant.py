@@ -15,13 +15,19 @@ At an integer order the moment has the exact binomial closed form
     log sum_{k=0}^{alpha} C(alpha, k) (1 - q)**(alpha - k) q**k exp((k**2 - k) / (2 sigma_hat**2))
 
 (Mironov, Talwar and Zhang, "Renyi Differential Privacy of the Sampled
-Gaussian Mechanism", arXiv:1908.10530), evaluated in log space with gammaln
-and logsumexp. A fractional order has no finite sum; QUADPACK's adaptive
-Gauss-Kronrod rule (scipy.integrate.quad) integrates it over z in
-[-20 sigma_hat, alpha + 20 sigma_hat], split at the peaks z = 0 and z = alpha
-and at z0 = sigma_hat**2 ln(1/q - 1) + 1/2, where the mixture's two terms are
-equal. The upper limit scales with alpha because the integrand's mass
-concentrates near z = alpha.
+Gaussian Mechanism", arXiv:1908.10530), evaluated in log space. The terms that
+depend on neither q nor sigma_hat (the log binomials from gammaln, the powers
+alpha - k, k and k**2 - k) are one cached table per tuple of integer orders,
+and the sum is scipy's logsumexp algorithm written out in numpy, so each
+(q, sigma_hat) pair costs a few array expressions. A fractional order has no
+finite sum; QUADPACK's adaptive Gauss-Kronrod rule (scipy.integrate.quad)
+integrates it over z in [-20 sigma_hat, alpha + 20 sigma_hat], split at the
+peaks z = 0 and z = alpha and at z0 = sigma_hat**2 ln(1/q - 1) + 1/2, where the
+mixture's two terms are equal. The upper limit scales with alpha because the
+integrand's mass concentrates near z = alpha. The integrand is math-module
+arithmetic on floats, with _log_add_exp restating numpy's logaddexp, because
+QUADPACK calls it a few hundred times per order. Both restatements are
+bit-equal to the library calls, so every moment keeps its bytes.
 """
 
 from __future__ import annotations
@@ -32,11 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 DEFAULT_ALPHA_GRID: tuple[float, ...] = (1.5,) + tuple(float(a) for a in range(2, 65))
 _ORDERS = np.array(DEFAULT_ALPHA_GRID)
 _MAX_T_HAT = 10**15
+_LOG_2 = math.log(2.0)
 
 
 class AccountantOverflowError(ArithmeticError):
@@ -77,25 +84,64 @@ class RdpParams:
             raise ValueError(f"tau must be at least 1, got {self.tau}")
 
 
-def _integer_moments(q: float, sigma_hat: float, alphas: np.ndarray) -> np.ndarray:
-    """Exact log moments at integer orders, from the binomial expansion.
+@functools.lru_cache(maxsize=64)
+def _binomial_table(alphas: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """The q- and sigma-free parts of the binomial sums at integer orders, read-only.
 
-    All orders are one [orders, k] array evaluation: row alpha holds the
-    terms k = 0..alpha, padded with -inf up to the largest order.
+    Row alpha holds the terms k = 0..alpha of one [orders, k] array, padded up
+    to the largest order; returns (outside, log_binom, alpha - k, k, k**2 - k),
+    where outside marks the padding. Cached per tuple, not per order, because
+    the padded width sets numpy's pairwise summation order along each row.
     """
-    if q == 1.0:
-        return (alphas * alphas - alphas) / (2.0 * sigma_hat * sigma_hat)
-    a = alphas[:, None]
-    k = np.arange(alphas.max(initial=0.0) + 1.0)
+    a = np.array(alphas)[:, None]
+    k = np.arange(max(alphas, default=0.0) + 1.0)
     in_sum = k <= a
     log_binom = gammaln(a + 1.0) - gammaln(k + 1.0) - gammaln(np.where(in_sum, a - k, 0.0) + 1.0)
-    log_terms = (
+    table = (~in_sum, log_binom, a - k, k, k * k - k)
+    for part in table:
+        part.setflags(write=False)
+    return table
+
+
+def _integer_moments(q: float, sigma_hat: float, alphas: tuple[float, ...]) -> np.ndarray:
+    """Exact log moments at integer orders, from the binomial expansion.
+
+    All orders are one [orders, k] array evaluation on _binomial_table's rows.
+    The log-sum-exp is scipy.special.logsumexp's algorithm step for step (mask
+    every maximal term, then log1p(rest / ties) + log(ties) + max), so the
+    result keeps its bits without its array-API dispatch.
+    """
+    if q == 1.0:
+        a = np.array(alphas)
+        return (a * a - a) / (2.0 * sigma_hat * sigma_hat)
+    outside, log_binom, a_minus_k, k, k_pairs = _binomial_table(alphas)
+    terms = (
         log_binom
-        + (a - k) * math.log1p(-q)
+        + a_minus_k * math.log1p(-q)
         + k * math.log(q)
-        + (k * k - k) / (2.0 * sigma_hat * sigma_hat)
+        + k_pairs / (2.0 * sigma_hat * sigma_hat)
     )
-    return logsumexp(np.where(in_sum, log_terms, -np.inf), axis=1)
+    np.copyto(terms, -np.inf, where=outside)
+    top = terms.max(axis=1, keepdims=True)
+    ties = terms == top
+    np.copyto(terms, -np.inf, where=ties)
+    # A non-finite maximum gives a non-finite moment, which log_moments reports.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.exp(terms - top).sum(axis=1, keepdims=True)
+        count = ties.sum(axis=1, keepdims=True, dtype=float)
+        return (np.log1p(rest / count) + np.log(count) + top)[:, 0]
+
+
+def _log_add_exp(x: float, y: float) -> float:
+    """log(exp(x) + exp(y)) on floats, branch for branch numpy's npy_logaddexp."""
+    if x == y:
+        return x + _LOG_2
+    gap = x - y
+    if gap > 0.0:
+        return x + math.log1p(math.exp(-gap))
+    if gap <= 0.0:
+        return y + math.log1p(math.exp(gap))
+    return gap  # NaN
 
 
 def _quadrature_moment(q: float, sigma_hat: float, alpha: float) -> float:
@@ -103,11 +149,12 @@ def _quadrature_moment(q: float, sigma_hat: float, alpha: float) -> float:
     lo, hi = -20.0 * sigma_hat, alpha + 20.0 * sigma_hat
     inv_two_var = 1.0 / (2.0 * sigma_hat * sigma_hat)
     log_keep = math.log1p(-q) if q < 1.0 else -math.inf
+    log_q = math.log(q)
     z0 = sigma_hat * sigma_hat * math.log(1.0 / q - 1.0) + 0.5 if q < 1.0 else 0.0
 
     def log_integrand(z: float) -> float:
         """alpha log(1 - q + q mu1/mu0) + log mu0, less mu0's normalizing constant."""
-        log_base = np.logaddexp(log_keep, math.log(q) + (2.0 * z - 1.0) * inv_two_var)
+        log_base = _log_add_exp(log_keep, log_q + (2.0 * z - 1.0) * inv_two_var)
         return alpha * log_base - z * z * inv_two_var
 
     points = sorted({z for z in (0.0, alpha, z0) if lo < z < hi})
@@ -148,7 +195,7 @@ def log_moments(q: float, sigma_hat: float, alphas: tuple[float, ...]) -> np.nda
     out = np.zeros(orders.size)
     if q > 0.0:
         exact = orders == np.floor(orders)
-        out[exact] = _integer_moments(q, sigma_hat, orders[exact])
+        out[exact] = _integer_moments(q, sigma_hat, tuple(orders[exact].tolist()))
         out[~exact] = [_quadrature_moment(q, sigma_hat, a) for a in orders[~exact].tolist()]
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:

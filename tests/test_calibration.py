@@ -7,7 +7,11 @@ the two must agree bit for bit.
 """
 
 import functools
+import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,6 +41,22 @@ PINNED_D_AVG = {
     ("train_mlp", 3): "0x1.103817e078fe6p+4",
 }
 
+# SHA-256 of each workload's full-size metrics CSV, as
+# `python3 perfbench/child.py W S OUT 0 0` writes it. A change that should keep
+# the metrics byte-identical is checked here; one that moves them on purpose
+# updates these (and the smoke pins) and says why in CHANGES.md.
+PINNED_CSV_SHA256 = {
+    ("privacy_hetero", 1): "2c673134699457c092f4fbcb4f7e36d70f089ac628e06b1becd2679a02496c92",
+    ("privacy_hetero", 2): "c89a7dc61649738ad08cb92dbebe47d815dc8dc6b82da6ac66f3157361ec4c82",
+    ("privacy_hetero", 3): "941f5cdaafb04dcd8a28d4a522ae02b93a7a50852b6effd7f59e8076dab1c678",
+    ("sched_wide", 1): "ca00ca2d2c96f88e200e6871a16cde42a43db2b293c9a78c7da1d6fa6cc48b6f",
+    ("sched_wide", 2): "b7ca8471f63decaba8285a161c00be624f93168c274e61502f9eab5652dd4454",
+    ("sched_wide", 3): "de5a72e4f6b8639139ca237b644169e549010870ec0c14e829ac8cc4e6231c19",
+    ("train_mlp", 1): "b0a6ad01cce688e7520b3279d4bf09b10207cce16e0765be09580ce1cefe04d2",
+    ("train_mlp", 2): "f02f727ef898491700596ec6cd5cc92b3b816ed57b70537f7275fb9f0a1b69b3",
+    ("train_mlp", 3): "610bd8554c24ff64ceaf5dfe33690bb484d72b58e1599742b52a7d7c5ae42ea9",
+}
+
 
 def per_round_d_avg(state: simulator.SimState) -> float:
     """The calibration decided one round at a time: the reference."""
@@ -64,6 +84,22 @@ def _workload_state(name: str, seed: int) -> simulator.SimState:
 def test_workload_d_avg_bits_are_pinned(name, seed):
     d_avg = _workload_state(name, seed).sched_cfg.d_avg
     assert float.hex(d_avg) == PINNED_D_AVG[(name, seed)]
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED_CSV_SHA256))
+def test_workload_metrics_csv_bytes_are_pinned(name, seed, tmp_path):
+    prefix = tmp_path / f"{name}-{seed}"
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), name, str(seed), str(prefix), "0", "0"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    csv_sha = hashlib.sha256(prefix.with_suffix(".csv").read_bytes()).hexdigest()
+    assert csv_sha == PINNED_CSV_SHA256[(name, seed)]
 
 
 @pytest.mark.parametrize("name, seed", sorted(PINNED_D_AVG))
