@@ -7,7 +7,9 @@ set, aggregate, advance participation counts and virtual queues, and record
 one metrics row. A client retires once its participation count reaches its
 allowance t_hat; the run truncates early if everyone retires. After every
 participation the client's spent epsilon is checked against its budget, and
-an overrun raises BudgetOverrunError.
+an overrun raises BudgetOverrunError. A row is final when its round ends: its
+bound terms read the running gradient and noise estimates of the rounds so
+far, never a later round.
 
 Every random draw comes from a stream addressed by the root seed and a fixed
 integer path, so a repeated run is bit-identical.
@@ -15,7 +17,6 @@ integer path, so a repeated run is bit-identical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -74,13 +75,14 @@ _CALIBRATION_BASE = 1_000_000
 _CALIBRATION_STACK = 2**12
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricsRow:
     """One round of an experiment, in CSV column order.
 
-    spars_deficit is internal bookkeeping (sum of aggregation weight times
-    1 - s over the scheduled set); the exported bound terms are derived from
-    it once the whole run's gradient and noise statistics are known.
+    term_sparsification and term_dp are the convergence bound's two penalty
+    terms, from the estimates known when the round ends: the largest pre-clip
+    gradient norm so far and the mean squared per-step noise norm over every
+    draw so far. They are diagnostics, not certified bounds.
     """
 
     round: int
@@ -96,10 +98,9 @@ class MetricsRow:
     term_sparsification: float
     term_dp: float
     eligible: int
-    spars_deficit: float = 0.0
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow) if f.name != "spars_deficit")
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 
 @dataclass
@@ -391,7 +392,8 @@ def run_round(state: SimState) -> MetricsRow | None:
     )
 
     participants = decision.participants
-    spars_deficit = 0.0
+    # Aggregation weight times 1 - s, summed over the scheduled set.
+    deficit = 0.0
     if participants.size:
         selected_weights = state.sizes[participants] / state.sizes[participants].sum()
         rates = [float(decision.rates[i]) for i in participants]
@@ -407,7 +409,7 @@ def run_round(state: SimState) -> MetricsRow | None:
             stats=state.stats,
         )
         for weight, s in zip(selected_weights, rates):
-            spars_deficit += weight * (1.0 - s)
+            deficit += weight * (1.0 - s)
         state.participation[participants] += 1
         if state.ledgers is not None:
             for i in participants:
@@ -425,6 +427,10 @@ def run_round(state: SimState) -> MetricsRow | None:
 
     accuracy, train_loss = evaluate(state.weights, state.test_set, state.train_pool)
     mean_s = float(decision.rates[participants].mean()) if participants.size else 0.0
+    # Every participation runs tau steps, and each step draws one noise vector.
+    noise_draws = config.tau * int(state.participation.sum())
+    noise_sq_mean = state.stats.noise_sq_sum / noise_draws if noise_draws else 0.0
+    eta, tau = config.eta, config.tau
     return MetricsRow(
         round=t,
         policy=state.policy,
@@ -436,32 +442,10 @@ def run_round(state: SimState) -> MetricsRow | None:
         mean_s=mean_s,
         q_de=state.queues.q_de,
         max_q_fa=float(state.queues.q_fa.max()),
-        term_sparsification=math.nan,
-        term_dp=math.nan,
+        term_sparsification=3.0 * state.stats.max_grad_norm**2 * deficit,
+        term_dp=eta * tau**2 * noise_sq_mean * (1.0 + 3.0 * eta * config.smoothness_l * tau),
         eligible=int(eligible.size),
-        spars_deficit=spars_deficit,
     )
-
-
-def bound_diagnostics(
-    rows: list[MetricsRow],
-    grad_norm_bound: float,
-    smoothness: float,
-    noise_sq_mean: float,
-    eta: float,
-    tau: int,
-) -> None:
-    """Write each row's convergence-penalty terms from run-level estimates.
-
-    grad_norm_bound is the largest pre-clip gradient norm observed,
-    noise_sq_mean the sample mean of the squared per-step noise norm, and
-    smoothness is a caller-supplied diagnostic knob. The terms
-    are diagnostics, not certified bounds.
-    """
-    dp_term = eta * tau**2 * noise_sq_mean * (1.0 + 3.0 * eta * smoothness * tau)
-    for row in rows:
-        row.term_sparsification = 3.0 * grad_norm_bound**2 * row.spars_deficit
-        row.term_dp = dp_term
 
 
 def run_experiment(config: ExperimentConfig, policy: str) -> MetricsTrace:
@@ -475,18 +459,6 @@ def run_experiment(config: ExperimentConfig, policy: str) -> MetricsTrace:
             truncated_at = t
             break
         rows.append(row)
-
-    # Every participation runs tau steps, and each step draws one noise vector.
-    noise_draws = config.tau * int(state.participation.sum())
-    noise_sq_mean = state.stats.noise_sq_sum / noise_draws if noise_draws else 0.0
-    bound_diagnostics(
-        rows,
-        grad_norm_bound=state.stats.max_grad_norm,
-        smoothness=config.smoothness_l,
-        noise_sq_mean=noise_sq_mean,
-        eta=config.eta,
-        tau=config.tau,
-    )
     return MetricsTrace(
         rows=rows,
         t_hats=state.t_hats,

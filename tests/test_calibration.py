@@ -46,15 +46,15 @@ PINNED_D_AVG = {
 # the metrics byte-identical is checked here; one that moves them on purpose
 # updates these (and the smoke pins) and says why in CHANGES.md.
 PINNED_CSV_SHA256 = {
-    ("privacy_hetero", 1): "2c673134699457c092f4fbcb4f7e36d70f089ac628e06b1becd2679a02496c92",
-    ("privacy_hetero", 2): "c89a7dc61649738ad08cb92dbebe47d815dc8dc6b82da6ac66f3157361ec4c82",
-    ("privacy_hetero", 3): "941f5cdaafb04dcd8a28d4a522ae02b93a7a50852b6effd7f59e8076dab1c678",
-    ("sched_wide", 1): "ca00ca2d2c96f88e200e6871a16cde42a43db2b293c9a78c7da1d6fa6cc48b6f",
-    ("sched_wide", 2): "b7ca8471f63decaba8285a161c00be624f93168c274e61502f9eab5652dd4454",
+    ("privacy_hetero", 1): "671cb742e8c84c2e172687d08324fe5540deb44a6eeceba66651115ae805a966",
+    ("privacy_hetero", 2): "92be2267f3b57ae7a8eb497f64d8f4eb53fa064fb62c45fc9bcdbf92e7fe0e71",
+    ("privacy_hetero", 3): "bcd757a234adc4d19ebc83533e003dfe452114b020215b9e9f7b06a729a19bd6",
+    ("sched_wide", 1): "7529baf2a1fffd3f1d83792ab481cb315848a7841a122472f3bd4dce12cb1197",
+    ("sched_wide", 2): "c72db5805e60a23663bf811c7d6088138ba1517a9a6682ffb2ff93fc16415ff8",
     ("sched_wide", 3): "de5a72e4f6b8639139ca237b644169e549010870ec0c14e829ac8cc4e6231c19",
-    ("train_mlp", 1): "b0a6ad01cce688e7520b3279d4bf09b10207cce16e0765be09580ce1cefe04d2",
-    ("train_mlp", 2): "f02f727ef898491700596ec6cd5cc92b3b816ed57b70537f7275fb9f0a1b69b3",
-    ("train_mlp", 3): "610bd8554c24ff64ceaf5dfe33690bb484d72b58e1599742b52a7d7c5ae42ea9",
+    ("train_mlp", 1): "088cb0acbf2720abfc81aa01392779ea45caa6d3c81a94ec2cd284db78f92a10",
+    ("train_mlp", 2): "1f61189995dae576d45f6a17df506768093b91f9fc7f80e8fb812260f862bcb0",
+    ("train_mlp", 3): "d06acf3449e681942dfc52d6adbdb8c26e5065d9cc09a1c248b22ed058068d0c",
 }
 
 

@@ -20,9 +20,9 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # Seed 1, smoke size; tracing does not change the bytes.
 SMOKE_CSV_SHA256 = {
-    "privacy_hetero": "44c10f7dd5065e7d9e855fb5f1fc15e850bbebea8a246443cb5213c017f78b1b",
+    "privacy_hetero": "490a7ea7779ff869ad61da78adf6815f7c58875223780a85302b1ed0d753a2ab",
     "sched_wide": "8d314fc9ec72bce3bc0358239705f67208cb343491c76f531608051fdf4f4609",
-    "train_mlp": "8d5f13f55c7d48c092078ee56dd5a3b0f084b8d72507ec97a1304e5f3d87956a",
+    "train_mlp": "5129615e8cc101e8fcf5b04594fa7e94eb277f220352bc6176cf3f02f068cdfa",
 }
 
 

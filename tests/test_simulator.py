@@ -12,12 +12,7 @@ from sparsefl.cli import emit_metrics_csv
 from sparsefl.config import ConfigError, ExperimentConfig
 from sparsefl.model_data import ModelSpec, ModelWeights, per_sample_loss_grads
 from sparsefl.scheduler import POLICIES
-from sparsefl.simulator import (
-    bound_diagnostics,
-    build_state,
-    run_experiment,
-    run_round,
-)
+from sparsefl.simulator import build_state, run_experiment, run_round
 from sparsefl.wireless import dbm_to_watts, realize_channels
 
 from conftest import clip_per_sample, fast_config
@@ -237,47 +232,54 @@ def test_bound_terms_vanish_in_the_easy_cases():
             assert row.term_sparsification > 0.0
 
 
-def test_bound_terms_follow_the_reported_formulas():
+def test_bound_terms_follow_the_reported_formulas(monkeypatch):
     cfg = fast_config(rounds=4, s_fixed=0.5, smoothness_l=2.0)
-    trace = run_experiment(cfg, "random")
     state = build_state(cfg, "random")
+    rows = []
     for _ in range(cfg.rounds):
-        run_round(state)
-    # Each participation runs tau steps of one noise draw each.
-    noise_sq_mean = state.stats.noise_sq_sum / (cfg.tau * state.participation.sum())
-    dp_want = cfg.eta * cfg.tau**2 * noise_sq_mean * (1.0 + 3.0 * cfg.eta * 2.0 * cfg.tau)
-    for row in trace.rows:
+        row = run_round(state)
+        rows.append(row)
+        # The estimates known when the round ends; each participation runs
+        # tau steps of one noise draw each.
+        noise_draws = cfg.tau * state.participation.sum()
+        noise_sq_mean = state.stats.noise_sq_sum / noise_draws if noise_draws else 0.0
+        dp_want = cfg.eta * cfg.tau**2 * noise_sq_mean * (1.0 + 3.0 * cfg.eta * 2.0 * cfg.tau)
         assert row.term_dp == pytest.approx(dp_want, rel=1e-12)
-        if row.participants:
-            # every participant sends at s=0.5, so the deficit is 0.5
-            want = 3.0 * state.stats.max_grad_norm**2 * 0.5
-            assert row.term_sparsification == pytest.approx(want, rel=1e-12)
+        # every participant sends at s=0.5, so the deficit is 0.5
+        deficit = 0.5 if row.participants else 0.0
+        want = 3.0 * state.stats.max_grad_norm**2 * deficit
+        assert row.term_sparsification == pytest.approx(want, rel=1e-12)
+    assert len({row.term_dp for row in rows}) > 1
 
-
-def test_bound_diagnostics_terms():
-    from sparsefl.simulator import MetricsRow
-
-    row = MetricsRow(
-        round=0,
-        policy="random",
-        accuracy=0.0,
-        loss=0.0,
-        round_delay_s=0.0,
-        cum_delay_s=0.0,
-        participants=1,
-        mean_s=1.0,
-        q_de=0.0,
-        max_q_fa=0.0,
-        term_sparsification=0.0,
-        term_dp=0.0,
-        eligible=1,
-        spars_deficit=0.25,
+    # At the last row the running estimates are the run-level ones.
+    trace = run_experiment(cfg, "random")
+    assert trace.rows == rows
+    noise_sq_mean = state.stats.noise_sq_sum / (cfg.tau * trace.participation.sum())
+    assert rows[-1].term_dp == (
+        cfg.eta * cfg.tau**2 * noise_sq_mean * (1.0 + 3.0 * cfg.eta * 2.0 * cfg.tau)
     )
-    bound_diagnostics(
-        [row], grad_norm_bound=2.0, smoothness=1.0, noise_sq_mean=0.5, eta=0.1, tau=4
-    )
+    assert rows[-1].term_sparsification == 3.0 * state.stats.max_grad_norm**2 * 0.5
+
+    def fixed_stats(weights, shards, rates, dp_cfg, rngs, agg_weights, *, stats, **_):
+        stats.max_grad_norm = 2.0
+        stats.noise_sq_sum += 0.5 * dp_cfg.tau * len(shards)
+        return np.zeros_like(weights.values)
+
+    # By hand: G = 2, a mean squared noise norm of 0.5 and a deficit of 0.25.
+    monkeypatch.setattr(simulator, "local_train", fixed_stats)
+    cfg = fast_config(tau=4, eta=0.1, smoothness_l=1.0, s_fixed=0.75)
+    row = run_round(build_state(cfg, "random"))
+    assert row.participants
     assert row.term_sparsification == pytest.approx(3.0 * 4.0 * 0.25)
     assert row.term_dp == pytest.approx(0.1 * 16 * 0.5 * (1.0 + 3.0 * 0.1 * 1.0 * 4))
+
+
+@pytest.mark.parametrize("policy", ["lyapunov", "random"])
+def test_rows_do_not_depend_on_later_rounds(policy):
+    short = run_experiment(fast_config(rounds=3, s_fixed=0.5), policy)
+    long = run_experiment(fast_config(rounds=6, s_fixed=0.5), policy)
+    assert len(long.rows) == 6
+    assert short.rows == long.rows[:3]
 
 
 @pytest.mark.parametrize("policy", ["lyapunov", "round_robin"])
