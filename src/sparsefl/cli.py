@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 
 from .accountant import AccountantOverflowError, DegenerateBudgetError
-from .config import ConfigError, parse_config, validate_config
+from .config import ConfigError, parse_config
 from .dpsgd import TrainingDivergenceError
 from .simulator import CSV_COLUMNS, MetricsTrace, run_experiment
 from .wireless import DeadLinkError
@@ -67,7 +67,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.policy is not None:
         cfg = replace(cfg, policies=(args.policy,))
-    validate_config(cfg)
 
     traces = []
     for policy in cfg.policies:

@@ -170,6 +170,10 @@ def _require(ok: bool, key: str, message: str) -> None:
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Range-check every field, naming the offending key."""
+    # The dBm keys have their wattage rules below; interference_dbm = -inf is no interference.
+    for key, kind in _FIELD_TYPES.items():
+        if kind is float and not key.endswith("_dbm"):
+            _require(math.isfinite(getattr(cfg, key)), key, "must be finite")
     _require(cfg.seed >= 0, "seed", "must be nonnegative")
     _require(cfg.rounds >= 1, "rounds", "must be at least 1")
     _require(len(cfg.policies) >= 1, "policies", "must name at least one policy")

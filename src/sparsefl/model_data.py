@@ -289,30 +289,22 @@ class PartitionSpec:
 
 def partition(data: Dataset, spec: PartitionSpec, rng: np.random.Generator) -> list[Dataset]:
     """Split data into disjoint client shards according to spec."""
-    if spec.mode == "iid":
-        index_sets = _split_iid(data.n, spec.num_clients, rng)
-    elif spec.mode == "sizes":
-        if sum(spec.sizes) > data.n:
-            raise PartitionError(
-                f"requested {sum(spec.sizes)} samples but only {data.n} available"
-            )
-        perm = rng.permutation(data.n)
-        index_sets = []
-        start = 0
-        for size in spec.sizes:
-            index_sets.append(perm[start : start + size])
-            start += size
-    else:
+    if spec.mode == "dirichlet":
         index_sets = _split_dirichlet(data, spec, rng)
+    else:
+        sizes = spec.sizes if spec.mode == "sizes" else _equal_sizes(data.n, spec.num_clients)
+        total = int(np.sum(sizes))
+        if total > data.n:
+            raise PartitionError(f"requested {total} samples but only {data.n} available")
+        index_sets = np.split(rng.permutation(data.n)[:total], np.cumsum(sizes)[:-1])
     return [Dataset(data.features[idx], data.labels[idx]) for idx in index_sets]
 
 
-def _split_iid(n: int, num_clients: int, rng: np.random.Generator) -> list[np.ndarray]:
-    perm = rng.permutation(n)
-    sizes = np.full(num_clients, n // num_clients)
-    sizes[: n % num_clients] += 1
-    cuts = np.cumsum(sizes)[:-1]
-    return np.split(perm, cuts)
+def _equal_sizes(n: int, k: int) -> np.ndarray:
+    """k shard sizes that sum to n, the first n % k of them one larger."""
+    sizes = np.full(k, n // k)
+    sizes[: n % k] += 1
+    return sizes
 
 
 def _split_dirichlet(
@@ -326,9 +318,7 @@ def _split_dirichlet(
     """
     classes = np.unique(data.labels)
     pools = {int(k): list(rng.permutation(np.flatnonzero(data.labels == k))) for k in classes}
-    base = data.n // spec.num_clients
-    shard_sizes = np.full(spec.num_clients, base)
-    shard_sizes[: data.n % spec.num_clients] += 1
+    shard_sizes = _equal_sizes(data.n, spec.num_clients)
     proportions = rng.dirichlet(
         np.full(len(classes), spec.concentration), size=spec.num_clients
     )
@@ -348,8 +338,6 @@ def _split_dirichlet(
             del pool[:grab]
         while len(taken) < size:
             largest = max(pools, key=lambda k: len(pools[k]))
-            if not pools[largest]:
-                raise PartitionError("ran out of samples while building shards")
             taken.append(pools[largest].pop(0))
         index_sets.append(np.asarray(taken, dtype=int))
     return index_sets

@@ -91,13 +91,12 @@ class RoundContext:
     ineligible clients). They, d_down, d_local, and e_comp are fixed per
     client for the round; only the uplink leg depends on the decision
     variables, through the [clients, channels] uplink SNR per watt of
-    transmit power. The uplink methods take client and channel index
-    arrays (or scalars) that broadcast against the rates and powers.
+    transmit power. full_rate is every edge's uplink rate at full power,
+    priced once here for every solver that reads it.
 
     Channels and CPU frequencies may carry a leading [rounds] axis, stacking
     rounds that share the eligible set, sizes and radio; the derived arrays
-    other than weights then carry it too and the uplink methods return one
-    result per round.
+    other than weights then carry it too.
     Only delay_min baselines and build_decision accept such a context.
     """
 
@@ -114,6 +113,7 @@ class RoundContext:
     d_local: np.ndarray = field(init=False)
     e_comp: np.ndarray = field(init=False)
     snr_per_w: np.ndarray = field(init=False)
+    full_rate: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         radio = self.radio
@@ -135,7 +135,11 @@ class RoundContext:
         )
         object.__setattr__(self, "d_local", work / freq)
         object.__setattr__(self, "e_comp", compute.capacitance * work * freq**2 / 2.0)
-        object.__setattr__(self, "snr_per_w", self.channels.uplink_gains / radio.noise_w)
+        snr_per_w = self.channels.uplink_gains / radio.noise_w
+        object.__setattr__(self, "snr_per_w", snr_per_w)
+        object.__setattr__(
+            self, "full_rate", wireless.shannon_rate(radio, radio.max_power_w * snr_per_w)
+        )
 
     @property
     def n_clients(self) -> int:
@@ -144,20 +148,6 @@ class RoundContext:
     @property
     def n_channels(self) -> int:
         return self.channels.uplink_gains.shape[-1]
-
-    def uplink_rate(
-        self, clients: ArrayLike, channels: ArrayLike, power_w: ArrayLike
-    ) -> np.ndarray:
-        return wireless.shannon_rate(self.radio, power_w * self.snr_per_w[..., clients, channels])
-
-    def smooth_delay(
-        self, clients: ArrayLike, channels: ArrayLike, s: ArrayLike, power_w: ArrayLike
-    ) -> np.ndarray:
-        """Round delay under the un-rounded payload model; a dead link's is inf."""
-        rate = self.uplink_rate(clients, channels, power_w)
-        payload = wireless.smooth_payload_bits(self.model_dim, s)
-        with np.errstate(divide="ignore"):
-            return payload / rate + self.d_down[..., clients] + self.d_local[..., clients]
 
 
 @dataclass
@@ -215,7 +205,7 @@ def feasible_edges(ctx: RoundContext, cfg: SchedulerConfig) -> np.ndarray:
     headroom = cfg.e_max_j - ctx.e_comp
     dense_payload = wireless.payload_bits(ctx.model_dim, 1.0) + 1.0
     limit_energy = wireless.zero_power_energy(ctx.radio, dense_payload, ctx.snr_per_w)
-    live = wireless.shannon_rate(ctx.radio, ctx.radio.max_power_w * ctx.snr_per_w) > 0.0
+    live = ctx.full_rate > 0.0
     fits = limit_energy * (1.0 + _ENERGY_MARGIN) < headroom[:, None]
     return ctx.is_eligible[:, None] & live & fits
 
@@ -331,22 +321,21 @@ class _LevelModel:
         rows = self.rows = ctx.eligible[edges[ctx.eligible].any(axis=1)]
         if rows.size == 0:
             raise EmptyRoundError("no eligible client has an energy-feasible channel")
-        self.edges, self.snr_per_w = edges[rows], ctx.snr_per_w[rows]
-        shape = self.edges.shape
+        edges, self.snr_per_w, rate = edges[rows], ctx.snr_per_w[rows], ctx.full_rate[rows]
+        shape = edges.shape
         self.headroom = np.repeat((cfg.e_max_j - ctx.e_comp[rows])[:, None], shape[1], axis=1)
         self.fixed = np.repeat((ctx.d_down[rows] + ctx.d_local[rows])[:, None], shape[1], axis=1)
         mask, values = wireless.smooth_payload_pieces(ctx.model_dim)
-        rate = wireless.shannon_rate(ctx.radio, p_max * self.snr_per_w)
         with np.errstate(divide="ignore", invalid="ignore"):
             self.slope = np.where(rate > 0.0, values / rate, 1.0)
             self.offset = mask / rate + ctx.d_down[rows, None] + ctx.d_local[rows, None]
             bits_at_cap = self.headroom * rate / p_max
             s_sw = wireless.smooth_payload_rate(ctx.model_dim, bits_at_cap) - 1.0 / values
-        self.bp_lo = np.where(self.edges, self.slope * self.s_th + self.offset, np.inf)
+        self.bp_lo = np.where(edges, self.slope * self.s_th + self.offset, np.inf)
         self.bp_hi = self.slope + self.offset
         self.bp_sw = np.full(shape, np.inf)
         self.p_hi = np.full(shape, p_max)
-        binds = self.edges & (s_sw < 1.0)
+        binds = edges & (s_sw < 1.0)
         low = binds & (s_sw < self.s_th)
         self.binding = bool(binds.any())
         if self.binding:
@@ -354,7 +343,7 @@ class _LevelModel:
             self.bp_hi[binds], self.p_hi[binds] = self._curve_point(binds, 1.0)
         if low.any():
             self.bp_lo[low] = self._curve_point(low, self.s_th)[0]
-        breakpoints = (self.bp_lo[self.edges], self.bp_hi[self.edges], self.bp_sw[binds & ~low])
+        breakpoints = (self.bp_lo[edges], self.bp_hi[edges], self.bp_sw[binds & ~low])
         self.levels = np.unique(np.concatenate(breakpoints))
 
     def _curve_point(self, at: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -566,9 +555,9 @@ def baseline_schedule(
         # so ties go to the lower client, then the lower channel, and retires
         # that row and column. Dead links rank after every live one but can
         # still be taken; ineligible clients never are.
-        delays = ctx.smooth_delay(
-            np.arange(ctx.n_clients)[:, None], np.arange(ctx.n_channels), s_value, p_max
-        )
+        payload = wireless.smooth_payload_bits(ctx.model_dim, s_value)
+        with np.errstate(divide="ignore"):
+            delays = payload / ctx.full_rate + ctx.d_down[..., None] + ctx.d_local[..., None]
         delays = np.where(
             ctx.is_eligible[:, None], np.minimum(delays, np.finfo(float).max), np.inf
         )

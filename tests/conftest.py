@@ -8,7 +8,13 @@ from sparsefl.config import ExperimentConfig
 from sparsefl.dpsgd import clipped_masked_mean, generate_mask
 from sparsefl.model_data import ModelWeights, loss_grad_factors, split_blocks
 from sparsefl.scheduler import RoundContext, SchedulerConfig
-from sparsefl.wireless import ChannelRealization, ComputeParams, RadioParams
+from sparsefl.wireless import (
+    ChannelRealization,
+    ComputeParams,
+    RadioParams,
+    shannon_rate,
+    smooth_payload_bits,
+)
 
 settings.register_profile(
     "suite",
@@ -106,9 +112,10 @@ def sorted_greedy_assignment(ctx: RoundContext, s_value: float) -> np.ndarray:
     """
     assigned_channel = np.full(ctx.d_down.shape, -1, dtype=int)
     clients = np.sort(ctx.eligible)
-    delays = ctx.smooth_delay(
-        clients[:, None], np.arange(ctx.n_channels), s_value, ctx.radio.max_power_w
-    )
+    rate = shannon_rate(ctx.radio, ctx.radio.max_power_w * ctx.snr_per_w[..., clients, :])
+    payload = smooth_payload_bits(ctx.model_dim, s_value)
+    with np.errstate(divide="ignore"):
+        delays = payload / rate + ctx.d_down[..., clients, None] + ctx.d_local[..., clients, None]
     order = np.argsort(delays.reshape(*delays.shape[:-2], -1), axis=-1, kind="stable")
     rows, cols = np.divmod(order, ctx.n_channels)
     ranked, wanted = clients[rows], min(ctx.n_channels, ctx.eligible.size)

@@ -269,6 +269,32 @@ def test_cli_radio_values_that_leave_no_link_end_in_one_line(tmp_path, capsys, e
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("area_side_m", "inf"),
+        ("eps_max", "inf"),
+        ("bandwidth_hz", "inf"),
+        ("lam", "inf"),
+        ("sigma_hat", "inf"),
+        ("cycles_per_sample", "inf"),
+        ("smoothness_l", "inf"),
+        ("e_max_j", "nan"),
+    ],
+)
+def test_cli_non_finite_float_values_end_in_one_line(tmp_path, capsys, key, value):
+    """A float key other than the dBm keys must be finite: a config error (exit 2), no CSV."""
+    lines = FAST_TEXT.replace("rounds = 4", "rounds = 2").splitlines()
+    kept = [line for line in lines if not line.startswith(f"{key} =")]
+    text = "\n".join(kept + [f"{key} = {value}", ""])
+    out = tmp_path / "m.csv"
+    code = main(["run", "--config", write_cfg(tmp_path, text=text), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: {key}: must be finite\n"
+    assert not out.exists()
+
+
 def test_cli_lyapunov_rounds_without_a_live_uplink_are_empty(tmp_path, capsys):
     """An uplink whose full-power rate rounds to zero is no edge, so each round is empty."""
     text = FAST_TEXT.replace("rounds = 4", "rounds = 2") + (

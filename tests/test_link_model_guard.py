@@ -60,6 +60,33 @@ def test_link_formulas_live_in_wireless(path):
         )
 
 
+FULL_POWER = {"max_power_w", "p_max"}
+
+
+def _full_power_prices(tree: ast.AST) -> set[int]:
+    """Line of each shannon_rate call in tree whose arguments name full power."""
+    return {
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "shannon_rate"
+        and set().union(*map(_identifiers, [*node.args, *node.keywords])) & FULL_POWER
+    }
+
+
+def test_scheduler_prices_full_power_links_only_in_round_context():
+    """RoundContext.full_rate is every edge's full-power rate; no solver prices one again."""
+    path = PACKAGE / "scheduler.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RoundContext")
+    inside = _full_power_prices(owner)
+    outside = _full_power_prices(tree) - inside
+    assert not outside, (
+        f"scheduler.py prices a full-power link on lines {sorted(outside)}; read ctx.full_rate"
+    )
+    assert inside, "RoundContext no longer prices the full-power uplink"
+
+
 def test_guard_sees_the_whole_package():
     assert {"wireless.py", "scheduler.py", "simulator.py", "oracles.py"} <= {
         p.name for p in MODULES

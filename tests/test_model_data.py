@@ -188,6 +188,16 @@ def test_partition_sizes_mode():
         partition(data, PartitionSpec(mode="sizes", num_clients=2, sizes=(40, 30)), rng)
 
 
+def test_partition_iid_is_sizes_with_equal_sizes():
+    """iid shards are the sizes-mode shards at n // k each, the first n % k one larger."""
+    data = synthesize_classification(103, 4, 3, 1.0, np.random.default_rng(9))
+    iid = partition(data, PartitionSpec(mode="iid", num_clients=5), np.random.default_rng(4))
+    spec = PartitionSpec(mode="sizes", num_clients=5, sizes=(21, 21, 21, 20, 20))
+    sized = partition(data, spec, np.random.default_rng(4))
+    for a, b in zip(iid, sized, strict=True):
+        assert np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels)
+
+
 def test_partition_dirichlet_covers_and_skews():
     rng = np.random.default_rng(8)
     data = synthesize_classification(600, 4, 6, 1.0, rng)

@@ -37,6 +37,7 @@ from sparsefl.wireless import (
     RadioParams,
     realize_channels,
     round_costs,
+    shannon_rate,
 )
 
 from conftest import loose_scheduler_config, make_context, sorted_greedy_assignment
@@ -62,11 +63,12 @@ def test_update_queues_recursion():
 
 
 def test_round_context_link_snrs_keep_their_float_order():
-    """Downlink SNR is (P * g) / N, uplink P * (g / N), bit for bit, at the noise floor N."""
+    """Downlink SNR is (P * g) / N and the full-power uplink P * (g / N), bit for bit,
+    at the noise floor N."""
     rng = np.random.default_rng(3)
     n, m, dim = 40, 5, 100
     noise = 3e-14 + 2e-14  # interference plus thermal noise, summed as the simulator does
-    radio = RadioParams(bandwidth_hz=15e3, noise_w=noise, downlink_power_w=0.2, max_power_w=1.0)
+    radio = RadioParams(bandwidth_hz=15e3, noise_w=noise, downlink_power_w=0.2, max_power_w=0.37)
     channels = realize_channels(rng.uniform(1e-12, 1e-9, n), m, rng)
     ctx = RoundContext(
         model_dim=dim,
@@ -80,17 +82,17 @@ def test_round_context_link_snrs_keep_their_float_order():
         ),
     )
     p_dl, g_dl, g_ul = radio.downlink_power_w, channels.downlink_gains, channels.uplink_gains
-    power = rng.uniform(0.01, 1.0, (n, m))
+    p_ul = radio.max_power_w
 
     def rate(snr):
         return radio.bandwidth_hz * np.log2(1.0 + snr)
 
-    down, up = rate((p_dl * g_dl) / noise), rate(power * (g_ul / noise))
+    down, up = rate((p_dl * g_dl) / noise), rate(p_ul * (g_ul / noise))
     assert np.array_equal(ctx.d_down, 32 * dim / down)
-    assert np.array_equal(ctx.uplink_rate(np.arange(n)[:, None], np.arange(m), power), up)
+    assert np.array_equal(ctx.full_rate, up)
     # On these draws the other association order moves some rates, so a swap shows.
     assert not np.array_equal(down, rate(p_dl * (g_dl / noise)))
-    assert not np.array_equal(up, rate((power * g_ul) / noise))
+    assert not np.array_equal(up, rate((p_ul * g_ul) / noise))
 
 
 def test_round_context_derives_weights_over_the_eligible_set():
@@ -160,7 +162,7 @@ def test_optimal_power_binds_the_energy_cap():
     assert decision.rates[0] == 1.0
     power = float(decision.powers[0])
     assert 0.0 < power < ctx.radio.max_power_w
-    rate = ctx.uplink_rate(0, decision.assigned_channel[0], power)
+    rate = shannon_rate(ctx.radio, power * ctx.snr_per_w[0, decision.assigned_channel[0]])
     payload = 32 * 2000 + 2000
     energy = power * payload / rate + float(ctx.e_comp[0])
     assert energy <= cfg.e_max_j + 1e-9
@@ -414,8 +416,7 @@ def test_schedule_round_matches_energy_oracle_when_caps_bind():
     for k in range(24):
         ctx, cfg, queues = _binding_instance(rng, (2, 2) if k % 2 == 0 else (3, 2))
         edges = feasible_edges(ctx, cfg)
-        full_rate = ctx.uplink_rate(np.arange(ctx.n_clients)[:, None], np.arange(2), 1.0)
-        energy = (33 * ctx.model_dim + 1) / full_rate + ctx.e_comp[:, None]
+        energy = (33 * ctx.model_dim + 1) / ctx.full_rate + ctx.e_comp[:, None]
         capped_edges += int((edges & (energy > cfg.e_max_j)).sum())
         edges_seen += int(edges.sum())
         decision = schedule_round(ctx, cfg, queues)
@@ -496,7 +497,7 @@ def test_schedule_round_on_an_unsorted_gapped_eligible_set_matches_the_energy_or
         channels = ChannelRealization(gains, ctx.channels.downlink_gains)
         ctx = replace(ctx, eligible=np.array([6, 3, 0, 5, 4]), channels=channels)
         live = np.array([[6, 0], [6, 1], [3, 0], [0, 0], [0, 1], [4, 0], [4, 1]]).T
-        energy = (33 * ctx.model_dim + 1) / ctx.uplink_rate(*live, 1.0) + ctx.e_comp[live[0]]
+        energy = (33 * ctx.model_dim + 1) / ctx.full_rate[tuple(live)] + ctx.e_comp[live[0]]
         second, first = np.sort(energy)[-2:]
         cfg = replace(cfg, e_max_j=float(second + first) / 2.0)
         decision = schedule_round(ctx, cfg, queues)
