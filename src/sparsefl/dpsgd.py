@@ -162,26 +162,29 @@ _STACK_PARAMS = 2**16
 
 def local_train(
     w_init: ModelWeights,
-    shards: Sequence[Dataset],
+    shards: Sequence[np.ndarray],
     rates: Sequence[float],
     cfg: DpConfig,
     rngs: Sequence[np.random.Generator],
     weights: Sequence[float],
     *,
+    pool: Dataset,
     client_ids: Sequence[int],
     round_num: int,
     stats: TrainStats,
 ) -> np.ndarray:
     """Train every client of a round from w_init; return sum_i weights[i] * delta_i.
 
-    Client i trains on shards[i] at rate rates[i] and draws from its own
+    Client i trains on the rows shards[i] of pool (an int array, as
+    model_data.partition returns) at rate rates[i] and draws from its own
     generator rngs[i], in this order: one mask, reused for all tau steps, so
-    its delta's support is a subset of the mask; tau batches, each sampled
-    without replacement (a shard smaller than the configured batch is used
-    whole); then a [tau, retained] block of normals, row t for step t (none
-    when sigma_hat = 0). Every client's draws are the calls a lone client
-    would make, in the same order, so its delta does not depend on who else
-    trains.
+    its delta's support is a subset of the mask; tau batches, each
+    choice(n_i, batch, replace=False) positions into shards[i], with
+    n_i = shards[i].size (a shard smaller than the configured batch is used
+    whole); then a [tau, retained] block of standard normals, row t for
+    step t (none when sigma_hat = 0). Every client's draws are the calls a
+    lone client would make, in the same order, so its delta does not depend
+    on who else trains, nor on where its rows sit in the pool.
 
     The clients train in groups: consecutive clients with the same effective
     batch, at most max(1, 2**16 // dim) of them, run each step as one stacked
@@ -193,6 +196,9 @@ def local_train(
     or a non-finite delta (from non-finite starting weights or an overflowing
     step), raises TrainingDivergenceError naming the client (client_ids[i])
     and the round; within a step, the first such client in order.
+
+    Raises ValueError if the pool does not fit the model (check_examples) or
+    a shard holds a row outside the pool.
     """
     count = len(shards)
     if not len(rates) == len(rngs) == len(weights) == count:
@@ -201,10 +207,12 @@ def local_train(
         if not 0.0 < s <= 1.0:
             raise ValueError(f"rate must be in (0, 1], got {s}")
     spec = w_init.spec
-    for data in shards:
-        check_examples(spec, data.features, data.labels)
+    check_examples(spec, pool.features, pool.labels)
+    for rows in shards:
+        if rows.size and (rows.min() < 0 or rows.max() >= pool.n):
+            raise ValueError(f"shard rows must lie in [0, {pool.n}), the pool's rows")
     names = [f"client {int(i)} in round {round_num}" for i in client_ids]
-    batches = [cfg.effective_batch(data.n) for data in shards]
+    batches = [cfg.effective_batch(rows.size) for rows in shards]
     cap = max(1, _STACK_PARAMS // spec.dim)
     total = np.zeros(spec.dim)
     start = 0
@@ -215,6 +223,7 @@ def local_train(
         group = slice(start, stop)
         deltas = _train_group(
             w_init,
+            pool,
             shards[group],
             rates[group],
             cfg,
@@ -231,7 +240,8 @@ def local_train(
 
 def _train_group(
     w_init: ModelWeights,
-    shards: Sequence[Dataset],
+    pool: Dataset,
+    shards: Sequence[np.ndarray],
     rates: Sequence[float],
     cfg: DpConfig,
     rngs: Sequence[np.random.Generator],
@@ -246,7 +256,10 @@ def _train_group(
     of a step are one gather and one scatter for the whole group.
 
     Each client's mask, tau batches and [tau, retained] noise block are
-    drawn from its generator, in that order, before the first step.
+    drawn from its generator, in that order, before the first step. A
+    noise block is drawn as standard normals scaled by the client's std in
+    place, the bits rng.normal(0.0, std, size) gives, with one temporary
+    fewer.
     """
     spec = w_init.spec
     clients = len(shards)
@@ -264,14 +277,18 @@ def _train_group(
     model = ModelWeights(w, spec)
     w_flat, mean_flat = w.reshape(-1), clipped_mean.reshape(-1)
     features = np.empty((cfg.tau, clients, batch, spec.feature_dim))
-    labels = np.empty((cfg.tau, clients, batch), dtype=shards[0].labels.dtype)
+    labels = np.empty((cfg.tau, clients, batch), dtype=pool.labels.dtype)
     noise = []
-    for j, (data, rng) in enumerate(zip(shards, rngs)):
-        take = np.array([rng.choice(data.n, size=batch, replace=False) for _ in range(cfg.tau)])
-        features[:, j] = data.features[take]
-        labels[:, j] = data.labels[take]
+    for j, (rows, rng) in enumerate(zip(shards, rngs)):
+        take = rows[
+            np.array([rng.choice(rows.size, size=batch, replace=False) for _ in range(cfg.tau)])
+        ]
+        features[:, j] = pool.features[take]
+        labels[:, j] = pool.labels[take]
         if noisy:
-            noise.append(rng.normal(0.0, stds[j], size=(cfg.tau, retained[j])))
+            block = rng.standard_normal((cfg.tau, retained[j]))
+            block *= stds[j]
+            noise.append(block)
     # A diverging step overflows; the isfinite checks raise for it.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(cfg.tau):

@@ -11,7 +11,6 @@ them into the dense [n, dim] matrix.
 
 from __future__ import annotations
 
-import functools
 import gzip
 import math
 import struct
@@ -140,15 +139,9 @@ def _forward(w: ModelWeights, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
     return hidden @ w2.swapaxes(-1, -2) + b2[..., None, :], hidden
 
 
-def _shifted_logsumexp(logits: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Logits less their row max top [..., 1], and the log-sum-exp of those shifted rows."""
-    shifted = logits - top
-    return shifted, np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted, lse = _shifted_logsumexp(logits, logits.max(axis=-1, keepdims=True))
-    return shifted - lse
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 # One (A, B) pair per parameter block, in flat-parameter order. For a weight
@@ -213,22 +206,75 @@ def per_sample_loss_grads(
     return loss, np.concatenate(blocks, axis=1)
 
 
+def _class_major_logits(w: ModelWeights, x: np.ndarray) -> np.ndarray:
+    """Logits [classes, n] of unstacked weights w on x [n, feature_dim].
+
+    Each entry holds the bits _forward gives it: the installed BLAS forms
+    every dot product in the same order whichever operand is transposed (the
+    evaluate test and the metrics CSV pins hold this).
+    """
+    if w.spec.hidden_units is None:
+        wt, b = split_blocks(w.values, w.spec)
+        inputs = x.T
+    else:
+        w1, b1, wt, b = split_blocks(w.values, w.spec)
+        inputs = w1 @ x.T
+        inputs += b1[:, None]
+        np.tanh(inputs, out=inputs)
+    logits = wt @ inputs
+    logits += b[:, None]
+    return logits
+
+
+def _column_sums(rows: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of rows [k, n], each column summed in numpy's order.
+
+    Column j's sum holds the bits of rows[:, j].sum(), i.e. of a contiguous
+    row of k values summed by numpy's pairwise rule: under 8 values, left
+    to right; up to 128, eight running sums over the whole blocks of 8,
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover
+    values in turn; above 128, the sums of two halves, the first a multiple
+    of 8 long. Summing whole rows this way costs one vector add per value
+    instead of a reduction along a short axis for each column.
+    """
+    k = rows.shape[0]
+    if k < 8:
+        total = rows[0].copy()
+        for row in rows[1:]:
+            total += row
+        return total
+    if k > 128:
+        half = k // 2 - (k // 2) % 8
+        return _column_sums(rows[:half]) + _column_sums(rows[half:])
+    whole = k - k % 8
+    r = rows[:8] if whole == 8 else rows[:8] + rows[8:16]
+    for start in range(16, whole, 8):
+        r += rows[start : start + 8]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in rows[whole:]:
+        total += row
+    return total
+
+
 def evaluate(w: ModelWeights, test_set: Dataset, train_pool: Dataset) -> tuple[float, float]:
     """(test accuracy, mean train cross-entropy) of w: the two numbers a round records.
 
     Predictions are the argmax logit, with exact ties resolved to the lowest
     class index. Each train sample's loss is its log-sum-exp less its label's
     shifted logit, the value the full log-softmax matrix would hold there.
-    The row maxima are taken one class column at a time: with few classes a
-    reduction along the short last axis costs far more, and a max is exact in
-    any order.
+    The logits are formed class-major, [classes, samples], so the max and
+    the exp-sum over classes run along whole rows (_column_sums keeps the
+    sum's bits) instead of reducing along a short axis per sample. The shift
+    and the exp overwrite the train logits, so no other array of their size
+    is allocated.
     """
-    logits, _ = _forward(w, test_set.features)
-    accuracy = float((logits.argmax(axis=1) == test_set.labels).mean())
-    logits, _ = _forward(w, train_pool.features)
-    shifted, lse = _shifted_logsumexp(logits, functools.reduce(np.maximum, logits.T)[:, None])
-    picked = shifted[np.arange(train_pool.n), train_pool.labels]
-    return accuracy, float(-(picked - lse[:, 0]).mean())
+    logits = _class_major_logits(w, test_set.features)
+    accuracy = float((logits.argmax(axis=0) == test_set.labels).mean())
+    shifted = _class_major_logits(w, train_pool.features)
+    shifted -= shifted.max(axis=0)
+    picked = shifted[train_pool.labels, np.arange(train_pool.n)]
+    lse = np.log(_column_sums(np.exp(shifted, out=shifted)))
+    return accuracy, float(-(picked - lse).mean())
 
 
 def synthesize_classification(
@@ -287,8 +333,13 @@ class PartitionSpec:
             raise ValueError("sizes must list one count per client")
 
 
-def partition(data: Dataset, spec: PartitionSpec, rng: np.random.Generator) -> list[Dataset]:
-    """Split data into disjoint client shards according to spec."""
+def partition(data: Dataset, spec: PartitionSpec, rng: np.random.Generator) -> list[np.ndarray]:
+    """Split data into disjoint client shards according to spec.
+
+    A shard is the read-only int array of its rows in data, not a copy of
+    them: the training set is held once, and a client's examples are
+    data.features[rows] and data.labels[rows].
+    """
     if spec.mode == "dirichlet":
         index_sets = _split_dirichlet(data, spec, rng)
     else:
@@ -297,7 +348,9 @@ def partition(data: Dataset, spec: PartitionSpec, rng: np.random.Generator) -> l
         if total > data.n:
             raise PartitionError(f"requested {total} samples but only {data.n} available")
         index_sets = np.split(rng.permutation(data.n)[:total], np.cumsum(sizes)[:-1])
-    return [Dataset(data.features[idx], data.labels[idx]) for idx in index_sets]
+    for rows in index_sets:
+        rows.setflags(write=False)
+    return index_sets
 
 
 def _equal_sizes(n: int, k: int) -> np.ndarray:

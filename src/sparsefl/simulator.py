@@ -123,16 +123,18 @@ class MetricsTrace:
 class SimState:
     """Everything run_round reads or mutates between rounds.
 
-    participation counts each client's uploads so far; with privacy on it is
-    also the exposure count that the immutable ledgers are evaluated at.
-    path_gains is each client's linear path-loss attenuation, fixed by its
-    placement.
+    shards holds each client's rows of train_pool as a read-only int array
+    (model_data.partition), so the training set is held once; sizes is
+    their lengths. participation counts each client's uploads so far; with
+    privacy on it is also the exposure count that the immutable ledgers are
+    evaluated at. path_gains is each client's linear path-loss attenuation,
+    fixed by its placement.
     """
 
     config: ExperimentConfig
     policy: str
     weights: ModelWeights
-    shards: list[Dataset]
+    shards: list[np.ndarray]
     sizes: np.ndarray
     path_gains: np.ndarray
     test_set: Dataset
@@ -304,7 +306,7 @@ def build_state(config: ExperimentConfig, policy: str) -> SimState:
     privacy_rng = streams.substream(config.seed, streams.PRIVACY)
     eps = privacy_rng.uniform(config.eps_min, config.eps_max, config.num_clients)
 
-    sizes = np.array([p.n for p in parts], dtype=int)
+    sizes = np.array([rows.size for rows in parts], dtype=int)
     dp_cfg = DpConfig(
         clip_c=config.clip_c,
         sigma_hat=config.sigma_hat,
@@ -404,6 +406,7 @@ def run_round(state: SimState) -> MetricsRow | None:
             state.dp_cfg,
             [streams.substream(config.seed, streams.TRAIN, t, int(i)) for i in participants],
             selected_weights,
+            pool=state.train_pool,
             client_ids=participants,
             round_num=t,
             stats=state.stats,

@@ -26,12 +26,16 @@ from sparsefl.model_data import (
 from conftest import clip_per_sample, stepwise_local_train
 
 
-def train_one(w, data, s, cfg, rng, *, client_id=0, round_num=0, stats=None):
-    """One client's own delta: local_train on a round of one client at weight 1."""
+def train_one(w, data, s, cfg, rng, *, rows=None, client_id=0, round_num=0, stats=None):
+    """One client's own delta: local_train on a round of one client at weight 1.
+
+    The client's rows of the pool data default to all of them, in order.
+    """
     stats = TrainStats() if stats is None else stats
-    ids = [client_id]
+    rows = np.arange(data.n) if rows is None else rows
     return local_train(
-        w, [data], [s], cfg, [rng], [1.0], client_ids=ids, round_num=round_num, stats=stats
+        w, [rows], [s], cfg, [rng], [1.0], pool=data, client_ids=[client_id],
+        round_num=round_num, stats=stats,
     )
 
 
@@ -277,6 +281,9 @@ class OtherNormals:
     def normal(self, *args, **kwargs):
         return self._normals.normal(*args, **kwargs)
 
+    def standard_normal(self, *args, **kwargs):
+        return self._normals.standard_normal(*args, **kwargs)
+
 
 def test_local_train_noiseless_passthrough():
     """With sigma_hat = 0 the added noise is exactly zero, whatever the normal draws."""
@@ -461,16 +468,20 @@ def test_config_validation():
 
 
 def stacked_round(hidden, d, sizes, rates, sigma_hat, seed, k=3):
-    """A round of clients on shards of the given sizes, each with its own generator."""
+    """A round of clients whose shards are scattered through one pool.
+
+    The pool has a spare row per client that no shard holds, and each
+    client draws from its own generator.
+    """
     rng = np.random.default_rng(seed)
     spec = ModelSpec(feature_dim=d, num_classes=k, hidden_units=hidden)
     w = ModelWeights(rng.standard_normal(spec.dim) * 0.3, spec)
-    shards = [
-        Dataset(rng.standard_normal((n, d)), rng.integers(0, k, size=n)) for n in sizes
-    ]
+    n = sum(sizes) + len(sizes)
+    pool = Dataset(rng.standard_normal((n, d)), rng.integers(0, k, size=n))
+    shards = np.split(rng.permutation(n)[: sum(sizes)], np.cumsum(sizes)[:-1])
     cfg = DpConfig(clip_c=0.4, sigma_hat=sigma_hat, batch_size=6, tau=8, eta=0.3)
     weights = rng.dirichlet(np.ones(len(sizes)))
-    return w, shards, list(rates), cfg, weights
+    return w, pool, shards, list(rates), cfg, weights
 
 
 @pytest.mark.parametrize(
@@ -488,12 +499,14 @@ def stacked_round(hidden, d, sizes, rates, sigma_hat, seed, k=3):
     ],
 )
 def test_stacked_round_equals_each_client_alone_bit_for_bit(hidden, d, sizes, rates, sigma_hat):
-    w, shards, rates, cfg, weights = stacked_round(hidden, d, sizes, rates, sigma_hat, seed=50)
+    w, pool, shards, rates, cfg, weights = stacked_round(
+        hidden, d, sizes, rates, sigma_hat, seed=50
+    )
     count = len(shards)
     alone_stats, alone, states = TrainStats(), [], []
     for j in range(count):
         rng = default_rng(60 + j)
-        alone.append(train_one(w, shards[j], rates[j], cfg, rng, stats=alone_stats))
+        alone.append(train_one(w, pool, rates[j], cfg, rng, rows=shards[j], stats=alone_stats))
         states.append(rng.bit_generator.state)
     want = np.zeros(w.spec.dim)
     for weight, delta in zip(weights, alone):
@@ -501,8 +514,8 @@ def test_stacked_round_equals_each_client_alone_bit_for_bit(hidden, d, sizes, ra
 
     stats = TrainStats()
     rngs = [default_rng(60 + j) for j in range(count)]
-    ids = range(count)
-    got = local_train(w, shards, rates, cfg, rngs, weights, client_ids=ids, round_num=0, stats=stats)
+    kwargs = dict(pool=pool, client_ids=range(count), round_num=0)
+    got = local_train(w, shards, rates, cfg, rngs, weights, stats=stats, **kwargs)
     assert np.array_equal(got, want)
     assert stats == alone_stats
     assert [rng.bit_generator.state for rng in rngs] == states
@@ -512,9 +525,7 @@ def test_stacked_round_equals_each_client_alone_bit_for_bit(hidden, d, sizes, ra
     for j in range(count):
         one_hot = np.eye(count)[j]
         rngs = [default_rng(60 + i) for i in range(count)]
-        got = local_train(
-            w, shards, rates, cfg, rngs, one_hot, client_ids=ids, round_num=0, stats=TrainStats()
-        )
+        got = local_train(w, shards, rates, cfg, rngs, one_hot, stats=TrainStats(), **kwargs)
         assert np.array_equal(got, alone[j])
     # the tiny rate leaves an empty mask: that client's delta is exactly zero
     for j, s in enumerate(rates):
@@ -534,22 +545,24 @@ def test_stacked_round_equals_each_client_alone_bit_for_bit(hidden, d, sizes, ra
 def test_draws_before_the_steps_match_step_by_step_draws(hidden, clients, sigma_hat, seed):
     """Batch 6 on shards of 2 to 12 samples: groups of several effective batches.
 
-    Each client's generator ends where the step-by-step reference leaves it,
-    and its delta and the round's stats are bit-equal to the reference's.
+    Each client's generator ends where the step-by-step reference, run on a
+    copy of the client's rows, leaves it, and its delta and the round's
+    stats are bit-equal to the reference's.
     """
     sizes, rates = zip(*clients)
-    w, shards, rates, cfg, _ = stacked_round(hidden, 4, sizes, rates, sigma_hat, seed=seed)
+    w, pool, shards, rates, cfg, _ = stacked_round(hidden, 4, sizes, rates, sigma_hat, seed=seed)
     count = len(shards)
     want_stats, want, want_states = TrainStats(), [], []
     for j in range(count):
         rng = default_rng(seed + j)
-        want.append(stepwise_local_train(w, shards[j], rates[j], cfg, rng, want_stats))
+        data = Dataset(pool.features[shards[j]], pool.labels[shards[j]])
+        want.append(stepwise_local_train(w, data, rates[j], cfg, rng, want_stats))
         want_states.append(rng.bit_generator.state)
     for j in range(count):
         rngs = [default_rng(seed + i) for i in range(count)]
         stats = TrainStats()
         got = local_train(
-            w, shards, rates, cfg, rngs, np.eye(count)[j], client_ids=range(count),
+            w, shards, rates, cfg, rngs, np.eye(count)[j], pool=pool, client_ids=range(count),
             round_num=0, stats=stats,
         )
         assert np.array_equal(got, want[j])
@@ -557,29 +570,73 @@ def test_draws_before_the_steps_match_step_by_step_draws(hidden, clients, sigma_
         assert [rng.bit_generator.state for rng in rngs] == want_states
 
 
+@pytest.mark.parametrize("hidden", [None, 4])
+@pytest.mark.parametrize("sigma_hat", [0.0, 0.7])
+def test_delta_does_not_depend_on_where_the_rows_sit_in_the_pool(hidden, sigma_hat):
+    """A shard as a pool of its own, arange(n), or scattered through a larger pool."""
+    data, w = small_problem(n=15, d=7, k=3, seed=53, hidden=hidden, scale=0.5)
+    cfg = DpConfig(clip_c=0.4, sigma_hat=sigma_hat, batch_size=6, tau=5, eta=0.3)
+    rng = np.random.default_rng(54)
+    size = 60
+    rows = rng.choice(size, size=data.n, replace=False)
+    features = rng.standard_normal((size, 7))
+    labels = rng.integers(0, 3, size=size)
+    features[rows], labels[rows] = data.features, data.labels
+    pool = Dataset(features, labels)
+    own, scattered = default_rng(55), default_rng(55)
+    want = train_one(w, data, 0.4, cfg, own, rows=np.arange(data.n))
+    got = train_one(w, pool, 0.4, cfg, scattered, rows=rows)
+    assert np.array_equal(got, want)
+    assert scattered.bit_generator.state == own.bit_generator.state
+
+
 def test_non_finite_shard_names_its_client_in_a_stacked_round():
-    """A NaN in the second of three clients' shards raises naming that client and round."""
-    w, shards, rates, cfg, weights = stacked_round(
+    """NaN pool rows of the second of three clients raise naming that client and round."""
+    w, pool, shards, rates, cfg, weights = stacked_round(
         None, 5, (12, 12, 12), (0.5, 0.5, 0.5), 0.5, seed=51
     )
-    features = shards[1].features.copy()
-    features[:] = np.nan
-    shards[1] = Dataset(features, shards[1].labels)
+    features = pool.features.copy()
+    features[shards[1]] = np.nan
+    pool = Dataset(features, pool.labels)
     rngs = [default_rng(70 + j) for j in range(3)]
     with np.errstate(invalid="ignore"):
         with pytest.raises(TrainingDivergenceError, match="client 9 in round 4$"):
             local_train(
-                w, shards, rates, cfg, rngs, weights, client_ids=[4, 9, 11], round_num=4,
-                stats=TrainStats(),
+                w, shards, rates, cfg, rngs, weights, pool=pool, client_ids=[4, 9, 11],
+                round_num=4, stats=TrainStats(),
             )
 
 
 def test_local_train_checks_each_shard_against_the_model():
-    w, shards, rates, cfg, weights = stacked_round(None, 5, (12, 12), (0.5, 0.5), 0.5, seed=52)
-    bad = Dataset(shards[1].features, np.full(12, 3))
+    w, pool, shards, rates, cfg, weights = stacked_round(
+        None, 5, (12, 12), (0.5, 0.5), 0.5, seed=52
+    )
+    # The pool is checked whole, rows that no shard holds included.
+    spare = np.setdiff1d(np.arange(pool.n), np.concatenate(shards))
+    labels = pool.labels.copy()
+    labels[spare] = 3
+    bad = Dataset(pool.features, labels)
     rngs = [default_rng(80 + j) for j in range(2)]
     kwargs = dict(client_ids=[0, 1], round_num=0, stats=TrainStats())
     with pytest.raises(ValueError, match="labels out of range"):
-        local_train(w, [shards[0], bad], rates, cfg, rngs, weights, **kwargs)
+        local_train(w, shards, rates, cfg, rngs, weights, pool=bad, **kwargs)
     with pytest.raises(ValueError, match="one entry per client"):
-        local_train(w, shards, rates[:1], cfg, rngs, weights, **kwargs)
+        local_train(w, shards, rates[:1], cfg, rngs, weights, pool=pool, **kwargs)
+    for outside in (pool.n, -1):
+        rows = shards[1].copy()
+        rows[3] = outside
+        with pytest.raises(ValueError, match="the pool's rows"):
+            local_train(w, [shards[0], rows], rates, cfg, rngs, weights, pool=pool, **kwargs)
+
+
+@pytest.mark.parametrize("shape", [(10, 15267), (10, 63), (3, 1), (1, 400)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scaled_standard_normals_equal_normal_draws_bit_for_bit(shape, seed):
+    """standard_normal(size) *= std holds the bits, and the end state, of normal(0, std, size)."""
+    std = 0.7 * np.sqrt(0.3) / 16
+    want_rng, got_rng = default_rng(seed), default_rng(seed)
+    want = want_rng.normal(0.0, std, size=shape)
+    got = got_rng.standard_normal(shape)
+    got *= std
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state

@@ -11,6 +11,7 @@ from sparsefl.model_data import (
     ModelWeights,
     PartitionError,
     PartitionSpec,
+    _column_sums,
     _forward,
     _log_softmax,
     evaluate,
@@ -116,6 +117,14 @@ def test_evaluate_matches_full_log_softmax_bits(hidden_units):
     assert np.array_equal(logp, _log_softmax(train_logits))
 
 
+@pytest.mark.parametrize("classes", list(range(2, 129)) + [129, 200, 300])
+def test_column_sums_hold_numpys_row_sum_bits(classes):
+    """Summed class-major, each column keeps the bits np.sum gives it as a row."""
+    rng = np.random.default_rng(classes)
+    rows = np.exp(3.0 * rng.standard_normal((40, classes)))
+    assert np.array_equal(_column_sums(np.ascontiguousarray(rows.T)), rows.sum(axis=-1))
+
+
 def test_gradient_descent_reduces_loss():
     rng = np.random.default_rng(23)
     data = synthesize_classification(120, 5, 3, 3.0, rng)
@@ -162,19 +171,28 @@ def test_synthesize_more_classes_than_dims():
     assert set(np.unique(data.labels)) == set(range(5))
 
 
+def assert_index_shards(shards, n):
+    """Read-only int row arrays into a pool of n rows, in range and disjoint."""
+    for rows in shards:
+        assert rows.ndim == 1 and np.issubdtype(rows.dtype, np.integer)
+        assert not rows.flags.writeable
+        assert rows.size == 0 or (rows.min() >= 0 and rows.max() < n)
+        with pytest.raises(ValueError):
+            rows[...] = 0
+    every = np.concatenate(shards)
+    assert np.unique(every).size == every.size
+
+
 def test_partition_iid_covers_disjointly():
     rng = np.random.default_rng(6)
     data = synthesize_classification(101, 4, 3, 1.0, rng)
     shards = partition(data, PartitionSpec(mode="iid", num_clients=4), rng)
-    sizes = [shard.n for shard in shards]
+    assert_index_shards(shards, data.n)
+    sizes = [rows.size for rows in shards]
     assert sum(sizes) == 101
     assert max(sizes) - min(sizes) <= 1
-    stacked = np.concatenate([shard.features for shard in shards])
-    assert stacked.shape[0] == 101
-    # disjointness: every original row appears exactly once
-    order = np.lexsort(stacked.T)
-    original = data.features[np.lexsort(data.features.T)]
-    assert np.allclose(stacked[order], original)
+    # every row of the pool appears exactly once
+    assert np.array_equal(np.sort(np.concatenate(shards)), np.arange(101))
 
 
 def test_partition_sizes_mode():
@@ -183,7 +201,8 @@ def test_partition_sizes_mode():
     shards = partition(
         data, PartitionSpec(mode="sizes", num_clients=3, sizes=(10, 5, 20)), rng
     )
-    assert [s.n for s in shards] == [10, 5, 20]
+    assert_index_shards(shards, data.n)
+    assert [rows.size for rows in shards] == [10, 5, 20]
     with pytest.raises(PartitionError):
         partition(data, PartitionSpec(mode="sizes", num_clients=2, sizes=(40, 30)), rng)
 
@@ -195,7 +214,7 @@ def test_partition_iid_is_sizes_with_equal_sizes():
     spec = PartitionSpec(mode="sizes", num_clients=5, sizes=(21, 21, 21, 20, 20))
     sized = partition(data, spec, np.random.default_rng(4))
     for a, b in zip(iid, sized, strict=True):
-        assert np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a, b)
 
 
 def test_partition_dirichlet_covers_and_skews():
@@ -203,13 +222,14 @@ def test_partition_dirichlet_covers_and_skews():
     data = synthesize_classification(600, 4, 6, 1.0, rng)
     spec = PartitionSpec(mode="dirichlet", num_clients=6, concentration=0.1)
     shards = partition(data, spec, rng)
-    assert sum(s.n for s in shards) == 600
-    assert max(s.n for s in shards) - min(s.n for s in shards) <= 1
+    assert_index_shards(shards, data.n)
+    assert sum(rows.size for rows in shards) == 600
+    assert max(rows.size for rows in shards) - min(rows.size for rows in shards) <= 1
     # low concentration should produce skewed class mixtures somewhere
     skews = []
-    for shard in shards:
-        counts = np.bincount(shard.labels, minlength=6)
-        skews.append(counts.max() / shard.n)
+    for rows in shards:
+        counts = np.bincount(data.labels[rows], minlength=6)
+        skews.append(counts.max() / rows.size)
     assert max(skews) > 0.5
 
 

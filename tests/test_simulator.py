@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,39 @@ def test_shards_below_the_batch_are_charged_whole():
     assert trace.participation[0] > 0
 
 
+def test_build_state_holds_the_training_set_once():
+    """After set-up the memory still held is the data plus at most 1 MiB.
+
+    A 784-64-10 MLP on 2,000 train and 1,000 test rows: the features are
+    about 18 MiB, and a copy of the train rows per shard would add 12 MiB.
+    The peak is not bounded: the data synthesis has a temporary of its own.
+    """
+    cfg = fast_config(
+        num_clients=20,
+        num_channels=5,
+        num_train=2000,
+        num_test=1000,
+        feature_dim=784,
+        num_classes=10,
+        hidden_units=64,
+        partition="iid",
+        sigma_hat=1.0,
+        eps_min=10.0,
+        eps_max=20.0,
+        tau=10,
+        batch_size=16,
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state = build_state(cfg, "round_robin")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    data = state.train_pool.features.nbytes + state.test_set.features.nbytes
+    assert held <= data + 2**20
+
+
 def test_degenerate_budgets_raise_at_setup():
     from sparsefl.accountant import DegenerateBudgetError
 
@@ -203,11 +237,12 @@ def test_matches_hand_rolled_weighted_averaging():
             rng = streams.substream(cfg.seed, streams.TRAIN, t, i)
             rng.random(spec.dim)  # the mask's uniforms, all kept at s = 1
             local = w.copy()
-            data = state.shards[i]
+            rows = state.shards[i]
+            pool = state.train_pool
             for _ in range(cfg.tau):
-                take = rng.choice(data.n, size=4, replace=False)
+                take = rows[rng.choice(rows.size, size=4, replace=False)]
                 _, grads = per_sample_loss_grads(
-                    ModelWeights(local, spec), data.features[take], data.labels[take]
+                    ModelWeights(local, spec), pool.features[take], pool.labels[take]
                 )
                 local -= cfg.eta * clip_per_sample(grads, 1e9).mean(axis=0)
             delta += weights[i] * (local - w)
