@@ -207,12 +207,7 @@ def per_sample_loss_grads(
 
 
 def _class_major_logits(w: ModelWeights, x: np.ndarray) -> np.ndarray:
-    """Logits [classes, n] of unstacked weights w on x [n, feature_dim].
-
-    Each entry holds the bits _forward gives it: the installed BLAS forms
-    every dot product in the same order whichever operand is transposed (the
-    evaluate test and the metrics CSV pins hold this).
-    """
+    """Logits [classes, n] of unstacked weights w on x [n, feature_dim]."""
     if w.spec.hidden_units is None:
         wt, b = split_blocks(w.values, w.spec)
         inputs = x.T
@@ -226,54 +221,23 @@ def _class_major_logits(w: ModelWeights, x: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _column_sums(rows: np.ndarray) -> np.ndarray:
-    """Sum over the first axis of rows [k, n], each column summed in numpy's order.
-
-    Column j's sum holds the bits of rows[:, j].sum(), i.e. of a contiguous
-    row of k values summed by numpy's pairwise rule: under 8 values, left
-    to right; up to 128, eight running sums over the whole blocks of 8,
-    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover
-    values in turn; above 128, the sums of two halves, the first a multiple
-    of 8 long. Summing whole rows this way costs one vector add per value
-    instead of a reduction along a short axis for each column.
-    """
-    k = rows.shape[0]
-    if k < 8:
-        total = rows[0].copy()
-        for row in rows[1:]:
-            total += row
-        return total
-    if k > 128:
-        half = k // 2 - (k // 2) % 8
-        return _column_sums(rows[:half]) + _column_sums(rows[half:])
-    whole = k - k % 8
-    r = rows[:8] if whole == 8 else rows[:8] + rows[8:16]
-    for start in range(16, whole, 8):
-        r += rows[start : start + 8]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for row in rows[whole:]:
-        total += row
-    return total
-
-
 def evaluate(w: ModelWeights, test_set: Dataset, train_pool: Dataset) -> tuple[float, float]:
     """(test accuracy, mean train cross-entropy) of w: the two numbers a round records.
 
     Predictions are the argmax logit, with exact ties resolved to the lowest
     class index. Each train sample's loss is its log-sum-exp less its label's
-    shifted logit, the value the full log-softmax matrix would hold there.
+    shifted logit, so the full log-softmax matrix is never formed.
     The logits are formed class-major, [classes, samples], so the max and
-    the exp-sum over classes run along whole rows (_column_sums keeps the
-    sum's bits) instead of reducing along a short axis per sample. The shift
-    and the exp overwrite the train logits, so no other array of their size
-    is allocated.
+    the exp-sum over classes run along whole rows instead of reducing along
+    a short axis per sample. The shift and the exp overwrite the train
+    logits, so no other array of their size is allocated.
     """
     logits = _class_major_logits(w, test_set.features)
     accuracy = float((logits.argmax(axis=0) == test_set.labels).mean())
     shifted = _class_major_logits(w, train_pool.features)
     shifted -= shifted.max(axis=0)
     picked = shifted[train_pool.labels, np.arange(train_pool.n)]
-    lse = np.log(_column_sums(np.exp(shifted, out=shifted)))
+    lse = np.log(np.exp(shifted, out=shifted).sum(axis=0))
     return accuracy, float(-(picked - lse).mean())
 
 
@@ -405,7 +369,8 @@ def _open_binary(path: str):
 
 
 def _read_body(fh, size: int, path: str) -> bytes:
-    """Up to size bytes; a corrupt or cut gzip stream is malformed IDX, not an I/O error."""
+    """Up to size bytes (-1: the rest of the file); a corrupt or cut gzip
+    stream is malformed IDX, not an I/O error."""
     try:
         return fh.read(size)
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
@@ -423,18 +388,19 @@ def _read_idx(path: str, magic: int, kind: str, unit: str) -> np.ndarray:
         if got != magic:
             raise IdxFormatError(f"{path}: expected {kind} magic {magic:#x}, got {got:#010x}")
         item = math.prod(item_shape)
-        raw = _read_body(fh, count * item, path)
-    if len(raw) != count * item:
+        # The header's count is not trusted with an allocation of its size.
+        raw = _read_body(fh, -1, path)
+    if len(raw) < count * item:
         raise IdxFormatError(f"{path}: expected {count * item} {unit} bytes")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(count, item)
+    return np.frombuffer(raw, dtype=np.uint8, count=count * item).reshape(count, item)
 
 
 def read_idx_images(path: str) -> np.ndarray:
-    """Images from an IDX file as float64 rows scaled to [0, 1]."""
-    return _read_idx(path, 0x00000803, "image", "pixel").astype(np.float64) / 255.0
+    """Images from an IDX file as uint8 rows [count, pixels], as stored."""
+    return _read_idx(path, 0x00000803, "image", "pixel")
 
 
 def read_idx_labels(path: str) -> np.ndarray:
-    """Labels from an IDX file as an int64 vector."""
-    return _read_idx(path, 0x00000801, "label", "label").ravel().astype(np.int64)
+    """Labels from an IDX file as a uint8 vector, as stored."""
+    return _read_idx(path, 0x00000801, "label", "label").ravel()
 

@@ -174,7 +174,8 @@ def _build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
         labels = _read_mnist_file(config, f"mnist_{name}_labels")
         if len(labels) != len(images):
             raise ConfigError(f"mnist_{name}_labels: {len(labels)} labels for {len(images)} images")
-        data = Dataset(images[:wanted], labels[:wanted])
+        # Only the kept rows are converted, so no array of the whole file outlives the load.
+        data = Dataset(images[:wanted] / 255.0, labels[:wanted].astype(np.int64))
         loaded.append(data)
         if data.n < wanted:
             raise ConfigError(
@@ -394,11 +395,10 @@ def run_round(state: SimState) -> MetricsRow | None:
     )
 
     participants = decision.participants
-    # Aggregation weight times 1 - s, summed over the scheduled set.
     deficit = 0.0
     if participants.size:
         selected_weights = state.sizes[participants] / state.sizes[participants].sum()
-        rates = [float(decision.rates[i]) for i in participants]
+        rates = decision.rates[participants]
         state.weights.values += local_train(
             state.weights,
             [state.shards[i] for i in participants],
@@ -411,8 +411,8 @@ def run_round(state: SimState) -> MetricsRow | None:
             round_num=t,
             stats=state.stats,
         )
-        for weight, s in zip(selected_weights, rates):
-            deficit += weight * (1.0 - s)
+        # Aggregation weight times 1 - s, summed over the scheduled set.
+        deficit = float(selected_weights @ (1.0 - rates))
         state.participation[participants] += 1
         if state.ledgers is not None:
             for i in participants:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import gzip
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +386,7 @@ def write_mnist_cfg(tmp_path, image_shapes):
         ("mnist_test_images", "truncate"),
         ("mnist_test_labels", "truncate_gzip"),
         ("mnist_train_images", "corrupt_gzip"),
+        ("mnist_train_images", "huge_count"),
         ("mnist_test_labels", "count"),
         ("mnist_train_images", "missing"),
         ("mnist_test_labels", "label_range"),
@@ -392,7 +394,9 @@ def write_mnist_cfg(tmp_path, image_shapes):
 )
 def test_cli_malformed_mnist_file_is_config_error(tmp_path, capsys, key, damage):
     """A malformed or missing IDX file, a label count unlike the image count, or a
-    label at or above num_classes exits 2; the last names num_classes, not the file."""
+    label at or above num_classes exits 2; the last names num_classes, not the file.
+    A header claiming far more images than its body holds is malformed too, not a
+    request for memory of the claimed size."""
     cfg_path = write_mnist_cfg(tmp_path, {"train": (40, 4, 4), "test": (10, 4, 4)})
     bad = tmp_path / (key.removeprefix("mnist_") + ".idx")
     raw = bad.read_bytes()
@@ -405,6 +409,8 @@ def test_cli_malformed_mnist_file_is_config_error(tmp_path, capsys, key, damage)
     elif damage == "corrupt_gzip":
         packed = gzip.compress(raw)
         bad.write_bytes(packed[:10] + b"\xff" * 10 + packed[20:])
+    elif damage == "huge_count":
+        bad.write_bytes(struct.pack(">IIII", 0x00000803, 2**31, 28, 28) + bytes(3 * 28 * 28))
     elif damage == "count":
         write_idx_labels(bad, np.zeros(7, dtype=int))
     elif damage == "label_range":

@@ -11,7 +11,6 @@ from sparsefl.model_data import (
     ModelWeights,
     PartitionError,
     PartitionSpec,
-    _column_sums,
     _forward,
     _log_softmax,
     evaluate,
@@ -95,16 +94,25 @@ def test_zero_weights_give_uniform_loss():
     assert loss == pytest.approx(np.log(4.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("num_classes", [5, 10, 129])
 @pytest.mark.parametrize("hidden_units", [None, 7])
-def test_evaluate_matches_full_log_softmax_bits(hidden_units):
-    """Bit-equal to the row-max log-softmax, with classes 1 and 3 tied on every row."""
+def test_evaluate_matches_full_log_softmax_bits(hidden_units, num_classes):
+    """Equal to the row-max log-softmax, with classes 1 and 3 tied on every row.
+
+    The accuracy is exact. So is the loss under 8 classes, where numpy sums a
+    row left to right as the class-major sum does; from 8 classes on, its
+    pairwise row sum adds in another order, so the loss matches to rounding.
+    """
     rng = np.random.default_rng(8)
-    spec = ModelSpec(feature_dim=6, num_classes=5, hidden_units=hidden_units)
+    spec = ModelSpec(feature_dim=6, num_classes=num_classes, hidden_units=hidden_units)
     w = ModelWeights(rng.standard_normal(spec.dim), spec)
     *_, w_out, b_out = split_blocks(w.values, spec)
     w_out[3], b_out[3] = w_out[1], b_out[1]
-    test = Dataset(rng.standard_normal((30, 6)), rng.integers(0, 5, size=30))
-    train = Dataset(3.0 * rng.standard_normal((70, 6)), rng.integers(0, 5, size=70))
+    if num_classes > 5:
+        # Lift the tied pair so it still wins some rows among many classes.
+        b_out[[1, 3]] += 10.0
+    test = Dataset(rng.standard_normal((30, 6)), rng.integers(0, num_classes, size=30))
+    train = Dataset(3.0 * rng.standard_normal((70, 6)), rng.integers(0, num_classes, size=70))
     test_logits, _ = _forward(w, test.features)
     train_logits, _ = _forward(w, train.features)
     assert np.array_equal(train_logits[:, 1], train_logits[:, 3])
@@ -113,16 +121,40 @@ def test_evaluate_matches_full_log_softmax_bits(hidden_units):
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     accuracy, loss = evaluate(w, test, train)
     assert accuracy == float((test_logits.argmax(axis=1) == test.labels).mean())
-    assert loss == float(-logp[np.arange(train.n), train.labels].mean())
+    expected = float(-logp[np.arange(train.n), train.labels].mean())
+    if num_classes < 8:
+        assert loss == expected
+    else:
+        assert loss == pytest.approx(expected, rel=1e-14)
     assert np.array_equal(logp, _log_softmax(train_logits))
 
 
 @pytest.mark.parametrize("classes", list(range(2, 129)) + [129, 200, 300])
 def test_column_sums_hold_numpys_row_sum_bits(classes):
-    """Summed class-major, each column keeps the bits np.sum gives it as a row."""
+    """evaluate's class-major exp-sums against np.sum over each sample's row.
+
+    Identity weights make the logits the features themselves, so evaluate's
+    loss differs from the row-major reference only in the order of the sum
+    over classes. Under 8 classes numpy sums a row left to right, as the
+    column sum does, and the loss keeps its bits; from 8 on, numpy's pairwise
+    rule regroups the row, and the two stay within a classes-term sum's
+    rounding of each other.
+    """
     rng = np.random.default_rng(classes)
-    rows = np.exp(3.0 * rng.standard_normal((40, classes)))
-    assert np.array_equal(_column_sums(np.ascontiguousarray(rows.T)), rows.sum(axis=-1))
+    spec = ModelSpec(feature_dim=classes, num_classes=classes)
+    w = ModelWeights(np.zeros(spec.dim), spec)
+    wt, _ = split_blocks(w.values, spec)
+    wt[:] = np.eye(classes)
+    data = Dataset(3.0 * rng.standard_normal((40, classes)), rng.integers(0, classes, size=40))
+    shifted = data.features - data.features.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1))
+    expected = float(-(shifted[np.arange(data.n), data.labels] - lse).mean())
+    _, loss = evaluate(w, data, data)
+    if classes < 8:
+        assert loss == expected
+    else:
+        eps = np.finfo(np.float64).eps
+        assert abs(loss - expected) <= 2 * classes * eps * max(1.0, abs(expected))
 
 
 def test_gradient_descent_reduces_loss():
@@ -264,11 +296,10 @@ def test_idx_round_trip(tmp_path):
     write_idx_images(img_path, raw)
     write_idx_labels(lab_path, labels)
     images = read_idx_images(img_path)
-    assert images.shape == (7, 12)
-    assert images.max() <= 1.0 and images.min() >= 0.0
-    assert np.allclose(images[0], raw[0].reshape(-1) / 255.0)
+    assert images.dtype == np.uint8
+    assert np.array_equal(images, raw.reshape(7, 12))
     got_labels = read_idx_labels(lab_path)
-    assert np.array_equal(got_labels, labels.astype(np.int64))
+    assert np.array_equal(got_labels, labels)
 
 
 def test_idx_gzip_transparency(tmp_path):

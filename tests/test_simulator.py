@@ -375,6 +375,37 @@ def test_mnist_pipeline(tmp_path):
         build_state(bad, "random")
 
 
+def test_mnist_load_keeps_only_the_rows_it_uses(tmp_path):
+    """Files with more images than num_train and num_test leave features that own their rows."""
+    rng = np.random.default_rng(1)
+    imgs = rng.integers(0, 256, size=(300, 4, 4)).astype(np.uint8)
+    labels = rng.integers(0, 4, size=300).astype(np.uint8)
+    paths = {}
+    for name, writer, payload in (
+        ("images", write_idx_images, imgs),
+        ("labels", write_idx_labels, labels),
+    ):
+        paths[name] = str(tmp_path / f"{name}.idx")
+        writer(paths[name], payload)
+    cfg = fast_config(
+        dataset="mnist",
+        mnist_train_images=paths["images"],
+        mnist_train_labels=paths["labels"],
+        mnist_test_images=paths["images"],
+        mnist_test_labels=paths["labels"],
+        num_train=200,
+        num_test=50,
+        num_clients=4,
+        num_channels=2,
+    )
+    state = build_state(cfg, "random")
+    for data, kept in ((state.train_pool, 200), (state.test_set, 50)):
+        assert data.features.shape == (kept, 16)
+        assert data.features.base is None and data.labels.base is None
+        assert np.array_equal(data.features, imgs[:kept].reshape(kept, 16) / 255.0)
+        assert np.array_equal(data.labels, labels[:kept])
+
+
 SCHEDULE_COLUMNS = (
     "round",
     "policy",
